@@ -24,9 +24,10 @@ from .padic import check_prime
 from .permcheck import classify_low_discrepancy, is_permutation_mod
 from .polynomials import (
     IntPolynomial,
+    _is_injective_mod,
+    _value_table,
     affine_compose,
     derivative,
-    eval_mod,
     reduce_coeffs_mod,
 )
 
@@ -296,11 +297,6 @@ class EntryVerification:
         return not self.failures
 
 
-def _derivative_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
-    df = derivative(f)
-    return tuple(x for x in range(p) if eval_mod(df, x, p) == 0)
-
-
 def verify_entry(entry: DicksonEntry, p: int, check_lds: bool = False) -> EntryVerification:
     """Re-derive one row's claims at a concrete prime.
 
@@ -321,7 +317,8 @@ def verify_entry(entry: DicksonEntry, p: int, check_lds: bool = False) -> EntryV
     for a in entry.admissible_parameters(p):
         f = entry.build(a, p)
         perm = is_permutation_mod(f, p)
-        roots = _derivative_roots(f, p)
+        d_table = _value_table(derivative(f).coeffs, p)
+        roots = tuple(x for x, v in enumerate(d_table) if v == 0)
         lds: bool | None = None
         if check_lds:
             lds = classify_low_discrepancy(f, p).low_discrepancy
@@ -365,38 +362,6 @@ class SearchConstraints:
     nonzero_linear: bool = False
 
 
-def _perm_tuple(coeffs: tuple[int, ...], m: int) -> bool:
-    seen = bytearray(m)
-    for x in range(m):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % m
-        if seen[v]:
-            return False
-        seen[v] = 1
-    return True
-
-
-def _fast_filter(coeffs: tuple[int, ...], p: int) -> bool:
-    """Permutation mod p and derivative root-free mod p (early-exit)."""
-    seen = bytearray(p)
-    for x in range(p):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % p
-        if seen[v]:
-            return False
-        seen[v] = 1
-    dcoeffs = tuple(i * c % p for i, c in enumerate(coeffs))[1:]
-    for x in range(p):
-        v = 0
-        for c in reversed(dcoeffs):
-            v = (v * x + c) % p
-        if v == 0:
-            return False
-    return True
-
-
 def _chunk_candidates(p: int, d: int, a1: int | None, cons: SearchConstraints):
     lead = (1,) if cons.monic else tuple(range(1, p))
     a0s = (0,) if cons.zero_constant else tuple(range(p))
@@ -416,7 +381,12 @@ def _search_chunk(args) -> list[tuple[int, ...]]:
     hits = []
     pp = p * p
     for coeffs in _chunk_candidates(p, d, a1, cons):
-        if _fast_filter(coeffs, p) and _perm_tuple(coeffs, pp):
+        # permutation mod p, f' root-free mod p, then brute-force confirmation mod p^2
+        if (
+            _is_injective_mod(coeffs, p)
+            and 0 not in _value_table([i * c for i, c in enumerate(coeffs)][1:], p)
+            and _is_injective_mod(coeffs, pp)
+        ):
             hits.append(coeffs)
     return hits
 

@@ -4,7 +4,7 @@ Subcommands: classify, generate, discrepancy, paircorr, verify-tables,
 search, bridge.  Exact fractions are the primary output representation
 (printed as num/den, always in lowest terms); decimal columns are convenience
 approximations and carry an ``_approx`` suffix.  Exit codes: 0 success,
-1 usage/parse error, 2 verification failure.
+1 usage/parse error, 2 verification failure or broken internal invariant.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .discrepancy import (
     padic_discrepancy,
     real_extreme_discrepancy,
 )
-from .padic import check_prime, monna_of_int
+from .padic import InvariantError, check_prime, monna_of_int
 from .paircorr import ppc_sweep
-from .permcheck import classify_low_discrepancy, classify_via_reduction, noebauer_mod_p2
+from .permcheck import classify_low_discrepancy, folded_verdict, noebauer_mod_p2
 from .polynomials import parse_poly, render, unit_derivative_poly, unit_value_poly
 from .sequence import SequenceSpec
 
@@ -145,10 +145,11 @@ def cmd_classify(args) -> int:
     reduction = None
     divergence = None
     if p >= 3:
-        formula = classify_via_reduction(f, p)
+        value_poly, derivative_poly = unit_value_poly(f, p), unit_derivative_poly(f, p)
+        formula = folded_verdict(value_poly, derivative_poly, p)
         reduction = {
-            "value_poly": render(unit_value_poly(f, p)),
-            "derivative_poly": render(unit_derivative_poly(f, p)),
+            "value_poly": render(value_poly),
+            "derivative_poly": render(derivative_poly),
             "verdict": formula.as_dict(),
         }
         divergence = formula.low_discrepancy != brute.low_discrepancy
@@ -343,8 +344,6 @@ def _add_common(sp, poly_arg: bool = True, linear: bool = True,
     sp.add_argument("--format", choices=("json", "csv"), default=fmt_default,
                     help=f"output format (default {fmt_default})")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes (honored by search; others are single-threaded)")
 
 
 def build_parser() -> _Parser:
@@ -407,7 +406,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--dump", action="store_true", help="dump table data as JSON")
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_verify_tables)
 
     sp = sub.add_parser(
@@ -423,7 +421,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--nonzero-linear", dest="nonzero_linear", action="store_true")
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes for the candidate chunks (default 1); "
+                         "the output is the same for any count")
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser(
@@ -450,6 +450,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"padiclds: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"padiclds: error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PAdicApprox, check_prime
+from .padic import InvariantError, PAdicApprox, check_prime
 
 WITNESS_TAIL = "tail"
 
@@ -105,7 +105,8 @@ def _discrepancy_core(values: list[int], multiplicities: Counter, k_sep: int, p:
     tail = Fraction(cstar, N)
     if tail > best:
         best, best_level, best_residue = tail, WITNESS_TAIL, None
-    assert Fraction(1, N) <= best <= 1, "discrepancy outside [1/N, 1]"
+    if not Fraction(1, N) <= best <= 1:
+        raise InvariantError(f"internal error: discrepancy {best} outside [1/N, 1] for N={N}")
     return DiscrepancyResult(
         value=best,
         witness_level=best_level,

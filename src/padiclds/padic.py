@@ -38,6 +38,10 @@ def check_prime(p: int) -> int:
     return p
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug in this package, not bad input."""
+
+
 def valuation(x: int, p: int) -> int:
     """Largest m such that p^m divides x.
 

@@ -1,13 +1,18 @@
 """Permutation-polynomial decision procedures and the low-discrepancy classifier.
 
-Three routes are provided:
+Every verdict comes from one private helper, ``_mod_p_verdict``, which reads
+two value tables mod p: the table of a polynomial g gives the permutation
+test and the smallest missed residue, the table of a second polynomial dg
+gives the smallest root.  The three routes differ only in what they feed it:
 
-* brute force -- exhaustive evaluation mod p and mod p^2; always correct and
-  cheap at the primes this toolkit targets, so it is the authoritative route;
-* the Noebauer criterion -- permutation mod p^2 iff permutation mod p and the
-  derivative has no root mod p; used for human-readable certificates and as an
-  internal cross-check of the brute-force route;
-* the unit-group folding formula -- verdicts read off the two degree <= p-2
+* the Noebauer criterion -- g = f, dg = f'.  f permutes Z/p^2 iff it permutes
+  Z/p and f' has no root mod p, so this decides both levels from mod-p data;
+* brute force -- the Noebauer verdict plus an independent exhaustive
+  injectivity test mod p^2.  The two must agree; a mismatch is a broken
+  invariant and raises ``InvariantError``.  This is the authoritative route,
+  and only when f permutes Z/p but not Z/p^2 does it enumerate mod p^2 again
+  to find the level-2 missed residue;
+* the unit-group folding formula -- g and dg are the two degree <= p-2
   reductions of f and f'.  The folding is only valid at unit residues, so this
   route can disagree with ground truth; it is never treated as authoritative,
   and ``divergence_scan`` hunts for exactly those disagreements.
@@ -17,11 +22,13 @@ All decision procedures are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .padic import check_prime
+from .padic import InvariantError, check_prime
 from .polynomials import (
     IntPolynomial,
+    _is_injective_mod,
+    _value_table,
     derivative,
     eval_mod,
     unit_derivative_poly,
@@ -76,48 +83,27 @@ class Verdict:
         }
 
 
-def _values_mod(f: IntPolynomial, m: int) -> list[int]:
-    coeffs = f.coeffs
-    out = []
-    for x in range(m):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % m
-        out.append(v)
-    return out
+def _check_enumeration(m: int, cap: int) -> None:
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
+    if m > cap:
+        raise ValueError(f"enumeration too large: m={m} exceeds cap {cap}")
 
 
 def is_permutation_mod(f: IntPolynomial, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """True iff f induces a bijection on Z/mZ, by exhaustive evaluation."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    if m > cap:
-        raise ValueError(f"enumeration too large: m={m} exceeds cap {cap}")
-    seen = bytearray(m)
-    coeffs = f.coeffs
-    for x in range(m):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % m
-        if seen[v]:
-            return False
-        seen[v] = 1
-    return True
+    _check_enumeration(m, cap)
+    return _is_injective_mod(f.coeffs, m)
 
 
 def first_missing_residue(f: IntPolynomial, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int | None:
     """Smallest residue mod m not attained by f, or None if f is surjective."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    if m > cap:
-        raise ValueError(f"enumeration too large: m={m} exceeds cap {cap}")
+    _check_enumeration(m, cap)
     seen = bytearray(m)
-    for v in _values_mod(f, m):
+    for v in _value_table(f.coeffs, m):
         seen[v] = 1
-    for z in range(m):
-        if not seen[z]:
-            return z
-    return None
+    z = seen.find(0)
+    return None if z < 0 else z
 
 
 def smallest_root_mod(f: IntPolynomial, p: int) -> int | None:
@@ -128,6 +114,28 @@ def smallest_root_mod(f: IntPolynomial, p: int) -> int | None:
     return None
 
 
+def _mod_p_verdict(g: IntPolynomial, dg: IntPolynomial, p: int, method: str,
+                   cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
+    """Verdict "g permutes Z/p and dg has no root mod p", one value table each.
+
+    By pigeonhole g permutes Z/p exactly when it misses no residue, so the
+    permutation test and the level-1 witness come from the same table.
+    """
+    missing = first_missing_residue(g, p, cap)
+    d_table = _value_table(dg.coeffs, p)
+    root = d_table.index(0) if 0 in d_table else None
+    perm_p = missing is None
+    ok = perm_p and root is None
+    return Verdict(
+        low_discrepancy=ok,
+        perm_mod_p=perm_p,
+        perm_mod_p2=ok,
+        derivative_root=root,
+        missing_residue=None if perm_p else (1, missing),
+        method=method,
+    )
+
+
 def noebauer_mod_p2(f: IntPolynomial, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
     """Decide permutation mod p^2 from the mod-p data alone.
 
@@ -136,52 +144,29 @@ def noebauer_mod_p2(f: IntPolynomial, p: int, cap: int = DEFAULT_ENUMERATION_CAP
     certificate.
     """
     check_prime(p)
-    perm_p = is_permutation_mod(f, p, cap)
-    root = smallest_root_mod(derivative(f), p)
-    perm_p2 = perm_p and root is None
-    missing = None
-    if not perm_p:
-        missing = (1, first_missing_residue(f, p, cap))
-    return Verdict(
-        low_discrepancy=perm_p and perm_p2,
-        perm_mod_p=perm_p,
-        perm_mod_p2=perm_p2,
-        derivative_root=root,
-        missing_residue=missing,
-        method=METHOD_NOEBAUER,
-    )
+    return _mod_p_verdict(f, derivative(f), p, METHOD_NOEBAUER, cap)
 
 
 def classify_low_discrepancy(f: IntPolynomial, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
-    """Ground-truth verdict: exhaustive permutation tests mod p and mod p^2.
+    """Ground-truth verdict: the Noebauer verdict checked by enumeration mod p^2.
 
-    The sequence (f(n)) is low-discrepancy exactly when both tests pass.  The
-    result is cross-checked against the Noebauer criterion; a mismatch would
-    mean a broken invariant, so it raises rather than returning.
+    The sequence (f(n)) is low-discrepancy exactly when f permutes Z/p and
+    Z/p^2.  The exhaustive permutation test mod p^2 is independent of the
+    derivative criterion; a mismatch would mean a broken invariant, so it
+    raises ``InvariantError`` rather than returning.
     """
     check_prime(p)
-    if p * p > cap:
-        raise ValueError(f"enumeration too large: p^2={p * p} exceeds cap {cap}")
-    perm_p = is_permutation_mod(f, p, cap)
-    perm_p2 = is_permutation_mod(f, p * p, cap)
-    root = smallest_root_mod(derivative(f), p)
-    if perm_p2 != (perm_p and root is None):
-        raise RuntimeError(
+    pp = p * p
+    if pp > cap:
+        raise ValueError(f"enumeration too large: p^2={pp} exceeds cap {cap}")
+    verdict = _mod_p_verdict(f, derivative(f), p, METHOD_BRUTE_FORCE, cap)
+    if is_permutation_mod(f, pp, cap) != verdict.perm_mod_p2:
+        raise InvariantError(
             f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
         )
-    missing = None
-    if not perm_p:
-        missing = (1, first_missing_residue(f, p, cap))
-    elif not perm_p2:
-        missing = (2, first_missing_residue(f, p * p, cap))
-    return Verdict(
-        low_discrepancy=perm_p and perm_p2,
-        perm_mod_p=perm_p,
-        perm_mod_p2=perm_p2,
-        derivative_root=root,
-        missing_residue=missing,
-        method=METHOD_BRUTE_FORCE,
-    )
+    if verdict.perm_mod_p and not verdict.perm_mod_p2:
+        return replace(verdict, missing_residue=(2, first_missing_residue(f, pp, cap)))
+    return verdict
 
 
 def classify_via_reduction(f: IntPolynomial, p: int) -> Verdict:
@@ -194,25 +179,14 @@ def classify_via_reduction(f: IntPolynomial, p: int) -> Verdict:
     permutation test of the value folding, ``derivative_root`` the smallest
     root of the derivative folding.
     """
+    return folded_verdict(unit_value_poly(f, p), unit_derivative_poly(f, p), p)
+
+
+def folded_verdict(value_poly: IntPolynomial, derivative_poly: IntPolynomial, p: int) -> Verdict:
+    """``classify_via_reduction`` for a caller that already holds the two foldings
+    ``unit_value_poly(f, p)`` and ``unit_derivative_poly(f, p)``."""
     check_prime(p)
-    if p < 3:
-        raise ValueError("unit-group folding requires p >= 3")
-    g_val = unit_value_poly(f, p)
-    g_der = unit_derivative_poly(f, p)
-    perm = is_permutation_mod(g_val, p)
-    root = smallest_root_mod(g_der, p)
-    verdict = perm and root is None
-    missing = None
-    if not perm:
-        missing = (1, first_missing_residue(g_val, p))
-    return Verdict(
-        low_discrepancy=verdict,
-        perm_mod_p=perm,
-        perm_mod_p2=verdict,
-        derivative_root=root,
-        missing_residue=missing,
-        method=METHOD_UNIT_REDUCTION,
-    )
+    return _mod_p_verdict(value_poly, derivative_poly, p, METHOD_UNIT_REDUCTION)
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,38 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
     return v
 
 
+# The two loops below take a bare little-endian coefficient sequence, so the
+# exhaustive search can call them without building an IntPolynomial per
+# candidate.  Each inlines its Horner loop: one shared generator evaluator
+# made the search's per-candidate mod-p test about 1.25x as slow, and a
+# column-wise table the mod-p^2 enumeration of a quintic about 1.2x as slow.
+
+def _value_table(coeffs, m: int) -> list[int]:
+    """[f(0) mod m, ..., f(m-1) mod m]."""
+    rev = coeffs[::-1]
+    table = []
+    for x in range(m):
+        v = 0
+        for c in rev:
+            v = (v * x + c) % m
+        table.append(v)
+    return table
+
+
+def _is_injective_mod(coeffs, m: int) -> bool:
+    """True iff x -> f(x) mod m is injective on [0, m); stops at the first repeat."""
+    rev = coeffs[::-1]
+    seen = bytearray(m)
+    for x in range(m):
+        v = 0
+        for c in rev:
+            v = (v * x + c) % m
+        if seen[v]:
+            return False
+        seen[v] = 1
+    return True
+
+
 def derivative(f: IntPolynomial) -> IntPolynomial:
     """Formal derivative."""
     return IntPolynomial(i * c for i, c in enumerate(f.coeffs) if i >= 1)

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from padiclds import cli
 from padiclds.cli import main, parse_fraction, parse_schedule
+from padiclds.padic import InvariantError
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +72,16 @@ class TestClassify:
     def test_composite_p_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--p", "9", "x")
         assert code == 1
+
+    def test_broken_invariant_exits_2_with_one_line(self, capsys, monkeypatch):
+        def broken(f, p):
+            raise InvariantError("internal error: injected for the test")
+
+        monkeypatch.setattr(cli, "classify_low_discrepancy", broken)
+        code, out, err = run_cli(capsys, "classify", "--p", "3", "x^3+x")
+        assert code == 2
+        assert out == ""
+        assert err == "padiclds: error: internal error: injected for the test\n"
 
 
 class TestGenerate:
@@ -262,11 +274,13 @@ class TestOutputPlumbing:
         assert json.loads(proc.stdout)["brute_force"]["low_discrepancy"] is True
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "padiclds.cli", "classify"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
+        # --workers belongs to search alone; the other subcommands reject it
+        for argv in (["classify"], ["classify", "--p", "3", "--workers", "2", "x"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "padiclds.cli", *argv],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 1, argv
 
     def test_unknown_subcommand_exit_code(self):
         proc = subprocess.run(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from padiclds.discrepancy import (
+    _discrepancy_core,
     discrepancy_profile,
     meijer_bound_check,
     padic_discrepancy,
@@ -12,7 +13,7 @@ from padiclds.discrepancy import (
     real_extreme_discrepancy,
     separation_depth,
 )
-from padiclds.padic import digits_of, monna_of_int, valuation
+from padiclds.padic import InvariantError, digits_of, monna_of_int, valuation
 from padiclds.polynomials import parse_poly
 from padiclds.sequence import linear_sequence, poly_sequence
 
@@ -151,6 +152,12 @@ class TestPAdicDiscrepancy:
                 k, z = res.witness_level, res.witness_residue
                 count = sum(1 for v in values if v % 3**k == z)
                 assert res.value == abs(Fraction(count, N) - Fraction(1, 3**k))
+
+    def test_out_of_range_value_raises_named_error(self):
+        # a multiplicity table inconsistent with the values puts the tail term
+        # above 1; the range check must catch it even under python -O
+        with pytest.raises(InvariantError, match=r"outside \[1/N, 1\]"):
+            _discrepancy_core([0, 1], Counter({0: 3}), 1, 3)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

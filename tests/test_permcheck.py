@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from padiclds import permcheck
+from padiclds.padic import InvariantError
 from padiclds.permcheck import (
     METHOD_BRUTE_FORCE,
     METHOD_NOEBAUER,
@@ -16,7 +18,15 @@ from padiclds.permcheck import (
     noebauer_mod_p2,
     smallest_root_mod,
 )
-from padiclds.polynomials import IntPolynomial, affine_compose, eval_mod, parse_poly
+from padiclds.polynomials import (
+    IntPolynomial,
+    affine_compose,
+    derivative,
+    eval_mod,
+    parse_poly,
+    unit_derivative_poly,
+    unit_value_poly,
+)
 
 
 def perm_oracle(f, m):
@@ -90,6 +100,11 @@ class TestClassify:
         # n^5 mod 9 never hits 3: the smallest missing level-2 residue
         assert v.missing_residue == (2, 3)
         assert 3 not in {pow(n, 5, 9) for n in range(9)}
+
+    def test_enumeration_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(permcheck, "is_permutation_mod", lambda f, m, cap: False)
+        with pytest.raises(InvariantError, match="Noebauer criterion disagrees"):
+            classify_low_discrepancy(parse_poly("x^3 + x"), 3)
 
     def test_verdict_invariants_enforced(self):
         with pytest.raises(ValueError, match="conjunction"):
@@ -224,3 +239,72 @@ class TestDivergenceScan:
         r1 = divergence_scan(3, 3, range(0, 3))
         r2 = divergence_scan(3, 3, range(0, 6))
         assert [e.poly for e in r1.entries] == [e.poly for e in r2.entries]
+
+
+def _image(g, m):
+    return {eval_mod(g, x, m) for x in range(m)}
+
+
+def _smallest_missing(image, m):
+    return min(set(range(m)) - image, default=None)
+
+
+def _smallest_root(g, p):
+    return next((x for x in range(p) if eval_mod(g, x, p) == 0), None)
+
+
+def _criterion_oracle(g, dg, p, method):
+    """Verdict "g permutes Z/p and dg is root-free mod p", point by point."""
+    missing = _smallest_missing(_image(g, p), p)
+    root = _smallest_root(dg, p)
+    ok = missing is None and root is None
+    return Verdict(ok, missing is None, ok, root, None if missing is None else (1, missing), method)
+
+
+def _brute_oracle(f, p):
+    missing_p = _smallest_missing(_image(f, p), p)
+    missing_p2 = _smallest_missing(_image(f, p * p), p * p)
+    perm_p, perm_p2 = missing_p is None, missing_p2 is None
+    missing = (1, missing_p) if not perm_p else None if perm_p2 else (2, missing_p2)
+    return Verdict(perm_p and perm_p2, perm_p, perm_p2, _smallest_root(derivative(f), p),
+                   missing, METHOD_BRUTE_FORCE)
+
+
+class TestCertificateOracle:
+    """Every Verdict field of the three routes against a point-by-point oracle."""
+
+    def check(self, f, p):
+        brute = _brute_oracle(f, p)
+        assert classify_low_discrepancy(f, p) == brute, (f, p)
+        noeb = _criterion_oracle(f, derivative(f), p, METHOD_NOEBAUER)
+        assert noebauer_mod_p2(f, p) == noeb, (f, p)
+        assert noeb.perm_mod_p2 == brute.perm_mod_p2  # the criterion itself
+        if p >= 3:
+            g, dg = unit_value_poly(f, p), unit_derivative_poly(f, p)
+            df = derivative(f)
+            assert all(eval_mod(g, x, p) == eval_mod(f, x, p) for x in range(1, p))
+            assert all(eval_mod(dg, x, p) == eval_mod(df, x, p) for x in range(1, p))
+            assert classify_via_reduction(f, p) == _criterion_oracle(
+                g, dg, p, METHOD_UNIT_REDUCTION), (f, p)
+        return brute
+
+    def test_exhaustive_degree3(self):
+        levels = set()
+        for p in (2, 3, 5, 7):
+            for coeffs in itertools.product(range(p), repeat=4):
+                v = self.check(IntPolynomial(coeffs), p)
+                levels.add(v.missing_residue and v.missing_residue[0])
+        assert levels == {None, 1, 2}  # every witness branch was exercised
+
+    def test_sampled_degree_at_least_p(self):
+        rng = random.Random(79)
+        folded = 0
+        for p in (2, 3, 5, 7):
+            for _ in range(150):
+                degree = rng.randint(p, p + 4)
+                coeffs = [rng.randint(-p, 2 * p) for _ in range(degree)] + [rng.randint(1, p - 1)]
+                f = IntPolynomial(coeffs)
+                self.check(f, p)
+                if p >= 3:
+                    folded += unit_value_poly(f, p) != IntPolynomial(c % p for c in coeffs)
+        assert folded > 0  # the foldings really differ from f
