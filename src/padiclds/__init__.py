@@ -50,6 +50,7 @@ from .discrepancy import (
     meijer_bound_check,
     padic_discrepancy,
     padic_discrepancy_truncated,
+    prefix_discrepancies,
     real_extreme_discrepancy,
     separation_depth,
 )

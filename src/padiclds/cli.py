@@ -23,11 +23,7 @@ from .catalog import (
     verification_primes,
     verify_entry,
 )
-from .discrepancy import (
-    meijer_bound_check,
-    padic_discrepancy,
-    real_extreme_discrepancy,
-)
+from .discrepancy import meijer_bound_check, prefix_discrepancies, real_extreme_discrepancy
 from .padic import InvariantError, check_prime, monna_of_int
 from .paircorr import ppc_sweep
 from .permcheck import classify_low_discrepancy, folded_verdict, noebauer_mod_p2
@@ -214,9 +210,10 @@ def cmd_discrepancy(args) -> int:
     values = spec.integer_values(max(schedule))
     header = ["N", "D_N", "N_times_D_N", "witness_level", "witness_residue",
               "separation_depth", "D_N_approx"]
+    results = prefix_discrepancies(values, args.p, schedule)
     rows = []
     for N in schedule:
-        res = padic_discrepancy(values[:N], args.p)
+        res = results[N]
         rows.append([
             N, _frac(res.value), _frac(res.value * N),
             res.witness_level,
@@ -312,13 +309,13 @@ def cmd_bridge(args) -> int:
     values = spec.integer_values(max(schedule))
     if args.K is None and any(v < 0 for v in values):
         raise ValueError("negative values have no finite expansion; pass --K")
+    points = [monna_of_int(v, args.p, args.K) for v in values]
+    deltas = prefix_discrepancies(values, args.p, schedule)
     header = ["N", "delta_N", "d_N", "upper", "holds"]
     rows = []
     for N in schedule:
-        prefix = values[:N]
-        delta = padic_discrepancy(prefix, args.p).value
-        points = [monna_of_int(v, args.p, args.K) for v in prefix]
-        d = real_extreme_discrepancy(points)
+        delta = deltas[N].value
+        d = real_extreme_discrepancy(points[:N])
         holds, upper = meijer_bound_check(delta, d, args.p)
         rows.append([
             N, _frac(delta), _frac(d), repr(upper),

@@ -11,6 +11,12 @@ finite in three exact pieces:
 * the tail supremum c*/N, where c* is the maximum multiplicity among exact
   values (the k -> infinity limit of an occupied ball's term).
 
+One engine, ``prefix_discrepancies``, computes it for any set of prefix
+lengths in a single pass: per level it keeps the occupancy counts and their
+extremes under insertion, and forms the exact supremum and its witness only
+at the requested lengths.  ``padic_discrepancy``, the truncated variant and
+``discrepancy_profile`` are that engine at one length or at every length.
+
 Everything is computed in exact rational arithmetic.  The only floating point
 in the whole package is the transcendental upper bound of the p-adic-to-real
 discrepancy transfer inequality, quarantined in ``meijer_bound_check`` behind
@@ -53,66 +59,122 @@ def separation_depth(values: list[int], p: int) -> int:
     """
     check_prime(p)
     distinct = set(values)
-    if len(distinct) <= 1:
-        return 1
     k = 1
-    while True:
-        pk = p ** k
-        groups: dict[int, int] = {}
-        ok = True
-        for v in distinct:
-            r = v % pk
-            if r in groups:
-                ok = False
-                break
-            groups[r] = v
-        if ok:
-            return k
+    while len({v % p**k for v in distinct}) < len(distinct):
         k += 1
+    return k
 
 
-def _smallest_missing(occupied_sorted: list[int]) -> int:
-    for i, r in enumerate(occupied_sorted):
-        if i != r:
-            return i
-    return len(occupied_sorted)
+class _Level:
+    """Ball occupancy mod p^k: count per occupied residue, and how many
+    residues hold each count, so the extreme counts follow every insertion."""
+
+    __slots__ = ("pk", "counts", "hist", "maxc", "minc")
+
+    def __init__(self, pk: int, multiplicities: dict[int, int]) -> None:
+        self.pk = pk
+        self.counts: dict[int, int] = {}
+        for v, m in multiplicities.items():
+            r = v % pk
+            self.counts[r] = self.counts.get(r, 0) + m
+        self.hist = dict(Counter(self.counts.values()))  # count -> residues holding it
+        self.maxc = max(self.hist)
+        self.minc = min(self.hist)
+
+    def add(self, v: int) -> None:
+        r = v % self.pk
+        c = self.counts.get(r, 0)
+        self.counts[r] = c + 1
+        hist = self.hist
+        hist[c + 1] = hist.get(c + 1, 0) + 1
+        if c == 0:
+            self.minc = 1
+        else:
+            hist[c] -= 1
+            if c == self.minc and not hist[c]:
+                self.minc = c + 1  # the residue just incremented now holds c + 1
+        if c == self.maxc:
+            self.maxc = c + 1
 
 
-def _discrepancy_core(values: list[int], multiplicities: Counter, k_sep: int, p: int) -> DiscrepancyResult:
-    """Shared supremum scan over levels 1..k_sep+1 plus the tail term.
+def _supremum(levels: list[_Level], N: int, cstar: int) -> DiscrepancyResult:
+    """The supremum for N points from the occupancy of levels 1..k_sep+1.
 
     Ties are broken toward smaller level, then smaller residue, with the tail
-    considered last, so the witness is deterministic.
+    considered last, so the witness is deterministic.  Each level's best term
+    is |c/N - p^-k| at c = maxc or c = minc, or p^-k for an unoccupied residue
+    at the shallowest level that has one (deeper empty balls are smaller).
     """
-    N = len(values)
     best = Fraction(-1)
     best_level: int | str = 0
-    best_residue: int | None = None
     empty_found = False
-    for k in range(1, k_sep + 2):
-        pk = p ** k
-        measure = Fraction(1, pk)
-        counts: Counter = Counter(v % pk for v in values)
-        candidates = {z: abs(Fraction(c, N) - measure) for z, c in counts.items()}
-        if not empty_found and len(counts) < pk:
-            # only the shallowest empty level matters: deeper ones are smaller
+    for k, lv in enumerate(levels, start=1):
+        term = max(lv.maxc * lv.pk - N, N - lv.minc * lv.pk)
+        if not empty_found and len(lv.counts) < lv.pk:
             empty_found = True
-            candidates[_smallest_missing(sorted(counts))] = measure
-        for z in sorted(candidates):
-            if candidates[z] > best:
-                best, best_level, best_residue = candidates[z], k, z
-    cstar = max(multiplicities.values())
+            term = max(term, N)
+        value = Fraction(term, N * lv.pk)
+        if value > best:
+            best, best_level = value, k
     tail = Fraction(cstar, N)
     if tail > best:
-        best, best_level, best_residue = tail, WITNESS_TAIL, None
+        best, best_level = tail, WITNESS_TAIL
     if not Fraction(1, N) <= best <= 1:
         raise InvariantError(f"internal error: discrepancy {best} outside [1/N, 1] for N={N}")
+    residue = None
+    if best_level != WITNESS_TAIL:
+        lv = levels[best_level - 1]
+        term = best * N * lv.pk
+        targets = {c for c in (lv.maxc, lv.minc) if abs(c * lv.pk - N) == term}
+        hits = [r for r, c in lv.counts.items() if c in targets]
+        if term == N and len(lv.counts) < lv.pk:  # an unoccupied residue attains it
+            missing = 0
+            while missing in lv.counts:
+                missing += 1
+            hits.append(missing)
+        residue = min(hits)
     return DiscrepancyResult(
         value=best,
         witness_level=best_level,
-        witness_residue=best_residue,
-        separation_depth=k_sep,
+        witness_residue=residue,
+        separation_depth=len(levels) - 1,
     )
+
+
+def prefix_discrepancies(
+    values: list[int], p: int, lengths: list[int] | None = None
+) -> dict[int, DiscrepancyResult]:
+    """Exact discrepancy, with its witness, of each prefix values[:N].
+
+    ``lengths`` lists the requested N (default: every N from 1 to
+    len(values)); the answer maps each distinct N, in increasing order, to
+    the ``padic_discrepancy`` of that prefix.  The values are ingested once:
+    per level the occupancy and its extreme counts are kept up to date under
+    insertion, and levels are added as the separation depth grows, so the
+    exact supremum is formed only at the requested lengths.
+    """
+    check_prime(p)
+    if not values:
+        raise ValueError("need at least one value")
+    wanted = sorted(set(range(1, len(values) + 1) if lengths is None else lengths))
+    if not wanted or wanted[0] < 1 or wanted[-1] > len(values):
+        raise ValueError(f"prefix lengths must lie in [1, {len(values)}]")
+    multiplicities: Counter = Counter()
+    cstar = 0
+    levels: list[_Level] = []
+    out: dict[int, DiscrepancyResult] = {}
+    for N, v in enumerate(values[: wanted[-1]], start=1):
+        multiplicities[v] += 1
+        cstar = max(cstar, multiplicities[v])
+        for lv in levels:
+            lv.add(v)
+        # keep exactly levels 1..k_sep+1: a level is clean (separates the
+        # distinct values) when it occupies one residue per distinct value
+        while len(levels) < 2 or len(levels[-2].counts) < len(multiplicities):
+            levels.append(_Level(p ** (len(levels) + 1), multiplicities))
+        if N == wanted[len(out)]:
+            out[N] = _supremum(levels, N, cstar)
+    return out
 
 
 def padic_discrepancy(values: list[int], p: int) -> DiscrepancyResult:
@@ -121,11 +183,7 @@ def padic_discrepancy(values: list[int], p: int) -> DiscrepancyResult:
     Values are exact integers, so every ball depth is answerable; the result
     is the true supremum, not an approximation.
     """
-    check_prime(p)
-    if not values:
-        raise ValueError("need at least one value")
-    k_sep = separation_depth(values, p)
-    return _discrepancy_core(values, Counter(values), k_sep, p)
+    return prefix_discrepancies(values, p, [len(values)])[len(values)]
 
 
 def padic_discrepancy_truncated(values: list[PAdicApprox], p: int) -> DiscrepancyResult:
@@ -144,99 +202,20 @@ def padic_discrepancy_truncated(values: list[PAdicApprox], p: int) -> Discrepanc
             raise ValueError("values must live at the given prime")
         if v.precision != K:
             raise ValueError("values must share the precision K")
-    residues = [v.value for v in values]
-    k_sep = separation_depth(residues, p)
-    if k_sep > K - 1:
+    result = padic_discrepancy([v.value for v in values], p)
+    if result.separation_depth > K - 1:
         raise ValueError(
             f"insufficient precision K={K}: counts not stabilized by level {K - 1}"
         )
-    return _discrepancy_core(residues, Counter(residues), k_sep, p)
+    return result
 
 
 def discrepancy_profile(values: list[int], p: int) -> list[Fraction]:
     """Exact discrepancies of every prefix: [D_1, D_2, ..., D_N].
 
-    Incremental counterpart of ``padic_discrepancy`` (no witnesses); per-level
-    occupancy extremes are maintained under insertion, so the whole profile
-    costs about one level scan per point instead of one full pass per prefix.
+    The values of ``prefix_discrepancies`` at every length.
     """
-    check_prime(p)
-    if not values:
-        raise ValueError("need at least one value")
-
-    class _Level:
-        __slots__ = ("pk", "counts", "sample", "hist", "maxc", "minc", "clean")
-
-        def __init__(self, pk: int) -> None:
-            self.pk = pk
-            self.counts: dict[int, int] = {}
-            self.sample: dict[int, int] = {}  # residue -> one exact value seen there
-            self.hist: Counter = Counter()    # count -> number of residues with it
-            self.maxc = 0
-            self.minc = 0
-            self.clean = True  # no residue holds two distinct exact values
-
-        def add(self, v: int) -> None:
-            r = v % self.pk
-            c = self.counts.get(r, 0)
-            if c == 0:
-                self.sample[r] = v
-            elif self.sample[r] != v:
-                self.clean = False
-            self.counts[r] = c + 1
-            if c:
-                self.hist[c] -= 1
-                if self.hist[c] == 0:
-                    del self.hist[c]
-            self.hist[c + 1] += 1
-            if c + 1 > self.maxc:
-                self.maxc = c + 1
-            if c == 0:
-                self.minc = 1
-            elif self.minc == c and c not in self.hist:
-                m = c + 1
-                while m not in self.hist:
-                    m += 1
-                self.minc = m
-
-    levels: list[_Level] = [_Level(p)]
-    seen: list[int] = []
-    mult: Counter = Counter()
-    cstar = 0
-    out: list[Fraction] = []
-
-    for v in values:
-        seen.append(v)
-        mult[v] += 1
-        cstar = max(cstar, mult[v])
-        for lv in levels:
-            lv.add(v)
-        # invariant: some level below the deepest is clean, so the scan range
-        # 1..k_sep+1 always lies within the maintained levels
-        while len(levels) < 2 or not levels[-2].clean:
-            nxt = _Level(levels[-1].pk * p)
-            for w in seen:
-                nxt.add(w)
-            levels.append(nxt)
-        N = len(seen)
-        best = Fraction(cstar, N)
-        empty_found = False
-        k_sep = next(i + 1 for i, lv in enumerate(levels) if lv.clean)
-        for k in range(1, k_sep + 2):
-            lv = levels[k - 1]
-            measure = Fraction(1, lv.pk)
-            hi = Fraction(lv.maxc, N) - measure
-            lo = measure - Fraction(lv.minc, N)
-            if hi > best:
-                best = hi
-            if lo > best:
-                best = lo
-            if not empty_found and len(lv.counts) < lv.pk:
-                empty_found = True
-                if measure > best:
-                    best = measure
-        out.append(best)
-    return out
+    return [r.value for r in prefix_discrepancies(values, p).values()]
 
 
 # --------------------------------------------------------------------------

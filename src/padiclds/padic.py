@@ -14,27 +14,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Primes below this bound are checked by trial division at construction time;
-# larger inputs are trusted (checking them would dominate the work they gate).
-_PRIME_CHECK_BOUND = 1 << 20
+# Miller-Rabin over the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017), "Strong pseudoprimes
+# to twelve prime bases"); larger p are rejected rather than trusted.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for 2 <= n < PRIME_BOUND."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:  # no prime factor below 43
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_prime(p: int) -> int:
-    """Validate that p is prime (for p below 2^20; trusted above).
+    """Validate that p is a prime below PRIME_BOUND (about 3.3e24).
 
     Returns p unchanged so it can be used inline.  Raises ValueError for
     composite or out-of-range input.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p!r}")
-    if p < _PRIME_CHECK_BOUND:
-        if p % 2 == 0 and p != 2:
-            raise ValueError(f"p must be prime, got {p}")
-        d = 3
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"p must be prime, got {p}")
-            d += 2
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p must be below {PRIME_BOUND} (primality decided exactly), got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return p
 
 

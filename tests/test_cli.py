@@ -148,6 +148,27 @@ class TestDiscrepancyCommand:
                                "1", "0", "--N", "3")
         assert code == 1
 
+    def test_composite_or_huge_p_exits_1(self, capsys):
+        for p in ("1048577", str(2**127 - 1)):
+            code, out, err = run_cli(capsys, "discrepancy", "--p", p, "--N", "3", "--", "x")
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and err.startswith("padiclds: error: p must be")
+
+
+class TestListSchedules:
+    """Rows follow the given schedule, repeats included, each equal to N run alone."""
+
+    @pytest.mark.parametrize("command", ["discrepancy", "bridge"])
+    def test_unsorted_schedule_with_repeats(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--p", "3", "--N", "9,3,9", "--", "x^2+1")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert [row.split(",")[0] for row in rows] == ["9", "3", "9"]
+        for N, row in zip((9, 3, 9), rows):
+            code, alone, _ = run_cli(capsys, command, "--p", "3", "--N", str(N), "--", "x^2+1")
+            assert code == 0
+            assert alone.splitlines() == [header, row]
+
 
 class TestPaircorrCommand:
     def test_closed_form_point(self, capsys):

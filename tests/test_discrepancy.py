@@ -5,11 +5,15 @@ from fractions import Fraction
 import pytest
 
 from padiclds.discrepancy import (
-    _discrepancy_core,
+    WITNESS_TAIL,
+    DiscrepancyResult,
+    _Level,
+    _supremum,
     discrepancy_profile,
     meijer_bound_check,
     padic_discrepancy,
     padic_discrepancy_truncated,
+    prefix_discrepancies,
     real_extreme_discrepancy,
     separation_depth,
 )
@@ -23,18 +27,24 @@ from padiclds.sequence import linear_sequence, poly_sequence
 # --------------------------------------------------------------------------
 
 def naive_padic_discrepancy(values, p):
-    """Direct sup: every level up to k_sep+1, every residue, plus the tail."""
+    """Direct sup with its witness: every ball at levels 1..k_sep+1, scanned
+    level by level and residue by residue, then the tail; a later candidate
+    wins only when strictly larger.  k_sep is the pairwise-valuation depth."""
     N = len(values)
-    k_sep = separation_depth(values, p)
-    best = Fraction(0)
+    k_sep = pair_valuation_depth(values, p)
+    scale = p ** (k_sep + 1)  # every term is an integer over N * scale
+    best, level, residue = -1, None, None
     for k in range(1, k_sep + 2):
         pk = p**k
         counts = Counter(v % pk for v in values)
         for z in range(pk):
-            term = abs(Fraction(counts.get(z, 0), N) - Fraction(1, pk))
-            best = max(best, term)
-    cstar = max(Counter(values).values())
-    return max(best, Fraction(cstar, N))
+            term = abs(counts.get(z, 0) * pk - N) * (scale // pk)  # |count/N - 1/pk|
+            if term > best:
+                best, level, residue = term, k, z
+    tail = max(Counter(values).values()) * scale
+    if tail > best:
+        best, level, residue = tail, WITNESS_TAIL, None
+    return DiscrepancyResult(Fraction(best, N * scale), level, residue, k_sep)
 
 
 def naive_real_discrepancy(points):
@@ -112,14 +122,14 @@ class TestPAdicDiscrepancy:
             res = padic_discrepancy(values[:N], 3)
             assert res.value == Fraction(1, N)
         for N in range(1, 31):
-            assert naive_padic_discrepancy(values[:N], 3) == Fraction(1, N)
+            assert naive_padic_discrepancy(values[:N], 3).value == Fraction(1, N)
 
     def test_agrees_with_naive_oracle(self):
         rng = random.Random(89)
         for _ in range(120):
             N = rng.randint(1, 30)
             values = [rng.randint(0, 120) for _ in range(N)]
-            assert padic_discrepancy(values, 3).value == naive_padic_discrepancy(values, 3)
+            assert padic_discrepancy(values, 3) == naive_padic_discrepancy(values, 3)
 
     def test_translation_invariance(self):
         rng = random.Random(97)
@@ -154,10 +164,11 @@ class TestPAdicDiscrepancy:
                 assert res.value == abs(Fraction(count, N) - Fraction(1, 3**k))
 
     def test_out_of_range_value_raises_named_error(self):
-        # a multiplicity table inconsistent with the values puts the tail term
-        # above 1; the range check must catch it even under python -O
+        # a top multiplicity inconsistent with the two points puts the tail
+        # term above 1; the range check must catch it even under python -O
+        levels = [_Level(3, {0: 1, 1: 1}), _Level(9, {0: 1, 1: 1})]
         with pytest.raises(InvariantError, match=r"outside \[1/N, 1\]"):
-            _discrepancy_core([0, 1], Counter({0: 3}), 1, 3)
+            _supremum(levels, 2, 3)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -197,6 +208,43 @@ class TestTruncatedDiscrepancy:
             assert truncated.value == padic_discrepancy(values, 3).value
 
 
+class TestPrefixDiscrepancies:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_prefix_matches_naive_oracle(self, p):
+        rng = random.Random(131 + p)
+        shapes = 0
+        for _ in range(60):
+            # a small range forces repeats; a wide one deep separation
+            span = rng.choice([3, 12, 60, 400])
+            values = [rng.randint(-span, span) for _ in range(rng.randint(1, 30))]
+            results = prefix_discrepancies(values, p)
+            assert list(results) == list(range(1, len(values) + 1))
+            for N, res in results.items():
+                expected = naive_padic_discrepancy(values[:N], p)
+                assert res == expected, (p, values[:N])
+                shapes |= 1 << (res.witness_level == WITNESS_TAIL)
+        assert shapes == 3  # both ball and tail witnesses occur
+
+    def test_ties_go_to_the_smaller_residue_then_the_tail_last(self):
+        # mod 3 the points 0, 1, 4 leave residue 2 empty (term 1/3) and put two
+        # points on residue 1 (term 2/3 - 1/3); the tail term is 1/3 as well
+        assert padic_discrepancy([0, 1, 4], 3) == DiscrepancyResult(Fraction(1, 3), 1, 1, 2)
+        # the same ties, with the empty residue 0 the smaller one
+        assert padic_discrepancy([2, 1, 4], 3) == DiscrepancyResult(Fraction(1, 3), 1, 0, 2)
+        for values in ([0, 1, 4], [2, 1, 4]):
+            assert naive_padic_discrepancy(values, 3) == padic_discrepancy(values, 3)
+
+    def test_requested_lengths(self):
+        values = [5, -1, 5, 8, 0, 13]
+        results = prefix_discrepancies(values, 3, [6, 2, 6, 4])
+        assert list(results) == [2, 4, 6]
+        for N, res in results.items():
+            assert res == padic_discrepancy(values[:N], 3)
+        for bad in ([0], [7], []):
+            with pytest.raises(ValueError, match="prefix lengths"):
+                prefix_discrepancies(values, 3, bad)
+
+
 class TestDiscrepancyProfile:
     def test_equals_pointwise_computation(self):
         rng = random.Random(109)
@@ -207,7 +255,7 @@ class TestDiscrepancyProfile:
             profile = discrepancy_profile(values, p)
             assert len(profile) == N
             for n in range(1, N + 1):
-                assert profile[n - 1] == padic_discrepancy(values[:n], p).value
+                assert profile[n - 1] == naive_padic_discrepancy(values[:n], p).value
 
     def test_permutation_profile(self):
         values = poly_sequence(parse_poly("x^3 + x"), 300)

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from padiclds.padic import (
+    PRIME_BOUND,
     PAdicApprox,
+    _is_prime,
     abs_p,
     ball_level,
     check_prime,
@@ -202,3 +204,42 @@ class TestMonna:
 def test_check_prime_accepts_primes():
     for p in (2, 3, 5, 7, 11, 104729):
         assert check_prime(p) == p
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Independent oracle: no divisor d with d*d <= n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_2_to_16(self):
+        assert all(_is_prime(n) == trial_division_is_prime(n) for n in range(2, 1 << 16))
+
+    def test_checks_just_below_2_to_20(self):
+        for n in range((1 << 20) - 300, 1 << 20):
+            if trial_division_is_prime(n):
+                assert check_prime(n) == n
+            else:
+                with pytest.raises(ValueError, match="must be prime"):
+                    check_prime(n)
+
+    def test_composites_above_2_to_20_are_rejected(self):
+        # 17 * 61681; then strong pseudoprimes to the first 4 and the first 12
+        # prime bases, which the later bases expose
+        for n in (1048577, 3215031751, 318665857834031151167461):
+            with pytest.raises(ValueError, match="must be prime"):
+                check_prime(n)
+        assert check_prime(2**61 - 1) == 2**61 - 1
+
+    def test_beyond_the_exact_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="must be below"):
+            check_prime(PRIME_BOUND)
+        with pytest.raises(ValueError, match="must be below"):
+            check_prime(2**127 - 1)
