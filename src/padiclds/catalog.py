@@ -449,10 +449,16 @@ def exhaustive_search(
 # Diff against the catalog
 # --------------------------------------------------------------------------
 
+_CATEGORIES = ("table1", "prop_family", "affine", "linear", "unexplained")
+
+
 @dataclass(frozen=True)
 class MatchReport:
     """Partition of search hits by what explains them.
 
+    ``prop_family`` holds the monic hits x^p + a*x + b with a and a+1 units;
+    ``affine`` the other hits whose monic zero-constant canon lies in the
+    orbit of a table-1 row or a family member under a*f(c*x + d) + b.
     ``linear`` holds the degree <= 1 hits: those are settled by the linear
     unit criterion and lie outside the degree-2..6 classification the tables
     cover.  ``unexplained`` entries are verbatim counterexamples to the
@@ -467,7 +473,7 @@ class MatchReport:
 
     def category_of(self) -> dict:
         out = {}
-        for cat in ("table1", "prop_family", "affine", "linear", "unexplained"):
+        for cat in _CATEGORIES:
             for f in getattr(self, cat):
                 out[f.coeffs] = cat
         return out
@@ -499,22 +505,10 @@ def prop_family_instances(p: int) -> list[IntPolynomial]:
     return out
 
 
-def _is_prop_instance(f: IntPolynomial, p: int) -> bool:
-    if f.degree != p or f.coefficient(p) != 1:
-        return False
-    if any(f.coefficient(i) != 0 for i in range(2, p)):
-        return False
-    a = f.coefficient(1) % p
-    return a % p != 0 and (a + 1) % p != 0
-
-
 def _affine_canon(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """Monic zero-constant normal form under value-side affine maps u*f + v."""
-    lead = f.coeffs[-1] % p
-    u = pow(lead, -1, p)
-    cs = [u * c % p for c in f.coeffs]
-    cs[0] = 0
-    return tuple(cs)
+    u = pow(f.coeffs[-1], -1, p)
+    return (0, *(u * c % p for c in f.coeffs[1:]))
 
 
 def _affine_orbit_canons(templates: list[IntPolynomial], p: int) -> set[tuple[int, ...]]:
@@ -528,32 +522,36 @@ def _affine_orbit_canons(templates: list[IntPolynomial], p: int) -> set[tuple[in
 
 
 def match_against_table(found: list[IntPolynomial], p: int) -> MatchReport:
-    """Partition search hits into {table 1, degree-p family, affine image, linear, unexplained}."""
+    """Partition search hits into {table 1, degree-p family, affine image, linear, unexplained}.
+
+    For each hit, reduced mod p to g, the first rule that holds decides: g is a
+    literal table-1 row; deg g <= 1; the monic zero-constant canon of g lies in
+    the affine orbit of a table-1 row or a family member -- prop_family if g is
+    monic with a family-member canon, else affine; otherwise unexplained.
+    """
     check_prime(p)
     t1 = table1_instances(p)
     literal_t1 = {f.coeffs for f in t1}
-    templates = t1 + prop_family_instances(p)
-    orbit = _affine_orbit_canons(templates, p)
+    reduced = [reduce_coeffs_mod(f, p) for f in found]
+    degrees = {g.degree for g in reduced}
+    # u*t(cx+d)+v == uc*x^p + uac*x + const (mod p) for a family member t, so every
+    # image of t has canon t; unit multipliers keep the degree, so skip other rows.
+    family = {t.coeffs for t in prop_family_instances(p)}
+    orbit = _affine_orbit_canons([t for t in t1 if t.degree in degrees], p) | family
 
-    buckets: dict[str, list[IntPolynomial]] = {
-        "table1": [], "prop_family": [], "affine": [], "linear": [], "unexplained": []
-    }
-    for f in found:
-        g = reduce_coeffs_mod(f, p)
+    buckets: dict[str, list[IntPolynomial]] = {cat: [] for cat in _CATEGORIES}
+    for f, g in zip(found, reduced):
         if g.coeffs in literal_t1:
-            buckets["table1"].append(f)
-        elif _is_prop_instance(g, p):
-            buckets["prop_family"].append(f)
+            category = "table1"
         elif g.degree <= 1:
-            buckets["linear"].append(f)
-        elif _affine_canon(g, p) in orbit:
-            buckets["affine"].append(f)
+            category = "linear"
         else:
-            buckets["unexplained"].append(f)
-    return MatchReport(
-        table1=tuple(buckets["table1"]),
-        prop_family=tuple(buckets["prop_family"]),
-        affine=tuple(buckets["affine"]),
-        linear=tuple(buckets["linear"]),
-        unexplained=tuple(buckets["unexplained"]),
-    )
+            canon = _affine_canon(g, p)
+            if canon not in orbit:
+                category = "unexplained"
+            elif g.coeffs[-1] == 1 and canon in family:
+                category = "prop_family"
+            else:
+                category = "affine"
+        buckets[category].append(f)
+    return MatchReport(**{cat: tuple(hits) for cat, hits in buckets.items()})

@@ -11,6 +11,7 @@ unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
 
+@functools.lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
     """Deterministic primality for 2 <= n < PRIME_BOUND."""
     for q in _MR_BASES:

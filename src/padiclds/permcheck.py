@@ -83,22 +83,22 @@ class Verdict:
         }
 
 
-def _check_enumeration(m: int, cap: int) -> None:
+def _check_enumeration(m: int) -> None:
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    if m > cap:
-        raise ValueError(f"enumeration too large: m={m} exceeds cap {cap}")
+    if m > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"enumeration too large: m={m} exceeds cap {DEFAULT_ENUMERATION_CAP}")
 
 
-def is_permutation_mod(f: IntPolynomial, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def is_permutation_mod(f: IntPolynomial, m: int) -> bool:
     """True iff f induces a bijection on Z/mZ, by exhaustive evaluation."""
-    _check_enumeration(m, cap)
+    _check_enumeration(m)
     return _is_injective_mod(f.coeffs, m)
 
 
-def first_missing_residue(f: IntPolynomial, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int | None:
+def first_missing_residue(f: IntPolynomial, m: int) -> int | None:
     """Smallest residue mod m not attained by f, or None if f is surjective."""
-    _check_enumeration(m, cap)
+    _check_enumeration(m)
     seen = bytearray(m)
     for v in _value_table(f.coeffs, m):
         seen[v] = 1
@@ -114,14 +114,13 @@ def smallest_root_mod(f: IntPolynomial, p: int) -> int | None:
     return None
 
 
-def _mod_p_verdict(g: IntPolynomial, dg: IntPolynomial, p: int, method: str,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
+def _mod_p_verdict(g: IntPolynomial, dg: IntPolynomial, p: int, method: str) -> Verdict:
     """Verdict "g permutes Z/p and dg has no root mod p", one value table each.
 
     By pigeonhole g permutes Z/p exactly when it misses no residue, so the
     permutation test and the level-1 witness come from the same table.
     """
-    missing = first_missing_residue(g, p, cap)
+    missing = first_missing_residue(g, p)
     d_table = _value_table(dg.coeffs, p)
     root = d_table.index(0) if 0 in d_table else None
     perm_p = missing is None
@@ -136,7 +135,7 @@ def _mod_p_verdict(g: IntPolynomial, dg: IntPolynomial, p: int, method: str,
     )
 
 
-def noebauer_mod_p2(f: IntPolynomial, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
+def noebauer_mod_p2(f: IntPolynomial, p: int) -> Verdict:
     """Decide permutation mod p^2 from the mod-p data alone.
 
     f is a permutation mod p^2 iff it is a permutation mod p and f' has no
@@ -144,10 +143,10 @@ def noebauer_mod_p2(f: IntPolynomial, p: int, cap: int = DEFAULT_ENUMERATION_CAP
     certificate.
     """
     check_prime(p)
-    return _mod_p_verdict(f, derivative(f), p, METHOD_NOEBAUER, cap)
+    return _mod_p_verdict(f, derivative(f), p, METHOD_NOEBAUER)
 
 
-def classify_low_discrepancy(f: IntPolynomial, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
+def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
     """Ground-truth verdict: the Noebauer verdict checked by enumeration mod p^2.
 
     The sequence (f(n)) is low-discrepancy exactly when f permutes Z/p and
@@ -157,15 +156,15 @@ def classify_low_discrepancy(f: IntPolynomial, p: int, cap: int = DEFAULT_ENUMER
     """
     check_prime(p)
     pp = p * p
-    if pp > cap:
-        raise ValueError(f"enumeration too large: p^2={pp} exceeds cap {cap}")
-    verdict = _mod_p_verdict(f, derivative(f), p, METHOD_BRUTE_FORCE, cap)
-    if is_permutation_mod(f, pp, cap) != verdict.perm_mod_p2:
+    if pp > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"enumeration too large: p^2={pp} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    verdict = _mod_p_verdict(f, derivative(f), p, METHOD_BRUTE_FORCE)
+    if is_permutation_mod(f, pp) != verdict.perm_mod_p2:
         raise InvariantError(
             f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
         )
     if verdict.perm_mod_p and not verdict.perm_mod_p2:
-        return replace(verdict, missing_residue=(2, first_missing_residue(f, pp, cap)))
+        return replace(verdict, missing_residue=(2, first_missing_residue(f, pp)))
     return verdict
 
 

@@ -1,9 +1,12 @@
+import functools
+import itertools
 import random
 
 import pytest
 
 from padiclds.catalog import (
     FAMILY_5M2_SAMPLE_PRIMES,
+    MatchReport,
     SearchConstraints,
     admissible_parameters,
     dickson_entries,
@@ -265,3 +268,113 @@ class TestMatchAgainstTable:
         assert classify_low_discrepancy(f, 5).low_discrepancy
         report = match_against_table([f], 5)
         assert report.unexplained == (f,)
+
+
+# --------------------------------------------------------------------------
+# Differential test of the diff against the first, orbit-of-everything form
+# --------------------------------------------------------------------------
+
+CATEGORIES = ("table1", "prop_family", "affine", "linear", "unexplained")
+
+
+def canon_mod(f, p):
+    """Scale f monic mod p and drop the constant."""
+    u = pow(f.coeffs[-1], -1, p)
+    return tuple([0] + [u * c % p for c in f.coeffs[1:]])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_orbit(p):
+    """Canons of every table-1 and degree-p family template under every inner map."""
+    orbit = set()
+    for t in table1_instances(p) + prop_family_instances(p):
+        for c in range(1, p):
+            for d in range(p):
+                orbit.add(canon_mod(affine_compose(t, (1, 0), (c, d), p), p))
+    return frozenset(orbit)
+
+
+def is_prop_instance(g, p):
+    """x^p + a*x + b with a and a+1 units, read off the reduced coefficients."""
+    if g.degree != p or g.coefficient(p) != 1:
+        return False
+    if any(g.coefficient(i) for i in range(2, p)):
+        return False
+    a = g.coefficient(1)
+    return a != 0 and (a + 1) % p != 0
+
+
+def reference_partition(found, p):
+    literal = {t.coeffs for t in table1_instances(p)}
+    buckets = {cat: [] for cat in CATEGORIES}
+    for f in found:
+        g = IntPolynomial(c % p for c in f.coeffs)
+        if g.coeffs in literal:
+            cat = "table1"
+        elif is_prop_instance(g, p):
+            cat = "prop_family"
+        elif g.degree <= 1:
+            cat = "linear"
+        elif canon_mod(g, p) in reference_orbit(p):
+            cat = "affine"
+        else:
+            cat = "unexplained"
+        buckets[cat].append(f)
+    return MatchReport(**{cat: tuple(fs) for cat, fs in buckets.items()})
+
+
+def search_inputs():
+    """Search hits per (p, flags) at the largest degree <= 5 with <= 20k candidates."""
+    for p in (2, 3, 5, 7):
+        for flags in itertools.product((False, True), repeat=3):
+            cons = SearchConstraints(*flags)
+            for degree in range(5, 0, -1):
+                try:
+                    yield p, exhaustive_search(p, degree, cons, cap=20_000)
+                    break
+                except ValueError:
+                    continue
+
+
+def image_inputs(seed):
+    """Every template and random u*t(c*x + d) + v images of it, per prime."""
+    rng = random.Random(seed)
+    for p in (3, 5, 7, 11, 13):
+        found = []
+        for t in table1_instances(p) + prop_family_instances(p):
+            found.append(t)
+            for _ in range(4):
+                u, c = rng.randrange(1, p), rng.randrange(1, p)
+                v, d = rng.randrange(p), rng.randrange(p)
+                found.append(affine_compose(t, (u, v), (c, d), p))
+        yield p, found
+
+
+def lift(f, p, rng):
+    """f with every coefficient moved by a multiple of p and one or two extra
+    top coefficients that vanish mod p, so the degree drops on reduction."""
+    cs = [c + p * rng.randint(-3, 3) for c in f.coeffs]
+    cs += [p * rng.randint(-2, 2) for _ in range(rng.randint(0, 1))]
+    cs.append(p * rng.choice((-2, -1, 1, 2)))
+    return IntPolynomial(cs)
+
+
+class TestMatchDifferential:
+    def compare(self, found, p, seen):
+        report = match_against_table(found, p)
+        assert report == reference_partition(found, p), (p, found)
+        seen.update(cat for cat in CATEGORIES if getattr(report, cat))
+
+    def test_agrees_with_reference_partition(self):
+        # the lifted inputs all lose degree on reduction, so an orbit filter
+        # reading the unreduced degrees would miss every table-1 image
+        seen = set()
+        for p, found in search_inputs():
+            self.compare(found, p, seen)
+        rng = random.Random(163)
+        for p, found in image_inputs(157):
+            self.compare(found, p, seen)
+            lifted = [lift(f, p, rng) for f in found]
+            assert all(f.degree > reduce_coeffs_mod(f, p).degree for f in lifted)
+            self.compare(lifted, p, seen)
+        assert seen == set(CATEGORIES)

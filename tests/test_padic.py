@@ -219,27 +219,43 @@ def trial_division_is_prime(n: int) -> bool:
 
 
 class TestPrimality:
+    # every input is checked twice in a row: the second answer comes from the
+    # cache on _is_prime and must agree with the first
+
     def test_agrees_with_trial_division_below_2_to_16(self):
-        assert all(_is_prime(n) == trial_division_is_prime(n) for n in range(2, 1 << 16))
+        for n in range(2, 1 << 16):
+            expected = trial_division_is_prime(n)
+            assert _is_prime(n) == expected
+            assert _is_prime(n) == expected
 
     def test_checks_just_below_2_to_20(self):
         for n in range((1 << 20) - 300, 1 << 20):
-            if trial_division_is_prime(n):
-                assert check_prime(n) == n
-            else:
-                with pytest.raises(ValueError, match="must be prime"):
-                    check_prime(n)
+            for _ in range(2):
+                if trial_division_is_prime(n):
+                    assert check_prime(n) == n
+                else:
+                    with pytest.raises(ValueError, match="must be prime"):
+                        check_prime(n)
 
     def test_composites_above_2_to_20_are_rejected(self):
         # 17 * 61681; then strong pseudoprimes to the first 4 and the first 12
         # prime bases, which the later bases expose
         for n in (1048577, 3215031751, 318665857834031151167461):
-            with pytest.raises(ValueError, match="must be prime"):
-                check_prime(n)
-        assert check_prime(2**61 - 1) == 2**61 - 1
+            for _ in range(2):
+                with pytest.raises(ValueError, match="must be prime"):
+                    check_prime(n)
+        for _ in range(2):
+            assert check_prime(2**61 - 1) == 2**61 - 1
 
     def test_beyond_the_exact_bound_is_rejected(self):
-        with pytest.raises(ValueError, match="must be below"):
-            check_prime(PRIME_BOUND)
-        with pytest.raises(ValueError, match="must be below"):
-            check_prime(2**127 - 1)
+        for n in (PRIME_BOUND, 2**127 - 1):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="must be below"):
+                    check_prime(n)
+
+    def test_repeated_check_is_cached(self):
+        _is_prime.cache_clear()
+        for _ in range(3):
+            assert check_prime(1048573) == 1048573
+        info = _is_prime.cache_info()
+        assert (info.misses, info.hits) == (1, 2)

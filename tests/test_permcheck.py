@@ -102,7 +102,7 @@ class TestClassify:
         assert 3 not in {pow(n, 5, 9) for n in range(9)}
 
     def test_enumeration_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(permcheck, "is_permutation_mod", lambda f, m, cap: False)
+        monkeypatch.setattr(permcheck, "is_permutation_mod", lambda f, m: False)
         with pytest.raises(InvariantError, match="Noebauer criterion disagrees"):
             classify_low_discrepancy(parse_poly("x^3 + x"), 3)
 

@@ -1,0 +1,73 @@
+"""Digest of the CLI's observable output over a fixed set of invocations.
+
+Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
+given seeds, plus a fixed list of extra invocations (the heavy degree-6
+searches and two error paths), through ``padiclds.cli.main`` in-process, and
+prints per workload the job count and one sha256 over (argv, exit code,
+stdout, stderr) of its jobs in order.  Two trees whose digests agree produce
+byte-identical CLI output on all of these inputs.
+
+Usage:
+    PYTHONPATH=<tree>/src python3 tools/cli_digest.py [SEED ...]   # default 1 2 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+from jobs import WORKLOADS, make_jobs  # noqa: E402
+
+EXTRA = [
+    *(["search", "--p", str(p), "--degree", "6", "--monic", "--zero-constant"]
+      for p in (5, 7, 11, 13)),
+    ["generate", "--p", "3", "--n", "4", "--K", "0", "--mode", "digits", "--", "x"],
+    ["bridge", "--p", "3", "--N", "5", "--K", "0", "--", "x"],
+    ["discrepancy", "--p", "1048577", "--N", "3", "--", "x"],
+    ["classify", "--p", "9", "--", "x"],
+]
+
+
+def run(main, argv) -> tuple[int | str, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # reported in the digest, not fatal
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(main, argvs) -> str:
+    h = hashlib.sha256()
+    for argv in argvs:
+        h.update(json.dumps([argv, *run(main, argv)]).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", nargs="*", type=int, default=[1, 2, 3])
+    args = parser.parse_args()
+    from padiclds import cli
+
+    print(f"padiclds from {os.path.dirname(cli.__file__)}", file=sys.stderr)
+    groups = {w: [j["argv"] for s in args.seeds for j in make_jobs(w, s)] for w in WORKLOADS}
+    groups["extra"] = EXTRA
+    for name, argvs in groups.items():
+        print(f"{name:<9} {len(argvs):>5} jobs  sha256 {digest(cli.main, argvs)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
