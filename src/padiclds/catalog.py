@@ -25,8 +25,8 @@ from .permcheck import classify_low_discrepancy, is_permutation_mod
 from .polynomials import (
     IntPolynomial,
     _is_injective_mod,
+    _is_injective_mod_square,
     _value_table,
-    affine_compose,
     derivative,
     reduce_coeffs_mod,
 )
@@ -379,13 +379,12 @@ def _chunk_candidates(p: int, d: int, a1: int | None, cons: SearchConstraints):
 def _search_chunk(args) -> list[tuple[int, ...]]:
     p, d, a1, cons = args
     hits = []
-    pp = p * p
     for coeffs in _chunk_candidates(p, d, a1, cons):
         # permutation mod p, f' root-free mod p, then brute-force confirmation mod p^2
         if (
             _is_injective_mod(coeffs, p)
             and 0 not in _value_table([i * c for i, c in enumerate(coeffs)][1:], p)
-            and _is_injective_mod(coeffs, pp)
+            and _is_injective_mod_square(coeffs, p)
         ):
             hits.append(coeffs)
     return hits
@@ -512,12 +511,29 @@ def _affine_canon(f: IntPolynomial, p: int) -> tuple[int, ...]:
 
 
 def _affine_orbit_canons(templates: list[IntPolynomial], p: int) -> set[tuple[int, ...]]:
+    """Canons of g(cx + d) over every template g, unit c and residue d.
+
+    g(x + d) is Taylor-shifted once per d by repeated synthetic division mod p;
+    scaling x by c multiplies coefficient k by c^k, and the canon divides by
+    the lead's c^n, so coefficient k of the canon is b_k * (1/c)^(n-k) for the
+    monic shift b.  Every template coefficient is in [0, p) with a unit lead.
+    """
     canons: set[tuple[int, ...]] = set()
     for g in templates:
-        for c in range(1, p):
-            for d in range(p):
-                h = affine_compose(g, (1, 0), (c, d), p)
-                canons.add(_affine_canon(h, p))
+        n = g.degree
+        for d in range(p):
+            a = list(g.coeffs)
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    a[j] = (a[j] + d * a[j + 1]) % p
+            u = pow(a[n], -1, p)
+            b = [u * x % p for x in a]
+            for w in range(1, p):  # w = 1/c runs over the units as c does
+                canon, s = [], 1
+                for k in range(n, 0, -1):
+                    canon.append(b[k] * s % p)
+                    s = s * w % p
+                canons.add((0, *reversed(canon)))
     return canons
 
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .catalog import (
@@ -26,7 +27,7 @@ from .catalog import (
 from .discrepancy import meijer_bound_check, prefix_discrepancies, real_extreme_discrepancy
 from .padic import InvariantError, check_prime, monna_of_int
 from .paircorr import ppc_sweep
-from .permcheck import classify_low_discrepancy, folded_verdict, noebauer_mod_p2
+from .permcheck import METHOD_NOEBAUER, classify_low_discrepancy, folded_verdict
 from .polynomials import parse_poly, render, unit_derivative_poly, unit_value_poly
 from .sequence import SequenceSpec
 
@@ -137,7 +138,10 @@ def cmd_classify(args) -> int:
     p = args.p
     f = parse_poly(args.poly)
     brute = classify_low_discrepancy(f, p)
-    noeb = noebauer_mod_p2(f, p)
+    # The Noebauer verdict is the brute-force one before the level-2 witness:
+    # both are read from the same mod-p tables of f and f'.
+    noeb = replace(brute, method=METHOD_NOEBAUER,
+                   missing_residue=brute.missing_residue if not brute.perm_mod_p else None)
     reduction = None
     divergence = None
     if p >= 3:

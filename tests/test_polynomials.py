@@ -1,9 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from padiclds.polynomials import (
     IntPolynomial,
+    _is_injective_mod,
+    _is_injective_mod_square,
+    _square_rows,
+    _value_table,
     PolyParseError,
     affine_compose,
     derivative,
@@ -108,6 +113,48 @@ class TestEvalMod:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             eval_mod(IntPolynomial([1]), 0, 0)
+
+
+class TestSquareRows:
+    """The row enumeration mod q^2 against the Horner table and injectivity test."""
+
+    def check(self, coeffs, q):
+        rows = list(_square_rows(coeffs, q))
+        assert [len(row) for row in rows] == [q] * q, (coeffs, q)
+        assert [v for row in rows for v in row] == _value_table(coeffs, q * q), (coeffs, q)
+        injective = _is_injective_mod_square(coeffs, q)
+        assert injective == _is_injective_mod(coeffs, q * q), (coeffs, q)
+        return injective
+
+    def test_random_degrees_and_moduli(self):
+        rng = random.Random(61)
+        answers = set()
+        for q in (2, 3, 4, 5, 6, 7, 9, 11, 12, 13):
+            self.check((), q)  # the zero polynomial
+            for d in range(13):  # includes d >= q for the small moduli
+                for _ in range(6):
+                    coeffs = [rng.randint(-3 * q * q, 3 * q * q) for _ in range(d)]
+                    coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 2 * q))
+                    answers.add(self.check(coeffs, q))
+                    # x + q*h(x) permutes Z/q^2 and exercises the full enumeration
+                    perm = [q * c for c in coeffs]
+                    if d >= 1:
+                        perm[1] += 1
+                        assert self.check(perm, q)
+        assert answers == {False, True}
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_every_polynomial_of_degree_at_most_2(self, q):
+        answers = set()
+        for coeffs in itertools.product(range(q * q), repeat=3):
+            answers.add(self.check(IntPolynomial(coeffs).coeffs, q))
+        assert answers == {False, True}
+
+    def test_rows_are_lazy(self):
+        # the first row comes before any later one is computed: a generator that
+        # built the whole table first would evaluate 10^8 residues here
+        rows = _square_rows([1, 1], 10**4)
+        assert next(rows)[:3] == [1, 2, 3]
 
 
 class TestDerivative:

@@ -2,10 +2,11 @@
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-6
-searches and two error paths), through ``padiclds.cli.main`` in-process, and
-prints per workload the job count and one sha256 over (argv, exit code,
-stdout, stderr) of its jobs in order.  Two trees whose digests agree produce
-byte-identical CLI output on all of these inputs.
+searches, two error paths and three large-p classify calls), through
+``padiclds.cli.main`` in-process, and prints per workload the job count and
+one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
+trees whose digests agree produce byte-identical CLI output on all of these
+inputs.
 
 Usage:
     PYTHONPATH=<tree>/src python3 tools/cli_digest.py [SEED ...]   # default 1 2 3
@@ -32,6 +33,13 @@ EXTRA = [
     ["bridge", "--p", "3", "--N", "5", "--K", "0", "--", "x"],
     ["discrepancy", "--p", "1048577", "--N", "3", "--", "x"],
     ["classify", "--p", "9", "--", "x"],
+    # large-p classify: an affine map (full enumeration mod p^2), a quadratic
+    # whose first repeat mod p^2 is as late as a quadratic's can be (x = 2p-1),
+    # and a permutation mod p with a derivative root, whose level-2 witness
+    # needs the whole table mod p^2
+    ["classify", "--p", "2003", "--", "3x+5"],
+    ["classify", "--p", "1163", "--", "x^2+2x"],
+    ["classify", "--p", "1013", "--", "x^3"],
 ]
 
 
