@@ -41,7 +41,6 @@ from .permcheck import (
     first_missing_residue,
     is_permutation_mod,
     noebauer_mod_p2,
-    smallest_root_mod,
 )
 from .sequence import SequenceSpec, linear_sequence, poly_sequence
 from .discrepancy import (

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .padic import check_prime
+from .padic import InvariantError, check_prime
 from .permcheck import classify_low_discrepancy, is_permutation_mod
 from .polynomials import (
     IntPolynomial,
@@ -380,12 +380,16 @@ def _search_chunk(args) -> list[tuple[int, ...]]:
     p, d, a1, cons = args
     hits = []
     for coeffs in _chunk_candidates(p, d, a1, cons):
-        # permutation mod p, f' root-free mod p, then brute-force confirmation mod p^2
-        if (
-            _is_injective_mod(coeffs, p)
-            and 0 not in _value_table([i * c for i, c in enumerate(coeffs)][1:], p)
-            and _is_injective_mod_square(coeffs, p)
+        # permutation mod p and f' root-free mod p (the Noebauer criterion),
+        # confirmed by brute force mod p^2
+        if _is_injective_mod(coeffs, p) and 0 not in _value_table(
+            [i * c for i, c in enumerate(coeffs)][1:], p
         ):
+            if not _is_injective_mod_square(coeffs, p):
+                raise InvariantError(
+                    "internal error: Noebauer criterion disagrees with enumeration "
+                    f"for {IntPolynomial(coeffs)} mod {p}"
+                )
             hits.append(coeffs)
     return hits
 

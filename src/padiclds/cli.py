@@ -10,7 +10,9 @@ approximations and carry an ``_approx`` suffix.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -27,7 +29,7 @@ from .catalog import (
 from .discrepancy import meijer_bound_check, prefix_discrepancies, real_extreme_discrepancy
 from .padic import InvariantError, check_prime, monna_of_int
 from .paircorr import ppc_sweep
-from .permcheck import METHOD_NOEBAUER, classify_low_discrepancy, folded_verdict
+from .permcheck import METHOD_NOEBAUER, classify_low_discrepancy, classify_via_reduction
 from .polynomials import parse_poly, render, unit_derivative_poly, unit_value_poly
 from .sequence import SequenceSpec
 
@@ -92,42 +94,34 @@ def _sequence_spec(args) -> SequenceSpec:
     return SequenceSpec.polynomial(parse_poly(args.poly), args.p)
 
 
+@contextlib.contextmanager
 def _out_stream(args):
+    """The --out file (closed afterwards), or stdout for no --out and "-"."""
     if args.out and args.out != "-":
-        return open(args.out, "w", newline="")
-    return sys.stdout
+        with open(args.out, "w", newline="") as stream:
+            yield stream
+    else:
+        yield sys.stdout
 
 
 def _emit_rows(args, header: list[str], rows: list[list], command: str) -> None:
-    stream = _out_stream(args)
-    close = stream is not sys.stdout
-    try:
-        if args.format == "json":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "command": command,
-                "rows": [dict(zip(header, row)) for row in rows],
-            }
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        else:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    finally:
-        if close:
-            stream.close()
+    if args.format == "json":
+        _emit_json(args, {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "rows": [dict(zip(header, row)) for row in rows],
+        })
+        return
+    with _out_stream(args) as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit_json(args, payload: dict) -> None:
-    stream = _out_stream(args)
-    close = stream is not sys.stdout
-    try:
+    with _out_stream(args) as stream:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
 
 
 # --------------------------------------------------------------------------
@@ -145,11 +139,10 @@ def cmd_classify(args) -> int:
     reduction = None
     divergence = None
     if p >= 3:
-        value_poly, derivative_poly = unit_value_poly(f, p), unit_derivative_poly(f, p)
-        formula = folded_verdict(value_poly, derivative_poly, p)
+        formula = classify_via_reduction(f, p)
         reduction = {
-            "value_poly": render(value_poly),
-            "derivative_poly": render(derivative_poly),
+            "value_poly": render(unit_value_poly(f, p)),
+            "derivative_poly": render(unit_derivative_poly(f, p)),
             "verdict": formula.as_dict(),
         }
         divergence = formula.low_discrepancy != brute.low_discrepancy
@@ -333,12 +326,10 @@ def cmd_bridge(args) -> int:
 # Parser assembly
 # --------------------------------------------------------------------------
 
-def _add_common(sp, poly_arg: bool = True, linear: bool = True,
-                fmt_default: str = "csv") -> None:
+def _add_common(sp, linear: bool = True, fmt_default: str = "csv") -> None:
     sp.add_argument("--p", type=int, required=True, help="prime base")
-    if poly_arg:
-        sp.add_argument("poly", nargs="?", default=None,
-                        help='polynomial, e.g. "x^3+x" or "[1,0,1,0]"')
+    sp.add_argument("poly", nargs="?", default=None,
+                    help='polynomial, e.g. "x^3+x" or "[1,0,1,0]"')
     if linear:
         sp.add_argument("--linear", nargs=2, type=int, metavar=("A", "B"),
                         help="linear sequence n*A + B instead of a polynomial")
@@ -347,6 +338,7 @@ def _add_common(sp, poly_arg: bool = True, linear: bool = True,
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(prog="padiclds", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -25,6 +25,7 @@ a declared tolerance and a three-valued answer.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ from fractions import Fraction
 from .padic import InvariantError, PAdicApprox, check_prime
 
 WITNESS_TAIL = "tail"
+
+# ``meijer_bound_check`` calls a float comparison this close to equality
+# indeterminate rather than guessing.
+MEIJER_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -231,33 +236,30 @@ def real_extreme_discrepancy(points: list[Fraction]) -> Fraction:
 
         D_N = max(0, max_i(i/N - x_(i))) + max(0, max_i(x_(i) - (i-1)/N))
 
-    computed in integers over the common denominator of the points.
+    computed in integers over the common denominator Q of the points, which
+    are sorted as those integers.
     """
     if not points:
         raise ValueError("need at least one point")
-    pts = sorted(Fraction(x) for x in points)
-    for x in pts:
-        if not 0 <= x < 1:
-            raise ValueError(f"point {x} outside [0,1)")
+    pts = [Fraction(x) for x in points]
     N = len(pts)
-    Q = 1
-    for x in pts:
-        Q = Q * x.denominator // math.gcd(Q, x.denominator)
-    scaled = [x.numerator * (Q // x.denominator) for x in pts]
+    Q = math.lcm(*(x.denominator for x in pts))
+    scaled = sorted(x.numerator * (Q // x.denominator) for x in pts)
+    if scaled[0] < 0 or scaled[-1] >= Q:  # name the first bad point in sorted order
+        bad = scaled[0] if scaled[0] < 0 else scaled[bisect.bisect_left(scaled, Q)]
+        raise ValueError(f"point {Fraction(bad, Q)} outside [0,1)")
     over = max(0, max((i + 1) * Q - a * N for i, a in enumerate(scaled)))
     under = max(0, max(a * N - i * Q for i, a in enumerate(scaled)))
     return Fraction(over + under, N * Q)
 
 
-def meijer_bound_check(
-    delta: Fraction, d: Fraction, p: int, tolerance: float = 1e-9
-) -> tuple[bool | None, float]:
+def meijer_bound_check(delta: Fraction, d: Fraction, p: int) -> tuple[bool | None, float]:
     """Check the two-sided transfer inequality between delta (p-adic) and d (real).
 
     The lower inequality delta < d is exact rational comparison.  The upper
     bound delta * (2 + (2(p-1)/log p) * log(1/delta)) is transcendental and is
-    evaluated in binary floating point; a comparison within ``tolerance`` of
-    equality returns None ("indeterminate") instead of guessing.
+    evaluated in binary floating point; a comparison within ``MEIJER_TOLERANCE``
+    of equality returns None ("indeterminate") instead of guessing.
 
     Returns (holds, upper) with holds in {True, False, None}.
     """
@@ -272,6 +274,6 @@ def meijer_bound_check(
     if not delta < d:
         return False, upper
     df = float(d)
-    if abs(df - upper) <= tolerance:
+    if abs(df - upper) <= MEIJER_TOLERANCE:
         return None, upper
     return df < upper, upper

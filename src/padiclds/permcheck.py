@@ -22,6 +22,7 @@ All decision procedures are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from math import isqrt
 
@@ -33,7 +34,6 @@ from .polynomials import (
     _square_rows,
     _value_table,
     derivative,
-    eval_mod,
     unit_derivative_poly,
     unit_value_poly,
 )
@@ -119,14 +119,6 @@ def first_missing_residue(f: IntPolynomial, m: int) -> int | None:
     return None if z < 0 else z
 
 
-def smallest_root_mod(f: IntPolynomial, p: int) -> int | None:
-    """Smallest x in [0, p) with f(x) == 0 mod p, or None."""
-    for x in range(p):
-        if eval_mod(f, x, p) == 0:
-            return x
-    return None
-
-
 def _mod_p_verdict(g: IntPolynomial, dg: IntPolynomial, p: int, method: str) -> Verdict:
     """Verdict "g permutes Z/p and dg has no root mod p", one value table each.
 
@@ -191,14 +183,9 @@ def classify_via_reduction(f: IntPolynomial, p: int) -> Verdict:
     permutation test of the value folding, ``derivative_root`` the smallest
     root of the derivative folding.
     """
-    return folded_verdict(unit_value_poly(f, p), unit_derivative_poly(f, p), p)
-
-
-def folded_verdict(value_poly: IntPolynomial, derivative_poly: IntPolynomial, p: int) -> Verdict:
-    """``classify_via_reduction`` for a caller that already holds the two foldings
-    ``unit_value_poly(f, p)`` and ``unit_derivative_poly(f, p)``."""
-    check_prime(p)
-    return _mod_p_verdict(value_poly, derivative_poly, p, METHOD_UNIT_REDUCTION)
+    return _mod_p_verdict(
+        unit_value_poly(f, p), unit_derivative_poly(f, p), p, METHOD_UNIT_REDUCTION
+    )
 
 
 @dataclass(frozen=True)
@@ -230,8 +217,7 @@ def divergence_scan(
     Coefficients are canonicalized into [0, p) before enumeration: both the
     permutation tests and the derivative-root test depend only on the
     coefficient residues mod p, so distinct lifts carry the same verdicts.
-    Entries are reported in (degree, coefficient-tuple) order, which is
-    deterministic regardless of any internal parallelism.
+    Entries are reported in (degree, coefficient-tuple) order.
     """
     check_prime(p)
     if isinstance(coefficient_range, range):
@@ -250,8 +236,6 @@ def divergence_scan(
     if total > cap:
         raise ValueError(f"search space of {total} candidates exceeds cap {cap}")
 
-    import itertools
-
     entries: list[DivergenceEntry] = []
     for d in range(max_degree + 1):
         if d == 0:
@@ -264,8 +248,6 @@ def divergence_scan(
             )
         for coeffs in candidates:
             f = IntPolynomial(coeffs)
-            if f.degree != d and not (d == 0 and f.is_zero):
-                continue  # canonical duplicate of a lower degree
             truth = classify_low_discrepancy(f, p)
             formula = classify_via_reduction(f, p)
             if truth.low_discrepancy != formula.low_discrepancy:

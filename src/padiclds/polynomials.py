@@ -261,33 +261,15 @@ def unit_value_poly(f: IntPolynomial, p: int) -> IntPolynomial:
     if p < 3:
         raise ValueError("unit-group folding requires p >= 3")
     out = [0] * (p - 1)
-    for k in range(p - 1):
-        j = 0
-        while k + j * (p - 1) < len(f.coeffs):
-            out[k] += f.coeffs[k + j * (p - 1)]
-            j += 1
+    for e, c in enumerate(f.coeffs):
+        out[e % (p - 1)] += c
     return IntPolynomial(c % p for c in out)
 
 
 def unit_derivative_poly(f: IntPolynomial, p: int) -> IntPolynomial:
-    """Degree <= p-2 polynomial agreeing with f' at every unit residue mod p.
-
-    The x^k coefficient collects (k+1-j) * a_{k+1+j(p-1)} over j >= 0,
-    skipping summands whose integer weight k+1-j is divisible by p (they
-    contribute 0 mod p, so the skip is observationally neutral).
-    """
-    check_prime(p)
-    if p < 3:
-        raise ValueError("unit-group folding requires p >= 3")
-    out = [0] * (p - 1)
-    for k in range(p - 1):
-        j = 0
-        while k + 1 + j * (p - 1) < len(f.coeffs):
-            w = k + 1 - j
-            if w % p != 0:
-                out[k] += w * f.coeffs[k + 1 + j * (p - 1)]
-            j += 1
-    return IntPolynomial(c % p for c in out)
+    """Degree <= p-2 polynomial agreeing with f' at every unit residue mod p:
+    the unit-group folding of f'."""
+    return unit_value_poly(derivative(f), p)
 
 
 # --------------------------------------------------------------------------

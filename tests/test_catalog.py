@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -127,6 +128,29 @@ class TestVerifyEntry:
         with pytest.raises(ValueError, match="incompatible"):
             verify_entry(quartic, 11)
 
+    def test_doctored_derivative_claims_fail(self):
+        (sextic,) = entry_by_name("x^6 + 2*x", 2)
+        doctored = dataclasses.replace(
+            sextic, expected_derivative_roots=None, derivative_root_exists=True
+        )
+        assert verify_entry(doctored, 11).failures == (
+            "x^6 + 2*x @ p=11, a=0: expected a derivative root, found none",
+        )
+        (quartic,) = entry_by_name("x^4 + 3*x", 2)
+        doctored = dataclasses.replace(
+            quartic, expected_derivative_roots=None, derivative_root_exists=False
+        )
+        assert verify_entry(doctored, 7).failures == (
+            "x^4 + 3*x @ p=7, a=0: expected no derivative roots, found [1, 2, 4]",
+        )
+
+    def test_doctored_low_discrepancy_claim_fails(self):
+        # x^4 + 3x permutes Z/7 but f' has roots there, so a table-1 claim fails
+        (quartic,) = entry_by_name("x^4 + 3*x", 2)
+        ver = verify_entry(dataclasses.replace(quartic, source_table=1), 7, check_lds=True)
+        assert ver.failures == ("x^4 + 3*x @ p=7, a=0: not classified low-discrepancy",)
+        assert ver.results[0].low_discrepancy is False
+
     def test_table1_rows_are_low_discrepancy(self):
         for entry in dickson_entries():
             if entry.source_table != 1:
@@ -149,6 +173,14 @@ class TestVerifyEntry:
 
 
 class TestExhaustiveSearch:
+    def test_failed_confirmation_raises(self, monkeypatch):
+        from padiclds import catalog
+        from padiclds.padic import InvariantError
+
+        monkeypatch.setattr(catalog, "_is_injective_mod_square", lambda coeffs, q: False)
+        with pytest.raises(InvariantError, match=r"disagrees with enumeration for x mod 3$"):
+            exhaustive_search(3, 1)
+
     def test_p3_degree3_contains_the_classics(self):
         found = exhaustive_search(3, 3, SearchConstraints(monic=True, zero_constant=True))
         coeffs = {f.coeffs for f in found}

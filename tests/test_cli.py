@@ -240,6 +240,16 @@ class TestSearchCommand:
         assert code == 2  # genuinely unexplained generators exist at p = 5
         assert "x^6 + 2*x^3 + x,unexplained" in out
 
+    def test_broken_invariant_exits_2_with_one_line(self, capsys, monkeypatch):
+        from padiclds import catalog
+
+        monkeypatch.setattr(catalog, "_is_injective_mod_square", lambda coeffs, q: False)
+        code, out, err = run_cli(capsys, "search", "--p", "3", "--degree", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("padiclds: error: internal error: Noebauer criterion disagrees "
+                       "with enumeration for x mod 3\n")
+
     def test_workers_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "search", "--p", "5", "--degree", "5",
                              "--monic", "--zero-constant", "--workers", "1")
@@ -278,6 +288,31 @@ class TestOutputPlumbing:
                                "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("N,D_N")
+
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "--p", "3", "x", "--N", "1..3"],
+        ["discrepancy", "--p", "3", "x", "--N", "1..3", "--format", "json"],
+        ["classify", "--p", "5", "x^3+x"],
+    ])
+    def test_out_targets_write_the_same_bytes(self, capsys, tmp_path, argv):
+        _, plain, _ = run_cli(capsys, *argv)
+        _, dash, _ = run_cli(capsys, *argv, "--out", "-")
+        target = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == "" and plain
+        assert dash == plain
+        assert target.read_bytes() == plain.encode()
+
+    def test_parser_built_once_and_reusable_after_errors(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["discrepancy", "--p", "3", "x^3+x", "--N", "1..4"]
+        before = run_cli(capsys, *argv)
+        assert run_cli(capsys, "classify", "--p", "3", "x^^5")[0] == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--p", "3", "--workers", "2", "x"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == before
 
     def test_json_format_rows(self, capsys):
         code, out, _ = run_cli(capsys, "discrepancy", "--p", "3", "x", "--N", "2",

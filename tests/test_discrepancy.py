@@ -290,6 +290,11 @@ class TestRealExtremeDiscrepancy:
             real_extreme_discrepancy([Fraction(3, 2)])
         with pytest.raises(ValueError, match="outside"):
             real_extreme_discrepancy([Fraction(-1, 2)])
+        # the first offending point in sorted order is named
+        with pytest.raises(ValueError, match=r"^point -1/2 outside \[0,1\)$"):
+            real_extreme_discrepancy([Fraction(3, 2), Fraction(-1, 3), Fraction(-1, 2)])
+        with pytest.raises(ValueError, match=r"^point 1 outside \[0,1\)$"):
+            real_extreme_discrepancy([Fraction(5, 3), Fraction(1, 3), Fraction(1)])
 
     def test_repeated_points(self):
         pts = [Fraction(1, 2)] * 4

@@ -17,7 +17,6 @@ from padiclds.permcheck import (
     first_missing_residue,
     is_permutation_mod,
     noebauer_mod_p2,
-    smallest_root_mod,
 )
 from padiclds.polynomials import (
     IntPolynomial,
@@ -331,6 +330,9 @@ class TestCertificateOracle:
             doc = json.loads(capsys.readouterr().out)
             assert doc["noebauer"] == noebauer_mod_p2(f, p).as_dict(), (f, p)
             assert doc["brute_force"] == classify_low_discrepancy(f, p).as_dict(), (f, p)
+            if p >= 3:
+                assert doc["unit_reduction"]["verdict"] == (
+                    classify_via_reduction(f, p).as_dict()), (f, p)
             missing = doc["brute_force"]["missing_residue"]
             levels.add(missing and missing[0])
         assert levels == {None, 1, 2}
