@@ -362,36 +362,14 @@ class SearchConstraints:
     nonzero_linear: bool = False
 
 
-def _chunk_candidates(p: int, d: int, a1: int | None, cons: SearchConstraints):
-    lead = (1,) if cons.monic else tuple(range(1, p))
-    a0s = (0,) if cons.zero_constant else tuple(range(p))
-    if d == 1:
-        for L in lead:  # the lead is a_1 here, so nonzero_linear is automatic
-            for a0 in a0s:
-                yield (a0, L)
-        return
-    for L in lead:
-        for a0 in a0s:
-            for mids in itertools.product(range(p), repeat=d - 2):
-                yield (a0, a1, *mids, L)
-
-
-def _search_chunk(args) -> list[tuple[int, ...]]:
-    p, d, a1, cons = args
-    hits = []
-    for coeffs in _chunk_candidates(p, d, a1, cons):
-        # permutation mod p and f' root-free mod p (the Noebauer criterion),
-        # confirmed by brute force mod p^2
-        if _is_injective_mod(coeffs, p) and 0 not in _value_table(
-            [i * c for i, c in enumerate(coeffs)][1:], p
-        ):
-            if not _is_injective_mod_square(coeffs, p):
-                raise InvariantError(
-                    "internal error: Noebauer criterion disagrees with enumeration "
-                    f"for {IntPolynomial(coeffs)} mod {p}"
-                )
-            hits.append(coeffs)
-    return hits
+def _taylor_shift(coeffs, c: int, p: int) -> list[int]:
+    """Coefficients of g(x + c) mod p, by repeated synthetic division."""
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] = (a[j] + c * a[j + 1]) % p
+    return a
 
 
 def exhaustive_search(
@@ -399,16 +377,21 @@ def exhaustive_search(
     max_degree: int,
     constraints: SearchConstraints = SearchConstraints(),
     cap: int = DEFAULT_SEARCH_CAP,
-    workers: int = 1,
 ) -> list[IntPolynomial]:
     """All polynomials of degree 1..max_degree (coefficients in [0, p)) under
     the given shape constraints that generate low-discrepancy sequences.
 
     Verdicts depend only on coefficient residues mod p (the permutation test
     mod p^2 reduces to mod-p data via the derivative criterion), so [0, p) is
-    the complete search space.  Candidates pass a mod-p fast filter before
-    brute-force confirmation mod p^2.  Output is in (degree, coefficient
-    tuple) order, byte-identical for any worker count.
+    the complete search space; ``cap`` bounds its size.  The verdict is also
+    invariant under f -> u*f(x + c) + v (u a unit), so only monic zero-constant
+    representatives g take the mod-p test, with a_{d-1} = 0 as well when
+    d >= 2 and p does not divide d: the x^{d-1} coefficient of g(x + c) is
+    a_{d-1} + d*c, so a shift reaches every other a_{d-1}.  Each generator
+    expands to its images u*(g(x + c) - g(c)) + v that meet the flags; an
+    image's a_1 = u*g'(c) is never 0, so nonzero_linear filters nothing.
+    Every image is confirmed by brute force mod p^2.  Output is in (degree,
+    coefficient tuple) order.
     """
     check_prime(p)
     if max_degree < 1:
@@ -418,33 +401,34 @@ def exhaustive_search(
     n_a1 = p - 1 if constraints.nonzero_linear else p
     total = 0
     for d in range(1, max_degree + 1):
-        if d == 1:
-            total += n_lead * n_a0
-        else:
-            total += n_lead * n_a0 * n_a1 * p ** (d - 2)
-    if total > cap:
-        raise ValueError(f"search space of {total} candidates exceeds cap {cap}")
+        total += n_lead * n_a0 * (n_a1 * p ** (d - 2) if d > 1 else 1)
+        if total > cap:
+            raise ValueError(f"search space of at least {total} candidates exceeds cap {cap}")
 
-    chunks = []
+    units = (1,) if constraints.monic else range(1, p)
+    consts = (0,) if constraints.zero_constant else range(p)
+    hits = []
     for d in range(1, max_degree + 1):
-        if d == 1:
-            chunks.append((p, 1, None, constraints))
-        else:
-            a1s = range(1, p) if constraints.nonzero_linear else range(p)
-            for a1 in a1s:
-                chunks.append((p, d, a1, constraints))
-
-    if workers <= 1:
-        results = [_search_chunk(c) for c in chunks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_search_chunk, chunks))
-
-    hits = sorted(
-        (t for chunk in results for t in chunk), key=lambda t: (len(t), t)
-    )
+        shift = d > 1 and d % p != 0
+        for mids in itertools.product(range(p), repeat=d - 2 if shift else d - 1):
+            g = (0, *mids, 0, 1) if shift else (0, *mids, 1)
+            # permutation mod p and g' root-free mod p (the Noebauer criterion)
+            if not _is_injective_mod(g, p) or 0 in _value_table(
+                [i * c for i, c in enumerate(g)][1:], p
+            ):
+                continue
+            for c in range(p) if shift else (0,):
+                h = _taylor_shift(g, c, p)
+                for u in units:
+                    body = tuple(u * b % p for b in h[1:])
+                    hits.extend((v, *body) for v in consts)
+    hits.sort(key=lambda t: (len(t), t))
+    for t in hits:
+        if not _is_injective_mod_square(t, p):
+            raise InvariantError(
+                "internal error: Noebauer criterion disagrees with enumeration "
+                f"for {IntPolynomial(t)} mod {p}"
+            )
     return [IntPolynomial(t) for t in hits]
 
 
@@ -517,19 +501,16 @@ def _affine_canon(f: IntPolynomial, p: int) -> tuple[int, ...]:
 def _affine_orbit_canons(templates: list[IntPolynomial], p: int) -> set[tuple[int, ...]]:
     """Canons of g(cx + d) over every template g, unit c and residue d.
 
-    g(x + d) is Taylor-shifted once per d by repeated synthetic division mod p;
-    scaling x by c multiplies coefficient k by c^k, and the canon divides by
-    the lead's c^n, so coefficient k of the canon is b_k * (1/c)^(n-k) for the
-    monic shift b.  Every template coefficient is in [0, p) with a unit lead.
+    g(x + d) is Taylor-shifted once per d; scaling x by c multiplies
+    coefficient k by c^k, and the canon divides by the lead's c^n, so
+    coefficient k of the canon is b_k * (1/c)^(n-k) for the monic shift b.
+    Every template coefficient is in [0, p) with a unit lead.
     """
     canons: set[tuple[int, ...]] = set()
     for g in templates:
         n = g.degree
         for d in range(p):
-            a = list(g.coeffs)
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    a[j] = (a[j] + d * a[j + 1]) % p
+            a = _taylor_shift(g.coeffs, d, p)
             u = pow(a[n], -1, p)
             b = [u * x % p for x in a]
             for w in range(1, p):  # w = 1/c runs over the units as c does

@@ -98,7 +98,11 @@ def _sequence_spec(args) -> SequenceSpec:
 def _out_stream(args):
     """The --out file (closed afterwards), or stdout for no --out and "-"."""
     if args.out and args.out != "-":
-        with open(args.out, "w", newline="") as stream:
+        try:
+            stream = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+        with stream:
             yield stream
     else:
         yield sys.stdout
@@ -289,9 +293,7 @@ def cmd_search(args) -> int:
         zero_constant=args.zero_constant,
         nonzero_linear=args.nonzero_linear,
     )
-    found = exhaustive_search(
-        args.p, args.degree, constraints, workers=args.workers
-    )
+    found = exhaustive_search(args.p, args.degree, constraints)
     report = match_against_table(found, args.p)
     category = report.category_of()
     header = ["degree", "polynomial", "category"]
@@ -414,9 +416,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--nonzero-linear", dest="nonzero_linear", action="store_true")
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes for the candidate chunks (default 1); "
-                         "the output is the same for any count")
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser(

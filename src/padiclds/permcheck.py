@@ -230,11 +230,11 @@ def divergence_scan(
     width = len(residues)
     nonzero = [r for r in residues if r != 0]
 
-    total = width  # degree-0 candidates (plus the zero polynomial among them)
-    for d in range(1, max_degree + 1):
+    total = width - len(nonzero)  # plus d = 0 below: the width degree-0 candidates
+    for d in range(max_degree + 1):
         total += width ** d * len(nonzero)
-    if total > cap:
-        raise ValueError(f"search space of {total} candidates exceeds cap {cap}")
+        if total > cap:
+            raise ValueError(f"search space of at least {total} candidates exceeds cap {cap}")
 
     entries: list[DivergenceEntry] = []
     for d in range(max_degree + 1):

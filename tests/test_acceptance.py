@@ -222,8 +222,7 @@ def test_criterion_07_small_degree_search_reproduction():
     summary = []
     unexplained_total = 0
     for p in (5, 7, 11, 13):
-        workers = 4 if p == 13 else 1
-        found = exhaustive_search(p, 6, constraints, workers=workers)
+        found = exhaustive_search(p, 6, constraints)
         rep = match_against_table(found, p)
         unexplained_total += len(rep.unexplained)
         summary.append(

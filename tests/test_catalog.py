@@ -172,6 +172,16 @@ class TestVerifyEntry:
                 assert is_permutation_mod(f, p * p) == rootless
 
 
+@functools.lru_cache(maxsize=None)
+def low_discrepancy_space(p, max_degree):
+    """Every low-discrepancy coefficient tuple of degree 1..max_degree, in
+    (degree, coefficients) order, by classifying each candidate."""
+    return tuple(
+        t for d in range(1, max_degree + 1) for t in itertools.product(range(p), repeat=d + 1)
+        if t[-1] and classify_low_discrepancy(IntPolynomial(t), p).low_discrepancy
+    )
+
+
 class TestExhaustiveSearch:
     def test_failed_confirmation_raises(self, monkeypatch):
         from padiclds import catalog
@@ -218,33 +228,25 @@ class TestExhaustiveSearch:
         report = match_against_table(found, 11)
         assert report.unexplained == ()
 
-    def test_every_hit_and_no_miss(self):
+    @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)),
+                             ids=lambda flags: "flags" + "".join(str(int(b)) for b in flags))
+    @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 5), (7, 4)])
+    def test_every_hit_and_no_miss(self, p, max_degree, flags):
         # the search output is exactly the brute-force filter over the space,
-        # by direct enumeration independent of the search internals
-        import itertools
-
-        p = 5
-        found = {f.coeffs for f in exhaustive_search(p, 3, SearchConstraints())}
-        expected = set()
-        for d in range(1, 4):
-            for tup in itertools.product(range(p), repeat=d + 1):
-                if tup[-1] == 0:
-                    continue
-                f = IntPolynomial(tup)
-                if classify_low_discrepancy(f, p).low_discrepancy:
-                    expected.add(tup)
-        assert found == expected
+        # in order, by direct enumeration independent of the search internals;
+        # the degrees divisible by p (no a_{d-1} normalization) are covered too
+        monic, zero_constant, nonzero_linear = flags
+        expected = [
+            t for t in low_discrepancy_space(p, max_degree)
+            if (not monic or t[-1] == 1) and (not zero_constant or t[0] == 0)
+            and (not nonzero_linear or t[1] != 0)
+        ]
+        found = exhaustive_search(p, max_degree, SearchConstraints(*flags))
+        assert [f.coeffs for f in found] == expected
 
     def test_cap_respected(self):
         with pytest.raises(ValueError, match="cap"):
             exhaustive_search(13, 6, SearchConstraints(), cap=1000)
-
-    def test_worker_determinism(self):
-        serial = exhaustive_search(5, 5, SearchConstraints(monic=True, zero_constant=True))
-        parallel = exhaustive_search(
-            5, 5, SearchConstraints(monic=True, zero_constant=True), workers=3
-        )
-        assert [f.coeffs for f in serial] == [f.coeffs for f in parallel]
 
     def test_ordering(self):
         found = exhaustive_search(5, 5, SearchConstraints(monic=True, zero_constant=True))

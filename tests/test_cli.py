@@ -250,12 +250,13 @@ class TestSearchCommand:
         assert err == ("padiclds: error: internal error: Noebauer criterion disagrees "
                        "with enumeration for x mod 3\n")
 
-    def test_workers_byte_identical(self, capsys):
-        _, out1, _ = run_cli(capsys, "search", "--p", "5", "--degree", "5",
-                             "--monic", "--zero-constant", "--workers", "1")
-        _, out2, _ = run_cli(capsys, "search", "--p", "5", "--degree", "5",
-                             "--monic", "--zero-constant", "--workers", "2")
-        assert out1 == out2
+    def test_over_cap_exits_1_with_one_line(self, capsys):
+        # the candidate count stops at the cap, so a huge degree fails at once
+        code, out, err = run_cli(capsys, "search", "--p", "2", "--degree", "1000000000")
+        assert code == 1
+        assert out == ""
+        assert err == ("padiclds: error: search space of at least 134217726 "
+                       "candidates exceeds cap 100000000\n")
 
 
 class TestBridgeCommand:
@@ -303,6 +304,21 @@ class TestOutputPlumbing:
         assert dash == plain
         assert target.read_bytes() == plain.encode()
 
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "--p", "3", "x", "--N", "1..3"],
+        ["classify", "--p", "5", "x^3+x"],
+    ])
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/out.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unopenable_out_exits_1_with_one_line(self, capsys, tmp_path, argv, target, reason):
+        path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, *argv, "--out", path)
+        assert code == 1
+        assert out == ""
+        assert err == f"padiclds: error: cannot write --out {path}: {reason}\n"
+
     def test_parser_built_once_and_reusable_after_errors(self, capsys):
         assert cli.build_parser() is cli.build_parser()
         argv = ["discrepancy", "--p", "3", "x^3+x", "--N", "1..4"]
@@ -330,8 +346,9 @@ class TestOutputPlumbing:
         assert json.loads(proc.stdout)["brute_force"]["low_discrepancy"] is True
 
     def test_usage_error_exit_code(self):
-        # --workers belongs to search alone; the other subcommands reject it
-        for argv in (["classify"], ["classify", "--p", "3", "--workers", "2", "x"]):
+        # no subcommand takes --workers: the search runs in one process
+        for argv in (["classify"], ["classify", "--p", "3", "--workers", "2", "x"],
+                     ["search", "--p", "3", "--degree", "2", "--workers", "2"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "padiclds.cli", *argv],
                 capture_output=True, text=True,

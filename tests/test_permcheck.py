@@ -236,6 +236,12 @@ class TestDivergenceScan:
         with pytest.raises(ValueError, match="cap"):
             divergence_scan(3, 20, range(0, 3), cap=1000)
 
+    def test_cap_stops_counting(self):
+        # the count stops once it passes the cap instead of summing 10^9 degrees
+        message = r"^search space of at least 1594323 candidates exceeds cap 1000000$"
+        with pytest.raises(ValueError, match=message):
+            divergence_scan(3, 10**9, range(3))
+
     def test_canonicalizes_coefficient_range(self):
         # ranges that differ only by mod-p lifts scan the same residue space
         r1 = divergence_scan(3, 3, range(0, 3))

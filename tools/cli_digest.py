@@ -1,7 +1,7 @@
 """Digest of the CLI's observable output over a fixed set of invocations.
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
-given seeds, plus a fixed list of extra invocations (the heavy degree-6
+given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
 searches, two error paths and three large-p classify calls), through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
@@ -29,6 +29,12 @@ from jobs import WORKLOADS, make_jobs  # noqa: E402
 EXTRA = [
     *(["search", "--p", str(p), "--degree", "6", "--monic", "--zero-constant"]
       for p in (5, 7, 11, 13)),
+    # orbit expansion: unflagged searches, p = 17, and p dividing a degree
+    ["search", "--p", "7", "--degree", "6"],
+    ["search", "--p", "11", "--degree", "5"],
+    ["search", "--p", "17", "--degree", "6", "--monic", "--zero-constant"],
+    ["search", "--p", "3", "--degree", "6", "--nonzero-linear"],
+    ["search", "--p", "2", "--degree", "6"],
     ["generate", "--p", "3", "--n", "4", "--K", "0", "--mode", "digits", "--", "x"],
     ["bridge", "--p", "3", "--N", "5", "--K", "0", "--", "x"],
     ["discrepancy", "--p", "1048577", "--N", "3", "--", "x"],
