@@ -12,10 +12,13 @@ finite in three exact pieces:
   values (the k -> infinity limit of an occupied ball's term).
 
 One engine, ``prefix_discrepancies``, computes it for any set of prefix
-lengths in a single pass: per level it keeps the occupancy counts and their
-extremes under insertion, and forms the exact supremum and its witness only
-at the requested lengths.  ``padic_discrepancy``, the truncated variant and
-``discrepancy_profile`` are that engine at one length or at every length.
+lengths in a single pass.  It ingests the values stretch by stretch, each
+stretch running from one requested length to the next: per level it keeps
+the occupancy counts and their extremes, and forms the exact supremum and its
+witness only at the requested lengths.  A long stretch is counted into every
+level by one C-level pass, a short one (a dense schedule) value by value.
+``padic_discrepancy``, the truncated variant and ``discrepancy_profile`` are
+that engine at one length or at every length.
 
 Everything is computed in exact rational arithmetic.  The only floating point
 in the whole package is the transcendental upper bound of the p-adic-to-real
@@ -30,10 +33,22 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mod
 
 from .padic import InvariantError, PAdicApprox, check_prime
 
 WITNESS_TAIL = "tail"
+
+# ``prefix_discrepancies`` counts a stretch of L values into a level in bulk
+# when L > STRETCH_MIN + (occupied residues) / STRETCH_RATIO, and value by
+# value otherwise.  Per level, ``_Level.add`` costs about 0.4 us a value; a
+# bulk count about 10 us, plus 0.1 us a value, plus 0.075 us an occupied
+# residue to recount the occupancy and its histogram (CPython 3.11, 2-core
+# x86-64 host).  One decision covers the whole stretch, on the mean
+# occupancy of the levels and the multiplicities.
+STRETCH_MIN = 32
+STRETCH_RATIO = 4
 
 # ``meijer_bound_check`` calls a float comparison this close to equality
 # indeterminate rather than guessing.
@@ -72,17 +87,25 @@ def separation_depth(values: list[int], p: int) -> int:
 
 class _Level:
     """Ball occupancy mod p^k: count per occupied residue, and how many
-    residues hold each count, so the extreme counts follow every insertion."""
+    residues hold each count, so the extreme counts follow every insertion.
+
+    ``values`` (repeats counted) is the initial content; ``ingest`` adds a
+    stretch of values in one C-level pass, ``add`` a single value."""
 
     __slots__ = ("pk", "counts", "hist", "maxc", "minc")
 
-    def __init__(self, pk: int, multiplicities: dict[int, int]) -> None:
+    def __init__(self, pk: int, values) -> None:
         self.pk = pk
         self.counts: dict[int, int] = {}
-        for v, m in multiplicities.items():
-            r = v % pk
-            self.counts[r] = self.counts.get(r, 0) + m
-        self.hist = dict(Counter(self.counts.values()))  # count -> residues holding it
+        self.ingest(values)
+
+    def ingest(self, values) -> None:
+        # Counter.update counts in C; the level keeps plain dicts, which
+        # ``add`` reads and writes faster than a Counter
+        counts = Counter(self.counts)
+        counts.update(map(mod, values, repeat(self.pk)))
+        self.counts = dict(counts)
+        self.hist = dict(Counter(counts.values()))  # count -> residues holding it
         self.maxc = max(self.hist)
         self.minc = min(self.hist)
 
@@ -109,27 +132,31 @@ def _supremum(levels: list[_Level], N: int, cstar: int) -> DiscrepancyResult:
     considered last, so the witness is deterministic.  Each level's best term
     is |c/N - p^-k| at c = maxc or c = minc, or p^-k for an unoccupied residue
     at the shallowest level that has one (deeper empty balls are smaller).
+    The terms are compared as integer numerators over the common denominator
+    N * p^K of the deepest level K, and one fraction is formed at the end.
     """
-    best = Fraction(-1)
+    top = levels[-1].pk
+    best = -1
     best_level: int | str = 0
+    best_term = 0
     empty_found = False
     for k, lv in enumerate(levels, start=1):
         term = max(lv.maxc * lv.pk - N, N - lv.minc * lv.pk)
         if not empty_found and len(lv.counts) < lv.pk:
             empty_found = True
             term = max(term, N)
-        value = Fraction(term, N * lv.pk)
-        if value > best:
-            best, best_level = value, k
-    tail = Fraction(cstar, N)
-    if tail > best:
-        best, best_level = tail, WITNESS_TAIL
-    if not Fraction(1, N) <= best <= 1:
-        raise InvariantError(f"internal error: discrepancy {best} outside [1/N, 1] for N={N}")
+        scaled = term * (top // lv.pk)  # term / (N * p^k) is scaled / (N * top)
+        if scaled > best:
+            best, best_level, best_term = scaled, k, term
+    if cstar * top > best:
+        best, best_level = cstar * top, WITNESS_TAIL
+    value = Fraction(best, N * top)
+    if not top <= best <= N * top:
+        raise InvariantError(f"internal error: discrepancy {value} outside [1/N, 1] for N={N}")
     residue = None
     if best_level != WITNESS_TAIL:
         lv = levels[best_level - 1]
-        term = best * N * lv.pk
+        term = best_term
         targets = {c for c in (lv.maxc, lv.minc) if abs(c * lv.pk - N) == term}
         hits = [r for r, c in lv.counts.items() if c in targets]
         if term == N and len(lv.counts) < lv.pk:  # an unoccupied residue attains it
@@ -139,7 +166,7 @@ def _supremum(levels: list[_Level], N: int, cstar: int) -> DiscrepancyResult:
             hits.append(missing)
         residue = min(hits)
     return DiscrepancyResult(
-        value=best,
+        value=value,
         witness_level=best_level,
         witness_residue=residue,
         separation_depth=len(levels) - 1,
@@ -153,10 +180,14 @@ def prefix_discrepancies(
 
     ``lengths`` lists the requested N (default: every N from 1 to
     len(values)); the answer maps each distinct N, in increasing order, to
-    the ``padic_discrepancy`` of that prefix.  The values are ingested once:
-    per level the occupancy and its extreme counts are kept up to date under
-    insertion, and levels are added as the separation depth grows, so the
-    exact supremum is formed only at the requested lengths.
+    the ``padic_discrepancy`` of that prefix.  The values are ingested once,
+    one stretch values[prev:N] per requested N.  A stretch that is long
+    against the occupied residues (``STRETCH_MIN``, ``STRETCH_RATIO``) is
+    counted into the multiplicities and every level in bulk, and the extreme
+    counts are then recounted; a short one is added value by value, with the
+    extremes kept up to date under insertion.  Levels are added, each counted
+    from the prefix at once, as the separation depth grows, and the exact
+    supremum is formed only at the requested lengths.
     """
     check_prime(p)
     if not values:
@@ -168,17 +199,31 @@ def prefix_discrepancies(
     cstar = 0
     levels: list[_Level] = []
     out: dict[int, DiscrepancyResult] = {}
-    for N, v in enumerate(values[: wanted[-1]], start=1):
-        multiplicities[v] += 1
-        cstar = max(cstar, multiplicities[v])
-        for lv in levels:
-            lv.add(v)
+    prev = 0
+    for N in wanted:
+        stretch = values[prev:N]
+        prev = N
+        excess = len(stretch) - STRETCH_MIN
+        if excess > 0 and excess * STRETCH_RATIO * (len(levels) + 1) > (
+            len(multiplicities) + sum(len(lv.counts) for lv in levels)
+        ):
+            multiplicities.update(stretch)
+            cstar = max(multiplicities.values())
+            for lv in levels:
+                lv.ingest(stretch)
+        else:
+            for v in stretch:
+                m = multiplicities.get(v, 0) + 1
+                multiplicities[v] = m
+                if m > cstar:
+                    cstar = m
+                for lv in levels:
+                    lv.add(v)
         # keep exactly levels 1..k_sep+1: a level is clean (separates the
         # distinct values) when it occupies one residue per distinct value
         while len(levels) < 2 or len(levels[-2].counts) < len(multiplicities):
-            levels.append(_Level(p ** (len(levels) + 1), multiplicities))
-        if N == wanted[len(out)]:
-            out[N] = _supremum(levels, N, cstar)
+            levels.append(_Level(p ** (len(levels) + 1), values[:N]))
+        out[N] = _supremum(levels, N, cstar)
     return out
 
 

@@ -5,6 +5,12 @@ s/N^alpha of each other, normalized by N^2 and by the measure of the ball of
 that radius.  Closeness below a p-adic radius is congruence mod p^k for the
 right k, so with rational alpha everything reduces to exact integer
 comparisons and class counting.
+
+A sweep over an (N, s) grid counts each distinct (N, k) once.  Per level k it
+keeps one running count of residue classes, grown by the stretch of values
+between consecutive N in one C-level pass, and the sum of the squared class
+sizes, from which the ordered pairs follow; level 0 holds all N(N-1) pairs
+and is not counted at all.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mod, mul
 
 from .padic import PAdicApprox, check_prime
 from .polynomials import IntPolynomial
@@ -32,16 +40,25 @@ class PairCorrInput:
     s: Fraction
 
     def __post_init__(self) -> None:
-        check_prime(self.p)
         object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "s", Fraction(self.s))
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.s <= 0:
-            raise ValueError("s must be positive: the normalizing measure vanishes at s = 0")
+        alpha, (s,) = _checked_parameters(self.p, self.alpha, [self.s])
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "s", s)
         if not self.values:
             raise ValueError("need at least one value")
+
+
+def _checked_parameters(p: int, alpha, s_list) -> tuple[Fraction, list[Fraction]]:
+    """alpha and the radii as fractions, each validated once."""
+    check_prime(p)
+    alpha = Fraction(alpha)
+    radii = [Fraction(s) for s in s_list]
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    for s in radii:
+        if s <= 0:
+            raise ValueError("s must be positive: the normalizing measure vanishes at s = 0")
+    return alpha, radii
 
 
 def threshold_level(s: Fraction, N: int, alpha: Fraction, p: int) -> int:
@@ -70,16 +87,44 @@ def threshold_level(s: Fraction, N: int, alpha: Fraction, p: int) -> int:
     return k
 
 
-def _residues(values, p: int, k: int) -> list[int]:
+def _residues(values, p: int, k: int, ints: bool):
+    """The values mod p^k: one C-level pass when every value is an int."""
     pk = p ** k
-    out = []
-    for v in values:
-        if isinstance(v, PAdicApprox):
-            if v.p != p:
+    if ints:
+        return map(mod, values, repeat(pk))
+    # raises on insufficient precision
+    return [v.residue(k) if isinstance(v, PAdicApprox) else v % pk for v in values]
+
+
+def _close_pairs(values, p: int, requests) -> dict[tuple[int, int], int]:
+    """Ordered pairs i != j < N with x_i congruent to x_j mod p^k, for each
+    (N, k) in ``requests``.
+
+    The pairs are the sum of m*(m-1) over class sizes m, that is the sum of
+    m^2 minus N.  Per level one residue count grows by the stretch
+    values[upto:N] as N increases, and the sum of squares by
+    2*m*d + d^2 for each class that gains d values.  Level 0 is N(N-1).
+    """
+    ints = all(issubclass(t, int) for t in set(map(type, values)))
+    if not ints:
+        for v in values:
+            if isinstance(v, PAdicApprox) and v.p != p:
                 raise ValueError("values must live at the given prime")
-            out.append(v.residue(k))  # raises on insufficient precision
-        else:
-            out.append(v % pk)
+    running: dict[int, tuple[Counter, int, int]] = {}  # k -> (counts, upto, sum m^2)
+    out = {}
+    for N, k in sorted(set(requests)):
+        if k == 0:
+            out[N, k] = N * (N - 1)
+            continue
+        counts, upto, squares = running.get(k, (Counter(), 0, 0))
+        residues = list(_residues(values[upto:N], p, k, ints))
+        gained = Counter(residues)
+        sizes = gained.values()
+        squares += sum(map(mul, sizes, sizes))
+        squares += 2 * sum(map(mul, map(counts.get, gained, repeat(0)), sizes))
+        counts.update(residues)
+        running[k] = counts, N, squares
+        out[N, k] = squares - N
     return out
 
 
@@ -92,8 +137,8 @@ def pair_count(values, p: int, k: int) -> int:
     check_prime(p)
     if k < 0:
         raise ValueError("level k must be >= 0")
-    counts = Counter(_residues(values, p, k))
-    return sum(m * (m - 1) for m in counts.values())
+    N = len(values)
+    return _close_pairs(values, p, [(N, k)])[N, k]
 
 
 def F_statistic(inp: PairCorrInput) -> Fraction:
@@ -114,23 +159,46 @@ def ppc_sweep(
     """Evaluate the statistic on an (N, s) grid, emitted in schedule order.
 
     ``source`` may be a polynomial, a sequence spec, a full value list whose
-    prefixes are used, or a callable N -> values.
+    prefixes are used, or a callable N -> values.  alpha and the radii are
+    validated once, and each distinct (N, k) is counted once: over the
+    prefixes of the value list together, or over each callable's list alone.
     """
     if not N_schedule:
         raise ValueError("schedule must be nonempty")
+    alpha, radii = _checked_parameters(p, alpha, s_list)
     if isinstance(source, IntPolynomial):
         source = poly_sequence(source, max(N_schedule))
     elif isinstance(source, SequenceSpec):
         source = source.integer_values(max(N_schedule))
-    rows: list[tuple[int, Fraction, Fraction]] = []
-    for N in N_schedule:
-        if callable(source):
+    level: dict[tuple[int, Fraction], int] = {}
+
+    def requests(sizes):
+        for n in sizes:
+            for s in radii:
+                level[n, s] = k = threshold_level(s, n, alpha, p)
+                yield n, k
+
+    # N -> (length of the list the statistic is computed on, its close pairs)
+    counted: dict[int, tuple[int, dict]] = {}
+    if callable(source):
+        for N in dict.fromkeys(N_schedule):
             values = source(N)
-        else:
+            if not values:
+                raise ValueError("need at least one value")
+            counted[N] = len(values), _close_pairs(values, p, requests([len(values)]))
+    else:
+        for N in N_schedule:
             if N > len(source):
                 raise ValueError(f"only {len(source)} values available, N={N} requested")
-            values = source[:N]
-        for s in s_list:
-            inp = PairCorrInput(values=tuple(values), p=p, alpha=Fraction(alpha), s=Fraction(s))
-            rows.append((N, Fraction(s), F_statistic(inp)))
+            if N < 1:
+                raise ValueError("need at least one value")
+        prefixes = set(N_schedule)
+        pairs = _close_pairs(source[: max(prefixes)], p, requests(prefixes))
+        counted = {N: (N, pairs) for N in prefixes}
+    rows: list[tuple[int, Fraction, Fraction]] = []
+    for N in N_schedule:
+        n, pairs = counted[N]
+        for s in radii:
+            k = level[n, s]
+            rows.append((N, s, Fraction(p ** k * pairs[n, k], n * n)))
     return rows

@@ -9,9 +9,9 @@ gives the smallest root.  The three routes differ only in what they feed it:
   Z/p and f' has no root mod p, so this decides both levels from mod-p data;
 * brute force -- the Noebauer verdict plus an independent exhaustive
   injectivity test mod p^2.  The two must agree; a mismatch is a broken
-  invariant and raises ``InvariantError``.  This is the authoritative route,
-  and only when f permutes Z/p but not Z/p^2 does it enumerate mod p^2 again
-  to find the level-2 missed residue;
+  invariant and raises ``InvariantError``.  This is the authoritative route.
+  When f permutes Z/p but not Z/p^2 its level-2 missed residue comes from the
+  Hensel fibres over the derivative roots, with no second enumeration;
 * the unit-group folding formula -- g and dg are the two degree <= p-2
   reductions of f and f'.  The folding is only valid at unit residues, so this
   route can disagree with ground truth; it is never treated as authoritative,
@@ -37,6 +37,7 @@ from .polynomials import (
     _square_rows,
     _value_table,
     derivative,
+    eval_mod,
     unit_derivative_poly,
     unit_value_poly,
 )
@@ -185,8 +186,28 @@ def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
             f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
         )
     if verdict.perm_mod_p and not verdict.perm_mod_p2:
-        return replace(verdict, missing_residue=(2, first_missing_residue(f, pp)))
+        return replace(verdict, missing_residue=(2, _fibre_witness(f, p)))
     return verdict
+
+
+def _fibre_witness(f: IntPolynomial, p: int) -> int:
+    """Smallest residue mod p^2 missed by f, for f permuting Z/p but not Z/p^2.
+
+    Over a root r of f' mod p the fibre r + tp maps to f(r) + tp*f'(r), which
+    is f(r) mod p^2 for every t; as f permutes Z/p, no other x reaches that
+    class mod p, so every other lift of f(r) mod p is missed.  Fibres over
+    non-roots cover all p lifts.  The smallest missed residue is therefore the
+    least, over the roots r, of f(r) mod p when that differs from f(r) mod
+    p^2, and of f(r) mod p + p otherwise.
+    """
+    pp = p * p
+    d_table = _value_table(derivative(f).coeffs, p)
+    witnesses = []
+    for r in (x for x, v in enumerate(d_table) if v == 0):
+        hit = eval_mod(f, r, pp)
+        base = hit % p
+        witnesses.append(base if base != hit else base + p)
+    return min(witnesses)
 
 
 def classify_via_reduction(f: IntPolynomial, p: int) -> Verdict:

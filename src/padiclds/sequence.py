@@ -9,6 +9,7 @@ Indexing starts at n = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 from .padic import PAdicApprox, check_prime, digits_of
 from .polynomials import IntPolynomial
@@ -18,10 +19,27 @@ KIND_LINEAR = "linear"
 
 
 def poly_sequence(f: IntPolynomial, N: int) -> list[int]:
-    """Exact values f(1), ..., f(N)."""
+    """Exact values f(1), ..., f(N).
+
+    f(1), ..., f(d+1) come from Horner (d = deg f); their forward differences
+    D_0, ..., D_d at n = 1 determine the rest, since the d-th difference of f
+    is the constant D_d.  The values are then d chained running sums over
+    that constant, in exact integer arithmetic.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return [f(n) for n in range(1, N + 1)]
+    d = max(f.degree, 0)
+    row = [f(n) for n in range(1, min(N, d + 1) + 1)]
+    if N <= d + 1:
+        return row
+    leading = []
+    while row:
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    values = repeat(leading.pop(), N - d)
+    for start in reversed(leading):
+        values = accumulate(values, initial=start)
+    return list(values)
 
 
 def linear_sequence(a: PAdicApprox, b: PAdicApprox, N: int) -> list[PAdicApprox]:
@@ -84,9 +102,7 @@ class SequenceSpec:
             return poly_sequence(self.f, N)
         if not isinstance(self.a, int):
             raise ValueError("p-adic linear spec has no exact integer values; use padic_values")
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        return [n * self.a + self.b for n in range(1, N + 1)]
+        return poly_sequence(IntPolynomial((self.b, self.a)), N)
 
     def padic_values(self, N: int, K: int | None = None) -> list[PAdicApprox]:
         """Values as digit vectors.

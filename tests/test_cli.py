@@ -28,6 +28,27 @@ class TestScheduleParsing:
             with pytest.raises(ValueError):
                 parse_schedule(bad, 3)
 
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "--p", "3", "--N", f"1..{10**12}", "--", "x"],
+        ["discrepancy", "--p", "3", "--N", f"5,{10**12}", "--", "x"],
+        ["paircorr", "--p", "3", "--N", "pk:1..40", "--alpha", "1/2", "--s", "1", "--", "x"],
+        ["bridge", "--p", "2", "--N", f"pk:0..{10**12}", "--", "x"],
+        ["generate", "--p", "3", "--n", str(10**12), "--", "x"],
+    ])
+    def test_length_budget_exits_1_before_allocating(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("padiclds: error: ")
+        assert f"above the limit of {cli.MAX_SEQUENCE_LENGTH}" in err
+
+    def test_length_budget_admits_the_limit(self):
+        top = cli.MAX_SEQUENCE_LENGTH
+        assert parse_schedule(f"{top - 1}..{top}", 2) == [top - 1, top]
+        k = top.bit_length() - 1
+        assert parse_schedule(f"pk:{k}..{k}", 2) == [2**k]
+        with pytest.raises(ValueError, match="N=2\\^17 values"):
+            parse_schedule("pk:0..17", 2)
+
     def test_fraction_parsing(self):
         from fractions import Fraction
 

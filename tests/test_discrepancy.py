@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from padiclds import discrepancy
 from padiclds.discrepancy import (
+    STRETCH_MIN,
     WITNESS_TAIL,
     DiscrepancyResult,
     _Level,
@@ -243,6 +245,39 @@ class TestPrefixDiscrepancies:
         for bad in ([0], [7], []):
             with pytest.raises(ValueError, match="prefix lengths"):
                 prefix_discrepancies(values, 3, bad)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_sparse_schedules_count_stretches_in_bulk_and_one_by_one(self, p, monkeypatch):
+        # ingests into a level that already holds values are bulk stretches;
+        # adds are the value-by-value ones
+        paths = Counter()
+        ingest, add = _Level.ingest, _Level.add
+
+        def counted_ingest(self, values):
+            paths["bulk"] += bool(self.counts)
+            ingest(self, values)
+
+        def counted_add(self, v):
+            paths["add"] += 1
+            add(self, v)
+
+        monkeypatch.setattr(_Level, "ingest", counted_ingest)
+        monkeypatch.setattr(_Level, "add", counted_add)
+        rng = random.Random(173 + p)
+        for _ in range(8):
+            span = rng.choice([4, 30, 300])
+            values = [rng.randint(-span, span) for _ in range(rng.randint(40, 150))]
+            n = len(values)
+            # long and short stretches, unsorted, with repeats
+            lengths = [rng.randint(1, n) for _ in range(rng.randint(1, 6))]
+            lengths += [lengths[0], n, n - 1, n - 2 - STRETCH_MIN, rng.randint(1, 4)]
+            rng.shuffle(lengths)
+            results = prefix_discrepancies(values, p, lengths)
+            every = prefix_discrepancies(values, p)
+            assert list(results) == sorted(set(lengths))
+            for N, res in results.items():
+                assert res == every[N] == naive_padic_discrepancy(values[:N], p), (p, N)
+        assert paths["bulk"] > 0 and paths["add"] > 0
 
 
 class TestDiscrepancyProfile:

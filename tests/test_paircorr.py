@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padiclds.discrepancy import separation_depth
 from padiclds.padic import digits_of, valuation
 from padiclds.paircorr import (
     F_statistic,
@@ -183,6 +184,65 @@ class TestSweep:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
             ppc_sweep([1], 3, Fraction(1), [Fraction(1)], [])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_grid_equals_statistic_per_cell(self, p):
+        # unsorted schedules with repeats; radii from the whole ring (k = 0)
+        # to balls deeper than the separation depth
+        rng = random.Random(191 + p)
+        reached = set()
+        for _ in range(6):
+            span = rng.choice([5, 50, 2000])
+            values = [rng.randint(-span, span) for _ in range(rng.randint(30, 120))]
+            depth = separation_depth(values, p)
+            schedule = [rng.randint(1, len(values)) for _ in range(5)]
+            schedule += [schedule[0], len(values), 1]
+            rng.shuffle(schedule)
+            alpha = Fraction(rng.randint(1, 3), 3)
+            radii = [Fraction(len(values)), Fraction(1), Fraction(1, 2),
+                     Fraction(1, p ** depth), Fraction(1, p ** (depth + 3))]
+            rows = ppc_sweep(values, p, alpha, radii, schedule)
+            assert [(N, s) for N, s, _ in rows] == [(N, s) for N in schedule for s in radii]
+            for N, s, F in rows:
+                inp = PairCorrInput(values=tuple(values[:N]), p=p, alpha=alpha, s=s)
+                k = threshold_level(s, N, alpha, p)
+                reached.add("whole ring" if k == 0 else "past k_sep+1" if k > depth + 1 else "ball")
+                assert F == F_statistic(inp), (p, N, s)
+                assert F == Fraction(p ** k * pair_count_oracle(values[:N], p, k), N * N)
+        assert reached == {"whole ring", "ball", "past k_sep+1"}
+
+    def test_callable_lists_are_counted_on_their_own(self):
+        # a callable source need not give prefixes of one list
+        lists = {4: [0, 3, 6, 9], 2: [1, 1], 5: [2, 5, 8, 11, 2]}
+        rows = ppc_sweep(lists.__getitem__, 3, Fraction(1), [Fraction(1), Fraction(1, 9)],
+                         [4, 2, 5, 4])
+        for N, s, F in rows:
+            inp = PairCorrInput(values=tuple(lists[N]), p=3, alpha=Fraction(1), s=s)
+            assert F == F_statistic(inp)
+        assert [N for N, _, _ in rows] == [4, 4, 2, 2, 5, 5, 4, 4]
+
+    def test_validation_messages(self):
+        values = [1, 2, 3]
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            ppc_sweep(values, 3, Fraction(3, 2), [Fraction(1)], [3])
+        with pytest.raises(ValueError, match="measure vanishes"):
+            ppc_sweep(values, 3, Fraction(1), [Fraction(1), Fraction(0)], [3])
+        with pytest.raises(ValueError, match="only 3 values available, N=4"):
+            ppc_sweep(values, 3, Fraction(1), [Fraction(1)], [2, 4, 5])
+        with pytest.raises(ValueError, match="need at least one value"):
+            ppc_sweep(values, 3, Fraction(1), [Fraction(1)], [0])
+        with pytest.raises(ValueError, match="need at least one value"):
+            ppc_sweep(lambda N: [], 3, Fraction(1), [Fraction(1)], [2])
+
+    def test_padic_values_respect_precision_and_prime(self):
+        pts = [digits_of(v, 3, 2) for v in (1, 4, 10, 1)]
+        rows = ppc_sweep(pts, 3, Fraction(1), [Fraction(4), Fraction(4, 9)], [4])
+        assert [F for _, _, F in rows] == [
+            Fraction(12, 16), Fraction(9 * pair_count_oracle([1, 4, 10, 1], 3, 2), 16)]
+        with pytest.raises(ValueError, match="insufficient precision"):
+            ppc_sweep(pts, 3, Fraction(1), [Fraction(1, 9)], [4])
+        with pytest.raises(ValueError, match="given prime"):
+            ppc_sweep([digits_of(1, 5, 2)], 3, Fraction(1), [Fraction(1)], [1])
 
     def test_accepts_polynomial_and_spec_sources(self):
         from padiclds.sequence import SequenceSpec

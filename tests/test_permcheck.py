@@ -390,3 +390,40 @@ class TestCertificateOracle:
             missing = doc["brute_force"]["missing_residue"]
             levels.add(missing and missing[0])
         assert levels == {None, 1, 2}
+
+
+class TestFibreWitness:
+    """The level-2 witness from the Hensel fibres equals the enumerated one."""
+
+    def level2_cases(self, cases):
+        for f, p in cases:
+            if is_permutation_mod(f, p) and not is_permutation_mod(f, p * p):
+                yield f, p
+
+    def check(self, cases):
+        seen = 0
+        for f, p in self.level2_cases(cases):
+            v = classify_low_discrepancy(f, p)
+            assert v.missing_residue == (2, first_missing_residue(f, p * p)), (f, p)
+            seen += 1
+        return seen
+
+    def test_exhaustive_degree3(self):
+        assert self.check(exhaustive_cases()) > 0
+
+    def test_sampled_degree_at_least_p(self):
+        assert self.check(sampled_cases()) > 0
+
+    def test_cube_at_1013_without_a_second_enumeration(self, monkeypatch):
+        f = parse_poly("x^3")
+        expected = first_missing_residue(f, 1013 * 1013)
+        moduli = []
+
+        def recorded(g, m):
+            moduli.append(m)
+            return first_missing_residue(g, m)
+
+        monkeypatch.setattr(permcheck, "first_missing_residue", recorded)
+        permcheck._mod_p_facts.cache_clear()
+        assert classify_low_discrepancy(f, 1013).missing_residue == (2, expected) == (2, 1013)
+        assert moduli == [1013]  # the mod-p table only

@@ -13,6 +13,20 @@ class TestPolySequence:
         assert poly_sequence(parse_poly("x"), 4) == [1, 2, 3, 4]
         assert poly_sequence(parse_poly("x^3 - 2x"), 5) == [-1, 4, 21, 56, 115]
 
+    def test_equals_horner(self):
+        rng = random.Random(181)
+        for d in range(13):
+            for coeffs in (
+                [rng.randint(-9, 9) for _ in range(d)] + [rng.choice([-3, -1, 1, 2])],
+                [-abs(rng.randint(1, 50)) for _ in range(d + 1)],
+            ):
+                f = IntPolynomial(coeffs)
+                assert f.degree == d
+                for N in [*range(1, d + 4), 2000]:
+                    assert poly_sequence(f, N) == [f(n) for n in range(1, N + 1)], (f, N)
+        for N in (1, 2, 5):
+            assert poly_sequence(IntPolynomial(), N) == [0] * N
+
     def test_requires_positive_length(self):
         with pytest.raises(ValueError):
             poly_sequence(parse_poly("x"), 0)
@@ -74,6 +88,14 @@ class TestSequenceSpec:
         spec = SequenceSpec.linear(2, 1, 3)
         assert spec.is_integer_valued
         assert spec.integer_values(4) == [3, 5, 7, 9]
+
+    @pytest.mark.parametrize("a,b", [(0, 5), (0, 0), (-3, 7), (-1, -4), (9, -2)])
+    def test_integer_linear_values(self, a, b):
+        spec = SequenceSpec.linear(a, b, 5)
+        for N in (1, 2, 3, 50):
+            assert spec.integer_values(N) == [n * a + b for n in range(1, N + 1)]
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            spec.integer_values(0)
 
     def test_padic_linear_kind(self):
         spec = SequenceSpec.linear(digits_of(1, 3, 4), digits_of(0, 3, 4), 3)

@@ -2,7 +2,8 @@
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
-searches, two error paths and five large-p classify calls), through
+searches, two error paths, five large-p classify calls, and long and dense
+discrepancy, paircorr and generate schedules), through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
 trees whose digests agree produce byte-identical CLI output on all of these
@@ -50,6 +51,14 @@ EXTRA = [
     # low-discrepancy quintic enumerated in full
     ["classify", "--p", "3137", "--", "5x+7"],
     ["classify", "--p", "547", "--", "x^5+411x^3+89x"],
+    # long stretches between requested lengths (bulk counting), an unsorted
+    # schedule with a short stretch, a dense schedule (value by value), and
+    # a high-degree polynomial's values by finite differences
+    ["discrepancy", "--p", "2", "--N", "4000,7,3999", "--", "x^3+x"],
+    ["paircorr", "--p", "3", "--N", "3000,1,2999", "--alpha", "1/2", "--s", "1/3,1,2",
+     "--", "x^3+x"],
+    ["discrepancy", "--p", "3", "--N", "1..2000", "--", "x^3+x"],
+    ["generate", "--p", "3", "--n", "3000", "--mode", "integers", "--", "x^12-7"],
 ]
 
 
