@@ -8,16 +8,7 @@ tables by exhaustive search, and bridges to real sequences in [0,1) via the
 digit-reversal map.
 """
 
-from .padic import (
-    PAdicApprox,
-    abs_p,
-    ball_level,
-    check_prime,
-    digits_of,
-    monna_map,
-    monna_of_int,
-    valuation,
-)
+from .padic import check_prime, digits_of, monna_of_int, valuation
 from .polynomials import (
     IntPolynomial,
     PolyParseError,
@@ -42,13 +33,12 @@ from .permcheck import (
     is_permutation_mod,
     noebauer_mod_p2,
 )
-from .sequence import SequenceSpec, linear_sequence, poly_sequence
+from .sequence import poly_sequence
 from .discrepancy import (
     DiscrepancyResult,
     discrepancy_profile,
     meijer_bound_check,
     padic_discrepancy,
-    padic_discrepancy_truncated,
     prefix_discrepancies,
     real_extreme_discrepancy,
     separation_depth,

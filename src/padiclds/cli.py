@@ -28,11 +28,11 @@ from .catalog import (
     verify_entry,
 )
 from .discrepancy import meijer_bound_check, prefix_discrepancies, real_extreme_discrepancy
-from .padic import InvariantError, check_prime, monna_of_int
+from .padic import InvariantError, check_prime, digits_of, monna_of_int
 from .paircorr import ppc_sweep
 from .permcheck import METHOD_NOEBAUER, classify_low_discrepancy, classify_via_reduction
-from .polynomials import parse_poly, render, unit_derivative_poly, unit_value_poly
-from .sequence import SequenceSpec
+from .polynomials import IntPolynomial, parse_poly, render, unit_derivative_poly, unit_value_poly
+from .sequence import poly_sequence
 
 SCHEMA_VERSION = 1
 
@@ -76,13 +76,21 @@ def parse_schedule(text: str, p: int) -> list[int]:
     The largest N is checked against ``MAX_SEQUENCE_LENGTH`` before the
     schedule is built.
     """
+
+    def num(part: str) -> int:
+        try:
+            return int(part)
+        except ValueError:
+            raise ValueError(f'invalid schedule {text!r}: expected "a..b", "a,b,c" or '
+                             f'"pk:k1..k2" with integer bounds and entries') from None
+
     text = text.strip()
     if text.startswith("pk:"):
         body = text[3:]
         if ".." not in body:
             raise ValueError('power schedule must look like "pk:k1..k2"')
         lo, hi = body.split("..", 1)
-        k1, k2 = int(lo), int(hi)
+        k1, k2 = num(lo), num(hi)
         if k1 < 0 or k2 < k1:
             raise ValueError("power schedule bounds must satisfy 0 <= k1 <= k2")
         # p >= 2, so p^k2 exceeds the limit once k2 reaches its bit length
@@ -92,27 +100,28 @@ def parse_schedule(text: str, p: int) -> list[int]:
         return [p ** k for k in range(k1, k2 + 1)]
     if ".." in text:
         lo, hi = text.split("..", 1)
-        a, b = int(lo), int(hi)
+        a, b = num(lo), num(hi)
         if a < 1 or b < a:
             raise ValueError("range schedule bounds must satisfy 1 <= a <= b")
         _check_length(b, "schedule")
         return list(range(a, b + 1))
-    out = [int(part) for part in text.split(",") if part.strip()]
+    out = [num(part) for part in text.split(",") if part.strip()]
     if not out or any(n < 1 for n in out):
         raise ValueError("schedule entries must be integers >= 1")
     _check_length(max(out), "schedule")
     return out
 
 
-def _sequence_spec(args) -> SequenceSpec:
+def _sequence_spec(args) -> IntPolynomial:
+    """The sequence's polynomial: the parsed expression, or A*x + B for --linear A B."""
     if args.linear is not None and args.poly is not None:
         raise ValueError("give either a polynomial or --linear, not both")
     if args.linear is not None:
         a, b = args.linear
-        return SequenceSpec.linear(a, b, args.p)
+        return IntPolynomial((b, a))
     if args.poly is None:
         raise ValueError("a polynomial expression or --linear a b is required")
-    return SequenceSpec.polynomial(parse_poly(args.poly), args.p)
+    return parse_poly(args.poly)
 
 
 @contextlib.contextmanager
@@ -202,35 +211,37 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = _sequence_spec(args)
+    f = _sequence_spec(args)
     N = args.n
     if N < 1:
         raise ValueError("--n must be >= 1")
     _check_length(N, "--n")
+    p, K = args.p, args.K
+    values = poly_sequence(f, N)
     if args.mode == "digits":
-        if args.K is None:
+        if K is None:
             raise ValueError("--K is required for digit output")
-        values = spec.padic_values(N, args.K)
-        header = ["n"] + [f"digit_{i}" for i in range(args.K)]
-        rows = [[n + 1, *values[n].digits] for n in range(N)]
+        if K < 1:  # before p**K: a large negative K would make it a float 0.0
+            raise ValueError("precision K must be >= 1")
+        pk = p ** K
+        header = ["n"] + [f"digit_{i}" for i in range(K)]
+        rows = [[n, *digits_of(v % pk, p, K)] for n, v in enumerate(values, 1)]
     elif args.mode == "monna":
-        ints = spec.integer_values(N)
-        if args.K is None and any(v < 0 for v in ints):
+        if K is None and any(v < 0 for v in values):
             raise ValueError("negative values have no finite expansion; pass --K")
         header = ["n", "monna"]
-        rows = [[n + 1, _frac(monna_of_int(v, spec.p, args.K))]
-                for n, v in enumerate(ints)]
+        rows = [[n, _frac(monna_of_int(v, p, K))] for n, v in enumerate(values, 1)]
     else:
         header = ["n", "value"]
-        rows = [[n + 1, v] for n, v in enumerate(spec.integer_values(N))]
+        rows = [[n, v] for n, v in enumerate(values, 1)]
     _emit_rows(args, header, rows, "generate")
     return EXIT_OK
 
 
 def cmd_discrepancy(args) -> int:
-    spec = _sequence_spec(args)
+    f = _sequence_spec(args)
     schedule = parse_schedule(args.N, args.p)
-    values = spec.integer_values(max(schedule))
+    values = poly_sequence(f, max(schedule))
     header = ["N", "D_N", "N_times_D_N", "witness_level", "witness_residue",
               "separation_depth", "D_N_approx"]
     results = prefix_discrepancies(values, args.p, schedule)
@@ -249,11 +260,11 @@ def cmd_discrepancy(args) -> int:
 
 
 def cmd_paircorr(args) -> int:
-    spec = _sequence_spec(args)
+    f = _sequence_spec(args)
     schedule = parse_schedule(args.N, args.p)
     alpha = parse_fraction(args.alpha)
     s_list = [parse_fraction(s) for s in args.s.split(",")]
-    values = spec.integer_values(max(schedule))
+    values = poly_sequence(f, max(schedule))
     rows_raw = ppc_sweep(values, args.p, alpha, s_list, schedule)
     header = ["N", "s", "F", "F_approx"]
     rows = [[N, _frac(s), _frac(F), float(F)] for N, s, F in rows_raw]
@@ -325,9 +336,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_bridge(args) -> int:
-    spec = _sequence_spec(args)
+    f = _sequence_spec(args)
     schedule = parse_schedule(args.N, args.p)
-    values = spec.integer_values(max(schedule))
+    values = poly_sequence(f, max(schedule))
     if args.K is None and any(v < 0 for v in values):
         raise ValueError("negative values have no finite expansion; pass --K")
     points = [monna_of_int(v, args.p, args.K) for v in values]

@@ -17,8 +17,8 @@ stretch running from one requested length to the next: per level it keeps
 the occupancy counts and their extremes, and forms the exact supremum and its
 witness only at the requested lengths.  A long stretch is counted into every
 level by one C-level pass, a short one (a dense schedule) value by value.
-``padic_discrepancy``, the truncated variant and ``discrepancy_profile`` are
-that engine at one length or at every length.
+``padic_discrepancy`` and ``discrepancy_profile`` are that engine at one
+length or at every length.
 
 Everything is computed in exact rational arithmetic.  The only floating point
 in the whole package is the transcendental upper bound of the p-adic-to-real
@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mod
 
-from .padic import InvariantError, PAdicApprox, check_prime
+from .padic import InvariantError, check_prime
 
 WITNESS_TAIL = "tail"
 
@@ -234,30 +234,6 @@ def padic_discrepancy(values: list[int], p: int) -> DiscrepancyResult:
     is the true supremum, not an approximation.
     """
     return prefix_discrepancies(values, p, [len(values)])[len(values)]
-
-
-def padic_discrepancy_truncated(values: list[PAdicApprox], p: int) -> DiscrepancyResult:
-    """Same supremum for points known only mod p^K.
-
-    Requires the separation depth of the residues to be at most K-1: only then
-    have the occupancy counts provably stabilized within the known digits, so
-    equal residues can be treated as equal points.
-    """
-    check_prime(p)
-    if not values:
-        raise ValueError("need at least one value")
-    K = values[0].precision
-    for v in values:
-        if v.p != p:
-            raise ValueError("values must live at the given prime")
-        if v.precision != K:
-            raise ValueError("values must share the precision K")
-    result = padic_discrepancy([v.value for v in values], p)
-    if result.separation_depth > K - 1:
-        raise ValueError(
-            f"insufficient precision K={K}: counts not stabilized by level {K - 1}"
-        )
-    return result
 
 
 def discrepancy_profile(values: list[int], p: int) -> list[Fraction]:

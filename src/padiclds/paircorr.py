@@ -4,7 +4,8 @@ The statistic counts ordered pairs i != j whose values are p-adically within
 s/N^alpha of each other, normalized by N^2 and by the measure of the ball of
 that radius.  Closeness below a p-adic radius is congruence mod p^k for the
 right k, so with rational alpha everything reduces to exact integer
-comparisons and class counting.
+comparisons and class counting.  The values are plain integers, read mod p^k
+at level k.
 
 A sweep over an (N, s) grid counts each distinct (N, k) once.  Per level k it
 keeps one running count of residue classes, grown by the stretch of values
@@ -21,9 +22,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mod, mul
 
-from .padic import PAdicApprox, check_prime
-from .polynomials import IntPolynomial
-from .sequence import SequenceSpec, poly_sequence
+from .padic import check_prime
 
 
 @dataclass(frozen=True)
@@ -87,15 +86,6 @@ def threshold_level(s: Fraction, N: int, alpha: Fraction, p: int) -> int:
     return k
 
 
-def _residues(values, p: int, k: int, ints: bool):
-    """The values mod p^k: one C-level pass when every value is an int."""
-    pk = p ** k
-    if ints:
-        return map(mod, values, repeat(pk))
-    # raises on insufficient precision
-    return [v.residue(k) if isinstance(v, PAdicApprox) else v % pk for v in values]
-
-
 def _close_pairs(values, p: int, requests) -> dict[tuple[int, int], int]:
     """Ordered pairs i != j < N with x_i congruent to x_j mod p^k, for each
     (N, k) in ``requests``.
@@ -105,11 +95,6 @@ def _close_pairs(values, p: int, requests) -> dict[tuple[int, int], int]:
     values[upto:N] as N increases, and the sum of squares by
     2*m*d + d^2 for each class that gains d values.  Level 0 is N(N-1).
     """
-    ints = all(issubclass(t, int) for t in set(map(type, values)))
-    if not ints:
-        for v in values:
-            if isinstance(v, PAdicApprox) and v.p != p:
-                raise ValueError("values must live at the given prime")
     running: dict[int, tuple[Counter, int, int]] = {}  # k -> (counts, upto, sum m^2)
     out = {}
     for N, k in sorted(set(requests)):
@@ -117,7 +102,7 @@ def _close_pairs(values, p: int, requests) -> dict[tuple[int, int], int]:
             out[N, k] = N * (N - 1)
             continue
         counts, upto, squares = running.get(k, (Counter(), 0, 0))
-        residues = list(_residues(values[upto:N], p, k, ints))
+        residues = list(map(mod, values[upto:N], repeat(p ** k)))
         gained = Counter(residues)
         sizes = gained.values()
         squares += sum(map(mul, sizes, sizes))
@@ -158,18 +143,14 @@ def ppc_sweep(
 ) -> list[tuple[int, Fraction, Fraction]]:
     """Evaluate the statistic on an (N, s) grid, emitted in schedule order.
 
-    ``source`` may be a polynomial, a sequence spec, a full value list whose
-    prefixes are used, or a callable N -> values.  alpha and the radii are
-    validated once, and each distinct (N, k) is counted once: over the
-    prefixes of the value list together, or over each callable's list alone.
+    ``source`` is a full value list whose prefixes are used, or a callable
+    N -> values.  alpha and the radii are validated once, and each distinct
+    (N, k) is counted once: over the prefixes of the value list together, or
+    over each callable's list alone.
     """
     if not N_schedule:
         raise ValueError("schedule must be nonempty")
     alpha, radii = _checked_parameters(p, alpha, s_list)
-    if isinstance(source, IntPolynomial):
-        source = poly_sequence(source, max(N_schedule))
-    elif isinstance(source, SequenceSpec):
-        source = source.integer_values(max(N_schedule))
     level: dict[tuple[int, Fraction], int] = {}
 
     def requests(sizes):

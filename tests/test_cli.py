@@ -41,6 +41,13 @@ class TestScheduleParsing:
         assert err.count("\n") == 1 and err.startswith("padiclds: error: ")
         assert f"above the limit of {cli.MAX_SEQUENCE_LENGTH}" in err
 
+    @pytest.mark.parametrize("schedule", ["1..5,100", "1..x", "pk:a..3", "3.5"])
+    def test_malformed_number_exits_1_with_one_line(self, capsys, schedule):
+        code, out, err = run_cli(capsys, "discrepancy", "--p", "3", "--N", schedule, "--", "x")
+        assert code == 1 and out == ""
+        assert err == (f"padiclds: error: invalid schedule {schedule!r}: expected "
+                       '"a..b", "a,b,c" or "pk:k1..k2" with integer bounds and entries\n')
+
     def test_length_budget_admits_the_limit(self):
         top = cli.MAX_SEQUENCE_LENGTH
         assert parse_schedule(f"{top - 1}..{top}", 2) == [top - 1, top]
@@ -142,6 +149,11 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "--p", "3", "x", "--n", "2",
                                "--mode", "digits")
         assert code == 1 and "--K" in err
+        # a large negative K would make p**K a float 0.0
+        for K in ("0", "-3000"):
+            code, out, err = run_cli(capsys, "generate", "--p", "3", "x", "--n", "2",
+                                     "--K", K, "--mode", "digits")
+            assert (code, out, err) == (1, "", "padiclds: error: precision K must be >= 1\n")
 
     def test_negative_monna_requires_K(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--p", "3", "x^3-2x", "--n", "2",

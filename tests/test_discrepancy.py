@@ -14,14 +14,13 @@ from padiclds.discrepancy import (
     discrepancy_profile,
     meijer_bound_check,
     padic_discrepancy,
-    padic_discrepancy_truncated,
     prefix_discrepancies,
     real_extreme_discrepancy,
     separation_depth,
 )
-from padiclds.padic import InvariantError, digits_of, monna_of_int, valuation
+from padiclds.padic import InvariantError, monna_of_int, valuation
 from padiclds.polynomials import parse_poly
-from padiclds.sequence import linear_sequence, poly_sequence
+from padiclds.sequence import poly_sequence
 
 
 # --------------------------------------------------------------------------
@@ -178,36 +177,35 @@ class TestPAdicDiscrepancy:
 
 
 class TestTruncatedDiscrepancy:
+    # values known only mod p^K are reduced to residues and go through the
+    # exact engine; levels up to K see the same counts as the full values
     def test_unit_slope_identity(self):
-        seq = linear_sequence(digits_of(1, 3, 4), digits_of(0, 3, 4), 9)
-        assert padic_discrepancy_truncated(seq, 3).value == Fraction(1, 9)
+        values = [n % 3**4 for n in poly_sequence(parse_poly("x"), 9)]
+        assert padic_discrepancy(values, 3).value == Fraction(1, 9)
 
     def test_non_unit_slope_misses_residues(self):
-        seq = linear_sequence(digits_of(3, 3, 4), digits_of(0, 3, 4), 9)
-        res = padic_discrepancy_truncated(seq, 3)
-        assert res.value >= Fraction(1, 3)
+        values = [v % 3**4 for v in poly_sequence(parse_poly("3x"), 9)]
+        assert padic_discrepancy(values, 3).value >= Fraction(1, 3)
 
     def test_single_point(self):
-        assert padic_discrepancy_truncated([digits_of(5, 3, 2)], 3).value == 1
-
-    def test_insufficient_precision(self):
-        # residues 0 and 3 agree mod 3 but split at level 1 = K-1: depth 2 > K-1
-        pts = [digits_of(0, 3, 2), digits_of(3, 3, 2)]
-        with pytest.raises(ValueError, match="insufficient precision"):
-            padic_discrepancy_truncated(pts, 3)
+        assert padic_discrepancy([5 % 3**2], 3).value == 1
 
     def test_matches_exact_when_values_small(self):
+        # residues pairwise distinct mod p^K: every ball count up to level K,
+        # and so D_N with its witness, is the same for values and residues
         rng = random.Random(107)
+        checked = 0
         for _ in range(60):
             N = rng.randint(1, 20)
             K = 6
-            values = [rng.randint(0, 3**3) for _ in range(N)]
-            approx = [digits_of(v, 3, K) for v in values]
-            try:
-                truncated = padic_discrepancy_truncated(approx, 3)
-            except ValueError:
+            span = rng.choice([3**3, 10**6])
+            values = [rng.randint(-span, span) for _ in range(N)]
+            residues = [v % 3**K for v in values]
+            if len(set(residues)) < N:
                 continue
-            assert truncated.value == padic_discrepancy(values, 3).value
+            assert padic_discrepancy(residues, 3) == padic_discrepancy(values, 3)
+            checked += 1
+        assert checked >= 30
 
 
 class TestPrefixDiscrepancies:

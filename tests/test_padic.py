@@ -5,13 +5,9 @@ import pytest
 
 from padiclds.padic import (
     PRIME_BOUND,
-    PAdicApprox,
     _is_prime,
-    abs_p,
-    ball_level,
     check_prime,
     digits_of,
-    monna_map,
     monna_of_int,
     valuation,
 )
@@ -50,20 +46,26 @@ class TestValuation:
             valuation(10, 6)
 
 
+def padic_norm(x: int, p: int) -> Fraction:
+    """|x|_p = p^(-v_p(x)), with |0|_p = 0."""
+    return Fraction(0) if x == 0 else Fraction(1, p ** valuation(x, p))
+
+
 class TestAbsP:
+    # the p-adic absolute value the ball levels of D_N are measured in
     @pytest.mark.parametrize(
         "x,p,expected",
         [(18, 3, Fraction(1, 9)), (0, 5, Fraction(0)), (10, 5, Fraction(1, 5))],
     )
     def test_examples(self, x, p, expected):
-        assert abs_p(x, p) == expected
+        assert padic_norm(x, p) == expected
 
     def test_ultrametric_exhaustive_small(self):
         # |x+y|_p <= max(|x|_p, |y|_p) over a full small grid
         for p in (2, 3, 5, 7):
             for x in range(-60, 61):
                 for y in range(-60, 61):
-                    assert abs_p(x + y, p) <= max(abs_p(x, p), abs_p(y, p))
+                    assert padic_norm(x + y, p) <= max(padic_norm(x, p), padic_norm(y, p))
 
     def test_ultrametric_random_large(self):
         rng = random.Random(11)
@@ -71,27 +73,7 @@ class TestAbsP:
             p = rng.choice([2, 3, 5, 7])
             x = rng.randint(-1000, 1000)
             y = rng.randint(-1000, 1000)
-            assert abs_p(x + y, p) <= max(abs_p(x, p), abs_p(y, p))
-
-
-class TestBallLevel:
-    @pytest.mark.parametrize(
-        "r,p,expected",
-        [(Fraction(1, 3), 3, 1), (Fraction(1, 4), 3, 2), (Fraction(5), 7, 0)],
-    )
-    def test_examples(self, r, p, expected):
-        assert ball_level(r, p) == expected
-
-    def test_round_trip(self):
-        for p in (2, 3, 7):
-            for k in range(21):
-                assert ball_level(Fraction(1, p**k), p) == k
-
-    def test_degenerate_radius(self):
-        with pytest.raises(ValueError, match="ball"):
-            ball_level(Fraction(0), 3)
-        with pytest.raises(ValueError, match="ball"):
-            ball_level(Fraction(-1, 2), 3)
+            assert padic_norm(x + y, p) <= max(padic_norm(x, p), padic_norm(y, p))
 
 
 class TestDigits:
@@ -100,7 +82,7 @@ class TestDigits:
         [(7, 3, 3, (1, 2, 0)), (0, 5, 4, (0, 0, 0, 0)), (243, 3, 5, (0, 0, 0, 0, 0))],
     )
     def test_examples(self, x, p, K, expected):
-        assert digits_of(x, p, K).digits == expected
+        assert digits_of(x, p, K) == expected
 
     def test_reconstruction(self):
         rng = random.Random(3)
@@ -109,8 +91,8 @@ class TestDigits:
             K = rng.randint(1, 12)
             x = rng.randint(0, p**K - 1)
             d = digits_of(x, p, K)
-            assert d.value == x
-            assert d.precision == K
+            assert sum(di * p**i for i, di in enumerate(d)) == x
+            assert len(d) == K
 
     def test_congruence_iff_digit_prefix(self):
         rng = random.Random(5)
@@ -122,10 +104,10 @@ class TestDigits:
             dx, dy = digits_of(x, p, K), digits_of(y, p, K)
             for k in range(K + 1):
                 same_mod = (x - y) % p**k == 0
-                assert same_mod == (dx.digits[:k] == dy.digits[:k])
+                assert same_mod == (dx[:k] == dy[:k])
                 # truncated digit-reversal images separate at the same depth
-                tx = monna_map(digits_of(x % p**k, p, k)) if k else Fraction(0)
-                ty = monna_map(digits_of(y % p**k, p, k)) if k else Fraction(0)
+                tx = monna_of_int(x, p, k) if k else Fraction(0)
+                ty = monna_of_int(y, p, k) if k else Fraction(0)
                 assert same_mod == (abs(tx - ty) < Fraction(1, p**k))
 
     def test_rejects_negative(self):
@@ -135,35 +117,6 @@ class TestDigits:
     def test_rejects_bad_precision(self):
         with pytest.raises(ValueError):
             digits_of(1, 3, 0)
-
-
-class TestPAdicApprox:
-    def test_digit_range_checked(self):
-        with pytest.raises(ValueError):
-            PAdicApprox(3, (0, 3))
-
-    def test_prime_checked(self):
-        with pytest.raises(ValueError):
-            PAdicApprox(9, (1,))
-
-    def test_equality_same_precision(self):
-        assert PAdicApprox(3, (1, 2)) == PAdicApprox(3, (1, 2))
-        assert PAdicApprox(3, (1, 2)) != PAdicApprox(3, (2, 1))
-
-    def test_cross_precision_comparison_is_an_error(self):
-        with pytest.raises(ValueError, match="precision"):
-            PAdicApprox(3, (1, 2)) == PAdicApprox(3, (1, 2, 0))
-
-    def test_cross_prime_comparison_is_an_error(self):
-        with pytest.raises(ValueError, match="different p"):
-            PAdicApprox(3, (1, 2)) == PAdicApprox(5, (1, 2))
-
-    def test_residue_requires_precision(self):
-        x = PAdicApprox(3, (1, 2))
-        assert x.residue(1) == 1
-        assert x.residue(2) == 7
-        with pytest.raises(ValueError, match="insufficient precision"):
-            x.residue(3)
 
 
 class TestMonna:
@@ -176,19 +129,33 @@ class TestMonna:
         ],
     )
     def test_examples(self, p, digits, expected):
-        assert monna_map(PAdicApprox(p, digits)) == expected
+        x = sum(d * p**i for i, d in enumerate(digits))
+        assert monna_of_int(x, p, len(digits)) == expected
 
     def test_injective_on_equal_length_vectors(self):
-        import itertools
-
         for K in range(1, 6):
-            images = [
-                monna_map(PAdicApprox(3, digits))
-                for digits in itertools.product(range(3), repeat=K)
-            ]
+            images = [monna_of_int(x, 3, K) for x in range(3**K)]
             assert len(set(images)) == len(images)
             for img in images:
                 assert 0 <= img < 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
+    def test_equals_reversed_digit_sum(self, p):
+        # differential: the divmod numerator against sum d_i * p^(-i-1) over
+        # the digit tuple of x mod p^K (negative x included), and K=None
+        # against K = the number of base-p digits of x
+        rng = random.Random(p)
+        for _ in range(200):
+            K = rng.randint(1, 8)
+            bound = p ** rng.randint(0, 9)
+            x = rng.randint(-bound, bound)
+            digits = digits_of(x % p**K, p, K)
+            expected = sum(Fraction(d, p ** (i + 1)) for i, d in enumerate(digits))
+            assert monna_of_int(x, p, K) == expected, (x, p, K)
+            x, ndigits = abs(x), 0
+            while p**ndigits <= x:
+                ndigits += 1
+            assert monna_of_int(x, p) == monna_of_int(x, p, max(ndigits, 1)), (x, p)
 
     def test_full_integer_expansion(self):
         assert monna_of_int(3, 3) == Fraction(1, 9)
@@ -198,7 +165,7 @@ class TestMonna:
     def test_negative_needs_truncation(self):
         with pytest.raises(ValueError, match="finite digit expansion"):
             monna_of_int(-1, 3)
-        assert monna_of_int(-1, 3, K=2) == monna_map(digits_of(8, 3, 2))
+        assert monna_of_int(-1, 3, K=2) == monna_of_int(8, 3, 2) == Fraction(8, 9)
 
 
 def test_check_prime_accepts_primes():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padiclds.discrepancy import separation_depth
-from padiclds.padic import digits_of, valuation
+from padiclds.padic import valuation
 from padiclds.paircorr import (
     F_statistic,
     PairCorrInput,
@@ -87,12 +87,6 @@ class TestPairCount:
             p = rng.choice([2, 3, 5])
             k = rng.randint(0, 4)
             assert pair_count(values, p, k) == pair_count_oracle(values, p, k)
-
-    def test_padic_inputs_respect_precision(self):
-        pts = [digits_of(v, 3, 3) for v in (1, 4, 10)]
-        assert pair_count(pts, 3, 1) == pair_count_oracle([1, 4, 10], 3, 1)
-        with pytest.raises(ValueError, match="insufficient precision"):
-            pair_count(pts, 3, 4)
 
 
 class TestFStatistic:
@@ -233,24 +227,3 @@ class TestSweep:
             ppc_sweep(values, 3, Fraction(1), [Fraction(1)], [0])
         with pytest.raises(ValueError, match="need at least one value"):
             ppc_sweep(lambda N: [], 3, Fraction(1), [Fraction(1)], [2])
-
-    def test_padic_values_respect_precision_and_prime(self):
-        pts = [digits_of(v, 3, 2) for v in (1, 4, 10, 1)]
-        rows = ppc_sweep(pts, 3, Fraction(1), [Fraction(4), Fraction(4, 9)], [4])
-        assert [F for _, _, F in rows] == [
-            Fraction(12, 16), Fraction(9 * pair_count_oracle([1, 4, 10, 1], 3, 2), 16)]
-        with pytest.raises(ValueError, match="insufficient precision"):
-            ppc_sweep(pts, 3, Fraction(1), [Fraction(1, 9)], [4])
-        with pytest.raises(ValueError, match="given prime"):
-            ppc_sweep([digits_of(1, 5, 2)], 3, Fraction(1), [Fraction(1)], [1])
-
-    def test_accepts_polynomial_and_spec_sources(self):
-        from padiclds.sequence import SequenceSpec
-
-        f = parse_poly("x^2")
-        by_values = ppc_sweep(poly_sequence(f, 9), 3, Fraction(1), [Fraction(1)], [9])
-        by_poly = ppc_sweep(f, 3, Fraction(1), [Fraction(1)], [9])
-        by_spec = ppc_sweep(
-            SequenceSpec.polynomial(f, 3), 3, Fraction(1), [Fraction(1)], [9]
-        )
-        assert by_values == by_poly == by_spec

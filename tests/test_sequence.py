@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from padiclds.padic import PAdicApprox, digits_of
 from padiclds.polynomials import IntPolynomial, parse_poly
-from padiclds.sequence import SequenceSpec, linear_sequence, poly_sequence
+from padiclds.sequence import poly_sequence
 
 
 class TestPolySequence:
@@ -49,69 +48,31 @@ class TestPolySequence:
             assert len(set(vals)) == N
 
 
+def linear_residues(a, b, p, K, N):
+    """n*a + b mod p^K for n = 1..N: the --linear rule a*x + b, reduced."""
+    return [v % p**K for v in poly_sequence(IntPolynomial((b, a)), N)]
+
+
 class TestLinearSequence:
     def test_identity_stream(self):
-        a = digits_of(1, 3, 4)
-        b = digits_of(0, 3, 4)
-        seq = linear_sequence(a, b, 3)
-        assert [x.value for x in seq] == [1, 2, 3]
+        assert linear_residues(1, 0, 3, 4, 3) == [1, 2, 3]
 
     def test_wraparound(self):
-        a = digits_of(2, 3, 2)
-        b = digits_of(1, 3, 2)
-        seq = linear_sequence(a, b, 4)
-        assert [x.value for x in seq] == [3, 5, 7, 0]  # 9 = 0 mod 9
+        assert linear_residues(2, 1, 3, 2, 4) == [3, 5, 7, 0]  # 9 = 0 mod 9
 
     def test_non_unit_slope(self):
-        a = digits_of(3, 3, 3)
-        b = digits_of(0, 3, 3)
-        seq = linear_sequence(a, b, 3)
-        assert [x.value for x in seq] == [3, 6, 9]
-
-    def test_precision_mismatch(self):
-        with pytest.raises(ValueError, match="precision"):
-            linear_sequence(digits_of(1, 3, 2), digits_of(0, 3, 3), 2)
-
-    def test_prime_mismatch(self):
-        with pytest.raises(ValueError, match="prime"):
-            linear_sequence(digits_of(1, 3, 2), digits_of(0, 5, 2), 2)
+        assert linear_residues(3, 0, 3, 3, 3) == [3, 6, 9]
 
 
-class TestSequenceSpec:
-    def test_polynomial_kind(self):
-        spec = SequenceSpec.polynomial(parse_poly("x^2"), 3)
-        assert spec.kind == "polynomial"
-        assert spec.integer_values(4) == [1, 4, 9, 16]
-        assert [v.value for v in spec.padic_values(3, K=2)] == [1, 4, 0]
-
+class TestLinearAsPolynomial:
+    # the linear rule n*a + b is the polynomial a*x + b
     def test_integer_linear_kind(self):
-        spec = SequenceSpec.linear(2, 1, 3)
-        assert spec.is_integer_valued
-        assert spec.integer_values(4) == [3, 5, 7, 9]
+        assert poly_sequence(IntPolynomial((1, 2)), 4) == [3, 5, 7, 9]
 
     @pytest.mark.parametrize("a,b", [(0, 5), (0, 0), (-3, 7), (-1, -4), (9, -2)])
     def test_integer_linear_values(self, a, b):
-        spec = SequenceSpec.linear(a, b, 5)
+        f = IntPolynomial((b, a))
         for N in (1, 2, 3, 50):
-            assert spec.integer_values(N) == [n * a + b for n in range(1, N + 1)]
+            assert poly_sequence(f, N) == [n * a + b for n in range(1, N + 1)]
         with pytest.raises(ValueError, match="N must be >= 1"):
-            spec.integer_values(0)
-
-    def test_padic_linear_kind(self):
-        spec = SequenceSpec.linear(digits_of(1, 3, 4), digits_of(0, 3, 4), 3)
-        assert not spec.is_integer_valued
-        with pytest.raises(ValueError):
-            spec.integer_values(3)
-        vals = spec.padic_values(3)
-        assert [v.value for v in vals] == [1, 2, 3]
-        with pytest.raises(ValueError, match="precision"):
-            spec.padic_values(3, K=2)
-
-    def test_mixed_parameter_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceSpec.linear(digits_of(1, 3, 2), 0, 3)
-
-    def test_padic_values_need_K_for_integer_specs(self):
-        spec = SequenceSpec.polynomial(parse_poly("x"), 3)
-        with pytest.raises(ValueError, match="K required"):
-            spec.padic_values(3)
+            poly_sequence(f, 0)

@@ -2,8 +2,9 @@
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
-searches, two error paths, five large-p classify calls, and long and dense
-discrepancy, paircorr and generate schedules), through
+searches, error paths, five large-p classify calls, long and dense
+discrepancy, paircorr and generate schedules, digit and digit-reversal output
+of negative values, and integer ``--linear`` sequences), through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
 trees whose digests agree produce byte-identical CLI output on all of these
@@ -59,6 +60,17 @@ EXTRA = [
      "--", "x^3+x"],
     ["discrepancy", "--p", "3", "--N", "1..2000", "--", "x^3+x"],
     ["generate", "--p", "3", "--n", "3000", "--mode", "integers", "--", "x^12-7"],
+    # digits and digit-reversal images of negative values (reduced mod p^K),
+    # the negative-without-K error, integer --linear sequences, and both
+    # polynomial-or---linear argument errors
+    ["generate", "--p", "3", "--n", "30", "--K", "3", "--mode", "digits", "--", "x^3-10"],
+    ["generate", "--p", "5", "--n", "30", "--K", "2", "--mode", "monna", "--", "x^2-7"],
+    ["generate", "--p", "3", "--n", "10", "--mode", "monna", "--", "x-5"],
+    ["generate", "--p", "3", "--n", "4", "--linear", "0", "5"],
+    ["discrepancy", "--p", "3", "--N", "1..30", "--linear", "-3", "7"],
+    ["bridge", "--p", "3", "--K", "3", "--N", "1..50", "--", "x^2-5"],
+    ["discrepancy", "--p", "3", "--N", "5", "--linear", "1", "0", "--", "x"],
+    ["discrepancy", "--p", "3", "--N", "5"],
 ]
 
 
