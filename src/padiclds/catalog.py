@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .padic import InvariantError, check_prime
-from .permcheck import classify_low_discrepancy, is_permutation_mod
+from .permcheck import _check_p2_enumeration, classify_low_discrepancy, is_permutation_mod
 from .polynomials import (
     IntPolynomial,
     _is_injective_mod,
-    _is_injective_mod_square,
-    _value_table,
+    _roots_mod,
     derivative,
     reduce_coeffs_mod,
 )
@@ -317,8 +316,7 @@ def verify_entry(entry: DicksonEntry, p: int, check_lds: bool = False) -> EntryV
     for a in entry.admissible_parameters(p):
         f = entry.build(a, p)
         perm = is_permutation_mod(f, p)
-        d_table = _value_table(derivative(f).coeffs, p)
-        roots = tuple(x for x, v in enumerate(d_table) if v == 0)
+        roots = tuple(_roots_mod(derivative(f).coeffs, p))
         lds: bool | None = None
         if check_lds:
             lds = classify_low_discrepancy(f, p).low_discrepancy
@@ -394,6 +392,7 @@ def exhaustive_search(
     coefficient tuple) order.
     """
     check_prime(p)
+    _check_p2_enumeration(p)
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     n_lead = 1 if constraints.monic else p - 1
@@ -413,9 +412,7 @@ def exhaustive_search(
         for mids in itertools.product(range(p), repeat=d - 2 if shift else d - 1):
             g = (0, *mids, 0, 1) if shift else (0, *mids, 1)
             # permutation mod p and g' root-free mod p (the Noebauer criterion)
-            if not _is_injective_mod(g, p) or 0 in _value_table(
-                [i * c for i, c in enumerate(g)][1:], p
-            ):
+            if not _is_injective_mod(g, p) or _roots_mod([i * c for i, c in enumerate(g)][1:], p):
                 continue
             for c in range(p) if shift else (0,):
                 h = _taylor_shift(g, c, p)
@@ -423,13 +420,13 @@ def exhaustive_search(
                     body = tuple(u * b % p for b in h[1:])
                     hits.extend((v, *body) for v in consts)
     hits.sort(key=lambda t: (len(t), t))
-    for t in hits:
-        if not _is_injective_mod_square(t, p):
+    found = [IntPolynomial(t) for t in hits]
+    for f in found:
+        if not is_permutation_mod(f, p * p):
             raise InvariantError(
-                "internal error: Noebauer criterion disagrees with enumeration "
-                f"for {IntPolynomial(t)} mod {p}"
+                f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
             )
-    return [IntPolynomial(t) for t in hits]
+    return found
 
 
 # --------------------------------------------------------------------------

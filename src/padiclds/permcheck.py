@@ -27,15 +27,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from math import isqrt
 
 from .padic import InvariantError, check_prime
 from .polynomials import (
     IntPolynomial,
-    _is_injective_mod,
-    _is_injective_mod_square,
-    _square_rows,
-    _value_table,
+    _image,
+    _roots_mod,
     derivative,
     eval_mod,
     unit_derivative_poly,
@@ -97,29 +94,23 @@ def _check_enumeration(m: int) -> None:
         raise ValueError(f"enumeration too large: m={m} exceeds cap {DEFAULT_ENUMERATION_CAP}")
 
 
-def is_permutation_mod(f: IntPolynomial, m: int) -> bool:
-    """True iff f induces a bijection on Z/mZ, by exhaustive evaluation.
+def _check_p2_enumeration(p: int) -> None:
+    pp = p * p
+    if pp > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"enumeration too large: p^2={pp} exceeds cap {DEFAULT_ENUMERATION_CAP}")
 
-    A square modulus m = q^2 is enumerated by ``_square_rows``; every residue
-    is still evaluated and compared, in the same order, until the first repeat.
-    """
+
+def is_permutation_mod(f: IntPolynomial, m: int) -> bool:
+    """True iff f induces a bijection on Z/mZ, by exhaustive evaluation: every
+    residue is evaluated and compared, in x order, until the first repeat."""
     _check_enumeration(m)
-    q = isqrt(m)
-    if q * q == m:
-        return _is_injective_mod_square(f.coeffs, q)
-    return _is_injective_mod(f.coeffs, m)
+    return _image(f.coeffs, m, True) is not None
 
 
 def first_missing_residue(f: IntPolynomial, m: int) -> int | None:
     """Smallest residue mod m not attained by f, or None if f is surjective."""
     _check_enumeration(m)
-    q = isqrt(m)
-    rows = _square_rows(f.coeffs, q) if q * q == m else [_value_table(f.coeffs, m)]
-    seen = bytearray(m)
-    for row in rows:
-        for v in row:
-            seen[v] = 1
-    z = seen.find(0)
+    z = _image(f.coeffs, m, False).find(0)
     return None if z < 0 else z
 
 
@@ -135,9 +126,8 @@ def _mod_p_facts(g: tuple[int, ...], dg: tuple[int, ...], p: int) -> tuple[int |
     reads the pair the Noebauer route has just computed.  The keys keep any
     zero lead left by the reduction, which costs at most a cache miss.
     """
-    missing = first_missing_residue(IntPolynomial(g), p)
-    d_table = _value_table(dg, p)
-    return missing, (d_table.index(0) if 0 in d_table else None)
+    roots = _roots_mod(dg, p)
+    return first_missing_residue(IntPolynomial(g), p), (roots[0] if roots else None)
 
 
 def _mod_p_verdict(g: IntPolynomial, dg: IntPolynomial, p: int, method: str) -> Verdict:
@@ -177,11 +167,9 @@ def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
     raises ``InvariantError`` rather than returning.
     """
     check_prime(p)
-    pp = p * p
-    if pp > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"enumeration too large: p^2={pp} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    _check_p2_enumeration(p)
     verdict = _mod_p_verdict(f, derivative(f), p, METHOD_BRUTE_FORCE)
-    if is_permutation_mod(f, pp) != verdict.perm_mod_p2:
+    if is_permutation_mod(f, p * p) != verdict.perm_mod_p2:
         raise InvariantError(
             f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
         )
@@ -201,9 +189,8 @@ def _fibre_witness(f: IntPolynomial, p: int) -> int:
     p^2, and of f(r) mod p + p otherwise.
     """
     pp = p * p
-    d_table = _value_table(derivative(f).coeffs, p)
     witnesses = []
-    for r in (x for x, v in enumerate(d_table) if v == 0):
+    for r in _roots_mod(derivative(f).coeffs, p):
         hit = eval_mod(f, r, pp)
         base = hit % p
         witnesses.append(base if base != hit else base + p)

@@ -8,14 +8,16 @@ evaluation or reduction time, never silently at construction.
 Besides parsing/printing and exact evaluation, this module provides the two
 degree-lowering reductions used by the classifier: folding exponents with the
 period of the unit group mod p yields low-degree polynomials that agree with f
-(respectively f') at every unit residue.
+(respectively f') at every unit residue.  Its private evaluators mod m give
+the image of f (``_image``, which alone decides how to enumerate a modulus),
+the roots of f mod p, and the search's injectivity test mod p.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .padic import check_prime
 
@@ -107,26 +109,15 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
 # The evaluators below take a bare little-endian coefficient sequence, so the
 # exhaustive search can call them without building an IntPolynomial per
 # candidate.  Each inlines its Horner loop: one shared generator evaluator
-# made the search's per-candidate mod-p test about 1.25x as slow.  Square
-# moduli q^2 go through _square_rows instead, which needs Horner only for the
-# first d+1 rows and steps every later row as one int of 32-bit lanes:
-# injectivity of the permuting quintic x^5 + 411x^3 + 89x mod 547^2 took
-# 27-34 ms there (36-39 ms with a list comprehension per difference row)
-# against 226-258 ms for _is_injective_mod (CPython 3.11, 2-core x86-64 host;
-# min of 15 calls by rows and of 5 by Horner, in each of three processes).
-# Marking the q^2 residues in a bytearray is about half of the rows' time.
-
-def _value_table(coeffs, m: int) -> list[int]:
-    """[f(0) mod m, ..., f(m-1) mod m]."""
-    rev = coeffs[::-1]
-    table = []
-    for x in range(m):
-        v = 0
-        for c in rev:
-            v = (v * x + c) % m
-        table.append(v)
-    return table
-
+# made the search's per-candidate mod-p test about 1.25x as slow, and sending
+# that test through _image 1.12x (48.2 against 43.0 ms over the 28,561
+# degree-6 candidates at p = 13).  _image steps a square modulus q^2 by
+# Newton rows only where they pay.  Against Horner over all of Z/q^2 for
+# random f of degree d <= 30 (CPython 3.11, 2-core x86-64 host, min of 40
+# calls) the rows took 0.65-0.93x the time at q = max(16, d + 7), 0.28-0.67x
+# at q = 50 and 0.08-0.50x at q = 547, but 1.2-1.4x at q = 8 and 2.7x at q = 3.
+# Injectivity of the permuting quintic x^5 + 411x^3 + 89x mod 547^2 took
+# 16 ms by rows and 105 ms by Horner.
 
 def _is_injective_mod(coeffs, m: int) -> bool:
     """True iff x -> f(x) mod m is injective on [0, m); stops at the first repeat."""
@@ -142,42 +133,53 @@ def _is_injective_mod(coeffs, m: int) -> bool:
     return True
 
 
-def _square_modulus(q: int) -> int:
-    """q^2, refused unless it fits the 32-bit lanes of ``_newton_rows``."""
-    m = q * q
-    if m >= 1 << 31:
-        raise ValueError(f"rows mod q^2 need q^2 < 2^31, got q={q}")
-    return m
-
-
-def _sample_count(coeffs, q: int) -> int:
-    """Rows mod q^2 evaluated by Horner before Newton differences take over."""
-    return min(max(len(coeffs), 1), q)
-
-
-def _square_rows(coeffs, q: int):
-    """Yield the row f(tq), ..., f(tq + q-1) mod q^2 for t = 0, ..., q-1.
-
-    Each column r is g_r(t) = f(tq + r), of degree <= d = len(coeffs)-1 in t.
-    Rows t <= min(d, q-1) are Horner samples (lists), yielded as they are
-    computed so that a consumer stopping early pays only for the rows it has
-    read; the later rows (tuples) come from ``_newton_rows``.  Raises
-    ``ValueError`` for q^2 >= 2^31 before the first row.  Yielded rows must
-    not be mutated.
-    """
-    m = _square_modulus(q)
+def _roots_mod(coeffs, p: int) -> list[int]:
+    """The x in [0, p) with f(x) = 0 mod p, in increasing order."""
     rev = coeffs[::-1]
+    roots = []
+    for x in range(p):
+        v = 0
+        for c in rev:
+            v = (v * x + c) % p
+        if not v:
+            roots.append(x)
+    return roots
+
+
+def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:
+    """The image of x -> f(x) mod m on [0, m), as m flags; with
+    ``stop_at_repeat``, None as soon as some value repeats.
+
+    Values are computed and marked in x order, so a repeat stops at that x.
+    Each column r of x = tq + r mod a square m = q^2 is g_r(t) = f(tq + r), of
+    degree <= d in t.  When m < 2^31 and q >= max(16, d + 7), Horner gives the
+    sample rows t <= d and ``_newton_rows`` the rest; every other m takes Horner
+    throughout.
+    """
+    q = isqrt(m)
+    n = len(coeffs) or 1  # sample rows
+    rows = q * q == m and m < 1 << 31 and q >= 16 and q >= n + 6
+    rev = coeffs[::-1]
+    seen = bytearray(m)
     samples = []
-    for t in range(_sample_count(coeffs, q)):
-        row = []
-        for x in range(t * q, t * q + q):
-            v = 0
-            for c in rev:
-                v = (v * x + c) % m
-            row.append(v)
-        yield row
-        samples.append(row)
-    yield from _newton_rows(samples, q)
+    for x in range(n * q if rows else m):
+        v = 0
+        for c in rev:
+            v = (v * x + c) % m
+        if not seen[v]:
+            seen[v] = 1
+        elif stop_at_repeat:
+            return None
+        if rows:
+            samples.append(v)
+    if rows:
+        for row in _newton_rows([samples[i:i + q] for i in range(0, n * q, q)], q):
+            for v in row:
+                if not seen[v]:
+                    seen[v] = 1
+                elif stop_at_repeat:
+                    return None
+    return seen
 
 
 def _newton_rows(samples, q: int):
@@ -190,14 +192,15 @@ def _newton_rows(samples, q: int):
     m = q^2 < 2^31: a sum of two lanes (or b + m - a for a difference) is
     below 2m < 2^32, so no lane carries into the next, and adding the bias
     2^31 - m to every lane sets bit 31 of exactly the lanes >= m, from which
-    m is then subtracted.  Trailing difference rows that are 0 mod q^2
-    everywhere are dropped after they are computed; the rest are kept, so
-    this is exact whatever they hold.
+    m is then subtracted; a larger q raises ``ValueError`` before the first
+    row.  Trailing difference rows that are 0 mod q^2 everywhere are dropped
+    after they are computed; the rest are kept, so this is exact whatever
+    they hold.
     """
-    n = len(samples)
-    if n == q:
-        return
     m = q * q
+    if m >= 1 << 31:
+        raise ValueError(f"rows mod q^2 need q^2 < 2^31, got q={q}")
+    n = len(samples)
     lanes = struct.Struct(f"<{q}I")
     ones = ((1 << 32 * q) - 1) // 0xFFFFFFFF  # 1 in every lane
     bias = ((1 << 31) - m) * ones
@@ -220,31 +223,6 @@ def _newton_rows(samples, q: int):
             s = diffs[k] + diffs[k + 1]
             diffs[k] = s - (((s + bias) & high) >> 31) * m
         yield lanes.unpack(diffs[0].to_bytes(size, "little"))
-
-
-def _is_injective_mod_square(coeffs, q: int) -> bool:
-    """``_is_injective_mod(coeffs, q*q)`` by the rows of ``_square_rows``: same
-    x order, same first repeat.  Each Horner sample is marked as soon as it is
-    computed, so a repeat among the sample rows stops at that x."""
-    m = _square_modulus(q)
-    rev = coeffs[::-1]
-    seen = bytearray(m)
-    size = _sample_count(coeffs, q) * q
-    values = []
-    for x in range(size):
-        v = 0
-        for c in rev:
-            v = (v * x + c) % m
-        if seen[v]:
-            return False
-        seen[v] = 1
-        values.append(v)
-    for row in _newton_rows([values[i:i + q] for i in range(0, size, q)], q):
-        for v in row:
-            if seen[v]:
-                return False
-            seen[v] = 1
-    return True
 
 
 def derivative(f: IntPolynomial) -> IntPolynomial:

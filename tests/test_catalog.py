@@ -187,7 +187,7 @@ class TestExhaustiveSearch:
         from padiclds import catalog
         from padiclds.padic import InvariantError
 
-        monkeypatch.setattr(catalog, "_is_injective_mod_square", lambda coeffs, q: False)
+        monkeypatch.setattr(catalog, "is_permutation_mod", lambda f, m: False)
         with pytest.raises(InvariantError, match=r"disagrees with enumeration for x mod 3$"):
             exhaustive_search(3, 1)
 

@@ -292,12 +292,29 @@ class TestSearchCommand:
     def test_broken_invariant_exits_2_with_one_line(self, capsys, monkeypatch):
         from padiclds import catalog
 
-        monkeypatch.setattr(catalog, "_is_injective_mod_square", lambda coeffs, q: False)
+        monkeypatch.setattr(catalog, "is_permutation_mod", lambda f, m: False)
         code, out, err = run_cli(capsys, "search", "--p", "3", "--degree", "1")
         assert code == 2
         assert out == ""
         assert err == ("padiclds: error: internal error: Noebauer criterion disagrees "
                        "with enumeration for x mod 3\n")
+
+    @pytest.mark.parametrize("p", [10007, 50021])
+    def test_p_squared_over_enumeration_cap_exits_1_with_one_line(self, capsys, p):
+        # every hit is confirmed by enumeration mod p^2, so p^2 obeys classify's cap
+        code, out, err = run_cli(capsys, "search", "--p", str(p), "--degree", "1",
+                                 "--monic", "--zero-constant")
+        assert code == 1
+        assert out == ""
+        assert err == (f"padiclds: error: enumeration too large: p^2={p * p} "
+                       "exceeds cap 10000000\n")
+
+    def test_largest_prime_under_the_enumeration_cap_searches(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--p", "3137", "--degree", "1",
+                                 "--monic", "--zero-constant")
+        assert code == 0
+        assert out == "degree,polynomial,category\n1,x,linear\n"
+        assert err == ""
 
     def test_over_cap_exits_1_with_one_line(self, capsys):
         # the candidate count stops at the cap, so a huge degree fails at once

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from padiclds import polynomials
+from padiclds.permcheck import first_missing_residue
 from padiclds.polynomials import (
     IntPolynomial,
+    _image,
     _is_injective_mod,
-    _is_injective_mod_square,
-    _square_rows,
-    _value_table,
+    _newton_rows,
     PolyParseError,
     affine_compose,
     derivative,
@@ -115,39 +116,71 @@ class TestEvalMod:
             eval_mod(IntPolynomial([1]), 0, 0)
 
 
-class TestSquareRows:
-    """The row enumeration mod q^2 against the Horner table and injectivity test."""
+def horner_table(coeffs, m):
+    """[f(0) mod m, ..., f(m-1) mod m], one Horner loop per x."""
+    table = []
+    for x in range(m):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * x + c) % m
+        table.append(v)
+    return table
 
-    def check(self, coeffs, q):
-        rows = list(_square_rows(coeffs, q))
-        assert [len(row) for row in rows] == [q] * q, (coeffs, q)
-        assert [v for row in rows for v in row] == _value_table(coeffs, q * q), (coeffs, q)
-        injective = _is_injective_mod_square(coeffs, q)
-        assert injective == _is_injective_mod(coeffs, q * q), (coeffs, q)
-        return injective
+
+class TestSquareRows:
+    """_image against a Horner table: by the Newton rows mod q^2, and by Horner
+    at every other modulus."""
+
+    @pytest.fixture(autouse=True)
+    def record_rows(self, monkeypatch):
+        self.row_moduli = []
+
+        def recorded(samples, q):
+            self.row_moduli.append(q)
+            return _newton_rows(samples, q)
+
+        monkeypatch.setattr(polynomials, "_newton_rows", recorded)
+
+    def check(self, coeffs, m):
+        """Compare both modes with the oracle; return (injective, path)."""
+        calls = len(self.row_moduli)
+        image = bytearray(m)
+        for v in horner_table(coeffs, m):
+            image[v] = 1
+        assert _image(coeffs, m, False) == image, (coeffs, m)
+        injective = all(image)
+        assert _image(coeffs, m, True) == (image if injective else None), (coeffs, m)
+        assert injective == _is_injective_mod(coeffs, m), (coeffs, m)
+        return injective, "rows" if len(self.row_moduli) > calls else "horner"
 
     def test_random_degrees_and_moduli(self):
         rng = random.Random(61)
-        answers = set()
-        for q in (2, 3, 4, 5, 6, 7, 9, 11, 12, 13):
-            self.check((), q)  # the zero polynomial
-            for d in range(13):  # includes d >= q for the small moduli
+        answers, paths = set(), set()
+        for q in (2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 16, 17, 19, 23):
+            for m in (q * q, q * q + 1):
+                paths.add(self.check((), m)[1])  # the zero polynomial
+            m = q * q
+            for d in range(18):  # includes d >= q, and d > q - 7 where rows pay too little
                 for _ in range(6):
-                    coeffs = [rng.randint(-3 * q * q, 3 * q * q) for _ in range(d)]
+                    coeffs = [rng.randint(-3 * m, 3 * m) for _ in range(d)]
                     coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 2 * q))
-                    answers.add(self.check(coeffs, q))
+                    for modulus in (m, m - 1):
+                        injective, path = self.check(coeffs, modulus)
+                        answers.add(injective)
+                        paths.add(path)
                     # x + q*h(x) permutes Z/q^2 and exercises the full enumeration
                     perm = [q * c for c in coeffs]
                     if d >= 1:
                         perm[1] += 1
-                        assert self.check(perm, q)
+                        assert self.check(perm, m)[0]
         assert answers == {False, True}
+        assert paths == {"rows", "horner"}
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_every_polynomial_of_degree_at_most_2(self, q):
         answers = set()
         for coeffs in itertools.product(range(q * q), repeat=3):
-            answers.add(self.check(IntPolynomial(coeffs).coeffs, q))
+            answers.add(self.check(IntPolynomial(coeffs).coeffs, q * q)[0])
         assert answers == {False, True}
 
     @pytest.mark.parametrize("q", [211, 509])
@@ -155,19 +188,23 @@ class TestSquareRows:
         rng = random.Random(q)
         for _ in range(2):
             coeffs = [rng.randrange(q * q) for _ in range(rng.randint(1, 9))]
-            self.check(coeffs, q)
+            self.check(coeffs, q * q)
             # x + q*h(x) permutes Z/q^2: every lane of every row is compared
             perm = [q * rng.randrange(q) for _ in range(rng.randint(2, 9))]
             perm[1] += 1
-            assert self.check(perm, q)
+            assert self.check(perm, q * q) == (True, "rows")
 
     def test_lane_bound(self):
-        # q^2 must fit a 32-bit lane with one bit to spare: 46340^2 < 2^31 < 46341^2
-        assert len(next(_square_rows([1, 1], 46340))) == 46340
+        # q^2 must fit a 32-bit lane with one bit to spare: 46340^2 < 2^31 < 46341^2.
+        # Two sample rows of a line give its third row; q^2 bytes are never needed.
+        q = 46340
+        m = q * q
+        a, b = 2**31 - 1, m - 1
+        samples = [[(a * x + b) % m for x in range(t * q, t * q + q)] for t in (0, 1)]
+        row = next(_newton_rows(samples, q))
+        assert list(row) == [(a * x + b) % m for x in range(2 * q, 3 * q)]
         with pytest.raises(ValueError, match="2\\^31"):
-            next(_square_rows([1, 1], 46341))
-        with pytest.raises(ValueError, match="2\\^31"):
-            _is_injective_mod_square([1, 1], 46341)
+            next(_newton_rows([[0] * 46341], 46341))
 
     def test_repeat_in_a_sample_row_stops_at_that_x(self):
         steps = []
@@ -177,15 +214,18 @@ class TestSquareRows:
                 steps.append(other)
                 return int(other) + int(self)
 
-        # a constant repeats at x = 1: two Horner steps, not a row of 10^4
-        assert not _is_injective_mod_square([Counted(5)], 10**4)
+        # a constant repeats at x = 1: two Horner steps, not a row of 10^3
+        assert _image([Counted(5)], 10**6, True) is None
         assert len(steps) == 2
+        assert self.row_moduli == []
 
-    def test_rows_are_lazy(self):
-        # the first row comes before any later one is computed: a generator that
-        # built the whole table first would evaluate 10^8 residues here
-        rows = _square_rows([1, 1], 10**4)
-        assert next(rows)[:3] == [1, 2, 3]
+    def test_first_missing_residue_at_a_large_square(self):
+        # x^3 + 7 permutes Z/1013 (1013 = 2 mod 3) but not Z/1013^2
+        m = 1013 * 1013
+        hit = {(pow(x, 3, m) + 7) % m for x in range(m)}
+        expected = min(set(range(m)) - hit)
+        assert first_missing_residue(parse_poly("x^3 + 7"), m) == expected
+        assert self.row_moduli == [1013]
 
 
 class TestDerivative:
