@@ -64,7 +64,8 @@ def threshold_level(s: Fraction, N: int, alpha: Fraction, p: int) -> int:
     """Smallest k >= 0 with p^(-k) <= s / N^alpha, decided in exact integers.
 
     Being within the radius s/N^alpha is then exactly congruence mod p^k.
-    With alpha = u/v and s = su/sv, the condition is N^u * sv^v <= su^v * p^(k*v).
+    With alpha = u/v and s = su/sv, the condition is N^u * sv^v <= su^v * p^(k*v),
+    so v is bounded (by 1000) before any of these powers is formed.
     """
     check_prime(p)
     s = Fraction(s)
@@ -76,6 +77,8 @@ def threshold_level(s: Fraction, N: int, alpha: Fraction, p: int) -> int:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     u, v = alpha.numerator, alpha.denominator
+    if v > 1000:
+        raise ValueError(f"alpha = {alpha} has denominator {v}; at most 1000 is supported")
     lhs = N ** u * s.denominator ** v
     rhs = s.numerator ** v
     step = p ** v

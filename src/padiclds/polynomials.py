@@ -111,13 +111,10 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
 # candidate.  Each inlines its Horner loop: one shared generator evaluator
 # made the search's per-candidate mod-p test about 1.25x as slow, and sending
 # that test through _image 1.12x (48.2 against 43.0 ms over the 28,561
-# degree-6 candidates at p = 13).  _image steps a square modulus q^2 by
-# Newton rows only where they pay.  Against Horner over all of Z/q^2 for
-# random f of degree d <= 30 (CPython 3.11, 2-core x86-64 host, min of 40
-# calls) the rows took 0.65-0.93x the time at q = max(16, d + 7), 0.28-0.67x
-# at q = 50 and 0.08-0.50x at q = 547, but 1.2-1.4x at q = 8 and 2.7x at q = 3.
-# Injectivity of the permuting quintic x^5 + 411x^3 + 89x mod 547^2 took
-# 16 ms by rows and 105 ms by Horner.
+# degree-6 candidates at p = 13).  _image takes rows mod q^2 from q = 16 on:
+# against Horner over Z/q^2 (CPython 3.11, 2-core x86-64 host, min of 40
+# calls) they took 0.55-0.68x the time for q = 16..23 at degree 1 and
+# 0.14-0.18x at degree 30, but 1.2x at q = 8 and 2.5x at q = 3 (degree 1).
 
 def _is_injective_mod(coeffs, m: int) -> bool:
     """True iff x -> f(x) mod m is injective on [0, m); stops at the first repeat."""
@@ -151,18 +148,19 @@ def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:
     ``stop_at_repeat``, None as soon as some value repeats.
 
     Values are computed and marked in x order, so a repeat stops at that x.
-    Each column r of x = tq + r mod a square m = q^2 is g_r(t) = f(tq + r), of
-    degree <= d in t.  When m < 2^31 and q >= max(16, d + 7), Horner gives the
-    sample rows t <= d and ``_newton_rows`` the rest; every other m takes Horner
+    Mod a square m = q^2, f(tq + r) = f(r) + tq*f'(r) mod q^2 for every integer
+    q >= 1, composite q included: the higher Taylor terms are integers
+    f^(k)(r)/k! times (tq)^k with k >= 2.  So row t (x = tq + r, 0 <= r < q)
+    is row 0 plus t times (row 1 - row 0).  When q >= 16 and m < 2^31, Horner
+    gives rows 0 and 1 and ``_rows`` the rest; every other m takes Horner
     throughout.
     """
     q = isqrt(m)
-    n = len(coeffs) or 1  # sample rows
-    rows = q * q == m and m < 1 << 31 and q >= 16 and q >= n + 6
+    rows = q * q == m and q >= 16 and m < 1 << 31
     rev = coeffs[::-1]
     seen = bytearray(m)
-    samples = []
-    for x in range(n * q if rows else m):
+    head = []
+    for x in range(2 * q if rows else m):
         v = 0
         for c in rev:
             v = (v * x + c) % m
@@ -171,9 +169,9 @@ def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:
         elif stop_at_repeat:
             return None
         if rows:
-            samples.append(v)
+            head.append(v)
     if rows:
-        for row in _newton_rows([samples[i:i + q] for i in range(0, n * q, q)], q):
+        for row in _rows(head[:q], head[q:], q):
             for v in row:
                 if not seen[v]:
                     seen[v] = 1
@@ -182,47 +180,31 @@ def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:
     return seen
 
 
-def _newton_rows(samples, q: int):
-    """Yield rows n, ..., q-1 mod q^2 from the n sample rows 0, ..., n-1.
+def _rows(row0, row1, q: int):
+    """Yield rows 2, ..., q-1 mod q^2 of a map whose rows step by the constant
+    row1 - row0.
 
     Each row is held as one int of q 32-bit lanes, lane r holding column r, so
-    one row operation is a few big-int operations.  diffs[k] is the k-th Newton
-    backward difference ending at the current row, and stepping one row adds
-    diffs[k+1] into diffs[k] from the top down.  Lanes stay in [0, m) for
-    m = q^2 < 2^31: a sum of two lanes (or b + m - a for a difference) is
-    below 2m < 2^32, so no lane carries into the next, and adding the bias
-    2^31 - m to every lane sets bit 31 of exactly the lanes >= m, from which
-    m is then subtracted; a larger q raises ``ValueError`` before the first
-    row.  Trailing difference rows that are 0 mod q^2 everywhere are dropped
-    after they are computed; the rest are kept, so this is exact whatever
-    they hold.
+    one step is a few big-int operations.  Lanes stay in [0, m) for
+    m = q^2 < 2^31: the sum of two lanes is below 2m < 2^32, so no lane carries
+    into the next, and adding the bias 2^31 - m to every lane sets bit 31 of
+    exactly the lanes >= m, from which m is then subtracted; a larger q raises
+    ``ValueError`` before the first row.
     """
     m = q * q
     if m >= 1 << 31:
         raise ValueError(f"rows mod q^2 need q^2 < 2^31, got q={q}")
-    n = len(samples)
     lanes = struct.Struct(f"<{q}I")
     ones = ((1 << 32 * q) - 1) // 0xFFFFFFFF  # 1 in every lane
     bias = ((1 << 31) - m) * ones
     high = ones << 31
-    lift = m * ones
-    # In place: after order k, diffs[i] is the k-th forward difference at row i
-    # for i < n-k, and diffs[n-k] the (k-1)-th difference ending at row n-1.
-    diffs = [int.from_bytes(lanes.pack(*row), "little") for row in samples]
-    for k in range(1, n):
-        for i in range(n - k):
-            s = diffs[i + 1] + lift - diffs[i]
-            diffs[i] = s - (((s + bias) & high) >> 31) * m
-    diffs.reverse()
-    while len(diffs) > 1 and not diffs[-1]:
-        diffs.pop()
-    top = len(diffs) - 1
+    row = int.from_bytes(lanes.pack(*row1), "little")
+    step = int.from_bytes(lanes.pack(*((b - a) % m for a, b in zip(row0, row1))), "little")
     size = 4 * q
-    for _ in range(n, q):
-        for k in range(top - 1, -1, -1):
-            s = diffs[k] + diffs[k + 1]
-            diffs[k] = s - (((s + bias) & high) >> 31) * m
-        yield lanes.unpack(diffs[0].to_bytes(size, "little"))
+    for _ in range(2, q):
+        s = row + step
+        row = s - (((s + bias) & high) >> 31) * m
+        yield lanes.unpack(row.to_bytes(size, "little"))
 
 
 def derivative(f: IntPolynomial) -> IntPolynomial:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -235,6 +236,16 @@ class TestPaircorrCommand:
         code, out, _ = run_cli(capsys, "paircorr", "--p", "3", "x", "--alpha", "1/1",
                                "--s", "9", "--N", "3")
         assert out.splitlines()[1].split(",")[2] == "2/3"
+
+
+    def test_oversized_alpha_denominator_exits_1_at_once(self, capsys):
+        # p^v would have 10^8 * log2(3) bits: rejected before it is formed
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "paircorr", "--p", "3", "--N", "10",
+                                 "--alpha", "1/100000000", "--s", "1", "--", "x")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "alpha = 1/100000000" in err
 
 
 class TestVerifyTablesCommand:

@@ -9,7 +9,7 @@ from padiclds.polynomials import (
     IntPolynomial,
     _image,
     _is_injective_mod,
-    _newton_rows,
+    _rows,
     PolyParseError,
     affine_compose,
     derivative,
@@ -128,18 +128,18 @@ def horner_table(coeffs, m):
 
 
 class TestSquareRows:
-    """_image against a Horner table: by the Newton rows mod q^2, and by Horner
-    at every other modulus."""
+    """_image against a Horner table: by two Horner rows and a constant step
+    mod q^2, and by Horner at every other modulus."""
 
     @pytest.fixture(autouse=True)
     def record_rows(self, monkeypatch):
         self.row_moduli = []
 
-        def recorded(samples, q):
+        def recorded(row0, row1, q):
             self.row_moduli.append(q)
-            return _newton_rows(samples, q)
+            return _rows(row0, row1, q)
 
-        monkeypatch.setattr(polynomials, "_newton_rows", recorded)
+        monkeypatch.setattr(polynomials, "_rows", recorded)
 
     def check(self, coeffs, m):
         """Compare both modes with the oracle; return (injective, path)."""
@@ -160,7 +160,8 @@ class TestSquareRows:
             for m in (q * q, q * q + 1):
                 paths.add(self.check((), m)[1])  # the zero polynomial
             m = q * q
-            for d in range(18):  # includes d >= q, and d > q - 7 where rows pay too little
+            # d >= q included, up to 2q where the moduli take rows
+            for d in [*range(18), *([q + 1, q + 5, 2 * q] if q >= 16 else [])]:
                 for _ in range(6):
                     coeffs = [rng.randint(-3 * m, 3 * m) for _ in range(d)]
                     coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 2 * q))
@@ -196,15 +197,15 @@ class TestSquareRows:
 
     def test_lane_bound(self):
         # q^2 must fit a 32-bit lane with one bit to spare: 46340^2 < 2^31 < 46341^2.
-        # Two sample rows of a line give its third row; q^2 bytes are never needed.
+        # Two rows of a line give its third row; q^2 bytes are never needed.
         q = 46340
         m = q * q
         a, b = 2**31 - 1, m - 1
-        samples = [[(a * x + b) % m for x in range(t * q, t * q + q)] for t in (0, 1)]
-        row = next(_newton_rows(samples, q))
+        row0, row1 = ([(a * x + b) % m for x in range(t * q, t * q + q)] for t in (0, 1))
+        row = next(_rows(row0, row1, q))
         assert list(row) == [(a * x + b) % m for x in range(2 * q, 3 * q)]
         with pytest.raises(ValueError, match="2\\^31"):
-            next(_newton_rows([[0] * 46341], 46341))
+            next(_rows([0], [0], 46341))
 
     def test_repeat_in_a_sample_row_stops_at_that_x(self):
         steps = []

@@ -12,7 +12,10 @@ from padiclds.polynomials import IntPolynomial, _image, parse_poly, render  # no
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
-coefficients = st.lists(st.integers(-10**6, 10**6), max_size=9)
+# lengths drawn uniformly up to 60, so square moduli q^2 with q in 16..40 meet
+# degrees above q as often as below
+coefficients = st.integers(0, 60).flatmap(
+    lambda n: st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
 moduli = st.one_of(st.integers(1, 40).map(lambda q: q * q), st.integers(1, 1600))
 
 

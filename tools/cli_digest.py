@@ -2,13 +2,13 @@
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
-searches, error paths, five large-p classify calls, long and dense
-discrepancy, paircorr and generate schedules, digit and digit-reversal output
-of negative values, and integer ``--linear`` sequences), through
-``padiclds.cli.main`` in-process, and prints per workload the job count and
-one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
-trees whose digests agree produce byte-identical CLI output on all of these
-inputs.
+searches, error paths, five large-p and three high-degree classify calls, long
+and dense discrepancy, paircorr and generate schedules, digit and
+digit-reversal output of negative values, and integer ``--linear``
+sequences), through ``padiclds.cli.main`` in-process, and prints per workload
+the job count and one sha256 over (argv, exit code, stdout, stderr) of its
+jobs in order.  Two trees whose digests agree produce byte-identical CLI
+output on all of these inputs.
 
 Usage:
     PYTHONPATH=<tree>/src python3 tools/cli_digest.py [SEED ...]   # default 1 2 3
@@ -52,6 +52,11 @@ EXTRA = [
     # low-discrepancy quintic enumerated in full
     ["classify", "--p", "3137", "--", "5x+7"],
     ["classify", "--p", "547", "--", "x^5+411x^3+89x"],
+    # full enumerations mod p^2 at degree >= p - 6, and a permutation of Z/17
+    # with a derivative root
+    ["classify", "--p", "17", "--", "17x^30+x"],
+    ["classify", "--p", "29", "--", "29x^60+3x+1"],
+    ["classify", "--p", "17", "--format", "csv", "--", "x^33+x^17+x"],
     # long stretches between requested lengths (bulk counting), an unsorted
     # schedule with a short stretch, a dense schedule (value by value), and
     # a high-degree polynomial's values by finite differences
