@@ -8,7 +8,7 @@ tables by exhaustive search, and bridges to real sequences in [0,1) via the
 digit-reversal map.
 """
 
-from .padic import check_prime, digits_of, monna_of_int, valuation
+from .padic import check_prime, digit_reversals, digits_of, monna_of_int, valuation
 from .polynomials import (
     IntPolynomial,
     PolyParseError,
@@ -40,6 +40,7 @@ from .discrepancy import (
     meijer_bound_check,
     padic_discrepancy,
     prefix_discrepancies,
+    prefix_real_discrepancies,
     real_extreme_discrepancy,
     separation_depth,
 )

@@ -27,8 +27,8 @@ from .catalog import (
     verification_primes,
     verify_entry,
 )
-from .discrepancy import meijer_bound_check, prefix_discrepancies, real_extreme_discrepancy
-from .padic import InvariantError, check_prime, digits_of, monna_of_int
+from .discrepancy import meijer_bound_check, prefix_discrepancies, prefix_real_discrepancies
+from .padic import InvariantError, check_prime, digit_reversals, digits_of
 from .paircorr import ppc_sweep
 from .permcheck import METHOD_NOEBAUER, classify_low_discrepancy, classify_via_reduction
 from .polynomials import IntPolynomial, parse_poly, render, unit_derivative_poly, unit_value_poly
@@ -44,6 +44,13 @@ EXIT_VERIFICATION = 2
 # sparse discrepancy of 10^5 values of x^3+x at p=2 peaks at about 170 MB;
 # ten times as many would not fit a 1 GB address space.
 MAX_SEQUENCE_LENGTH = 100_000
+
+# The most bits of base-p digits (K digits of bit_length(p) bits per value)
+# that --K may ask for, checked before p^K is formed.  At p = 3, --mode
+# digits then writes at most 10^6 digit cells; at the largest p (81 bits),
+# p^K stays below 2*10^6 bits, where forming it takes milliseconds (at K =
+# 10^6 it took over a minute).
+MAX_DIGIT_BITS = 2_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,6 +75,14 @@ def parse_fraction(text: str) -> Fraction:
 def _check_length(N: int, what: str) -> None:
     if N > MAX_SEQUENCE_LENGTH:
         raise ValueError(f"{what} asks for N={N} values, above the limit of {MAX_SEQUENCE_LENGTH}")
+
+
+def _check_digits(K: int | None, N: int, p: int) -> None:
+    """K digits for each of N values; K=None (full expansions) fixes none."""
+    bits = 0 if K is None else K * N * p.bit_length()
+    if bits > MAX_DIGIT_BITS:
+        raise ValueError(f"--K {K} asks for {K} base-{p} digits of N={N} values ({bits} bits), "
+                         f"above the limit of {MAX_DIGIT_BITS} bits")
 
 
 def parse_schedule(text: str, p: int) -> list[int]:
@@ -221,16 +236,20 @@ def cmd_generate(args) -> int:
     if args.mode == "digits":
         if K is None:
             raise ValueError("--K is required for digit output")
-        if K < 1:  # before p**K: a large negative K would make it a float 0.0
+        if K < 1:
             raise ValueError("precision K must be >= 1")
-        pk = p ** K
+        _check_digits(K, N, p)
         header = ["n"] + [f"digit_{i}" for i in range(K)]
-        rows = [[n, *digits_of(v % pk, p, K)] for n, v in enumerate(values, 1)]
+        # v and ~v = -v-1 sum to -1, so mod p^K their digits sum to p - 1
+        # place by place: a negative v costs the digits of ~v, not K of them
+        rows = [[n, *(digits_of(v, p, K) if v >= 0 else [p - 1 - d for d in digits_of(~v, p, K)])]
+                for n, v in enumerate(values, 1)]
     elif args.mode == "monna":
         if K is None and any(v < 0 for v in values):
             raise ValueError("negative values have no finite expansion; pass --K")
+        _check_digits(K, N, p)
         header = ["n", "monna"]
-        rows = [[n, _frac(monna_of_int(v, p, K))] for n, v in enumerate(values, 1)]
+        rows = [[n, f"{num}/{den}"] for n, (num, den) in enumerate(digit_reversals(values, p, K), 1)]
     else:
         header = ["n", "value"]
         rows = [[n, v] for n, v in enumerate(values, 1)]
@@ -337,18 +356,23 @@ def cmd_search(args) -> int:
 
 def cmd_bridge(args) -> int:
     f = _sequence_spec(args)
-    schedule = parse_schedule(args.N, args.p)
+    p, K = args.p, args.K
+    schedule = parse_schedule(args.N, p)
     values = poly_sequence(f, max(schedule))
-    if args.K is None and any(v < 0 for v in values):
+    if K is None and any(v < 0 for v in values):
         raise ValueError("negative values have no finite expansion; pass --K")
-    points = [monna_of_int(v, args.p, args.K) for v in values]
-    deltas = prefix_discrepancies(values, args.p, schedule)
+    _check_digits(K, len(values), p)
+    images = digit_reversals(values, p, K)
+    # every denominator is a power of p, so the largest is a common one
+    Q = max(den for _, den in images)
+    reals = prefix_real_discrepancies([num * (Q // den) for num, den in images], Q, schedule)
+    deltas = prefix_discrepancies(values, p, schedule)
     header = ["N", "delta_N", "d_N", "upper", "holds"]
     rows = []
     for N in schedule:
         delta = deltas[N].value
-        d = real_extreme_discrepancy(points[:N])
-        holds, upper = meijer_bound_check(delta, d, args.p)
+        d = reals[N]
+        holds, upper = meijer_bound_check(delta, d, p)
         rows.append([
             N, _frac(delta), _frac(d), repr(upper),
             "indeterminate" if holds is None else str(holds).lower(),

@@ -20,6 +20,12 @@ level by one C-level pass, a short one (a dense schedule) value by value.
 ``padic_discrepancy`` and ``discrepancy_profile`` are that engine at one
 length or at every length.
 
+The real extreme discrepancy on [0,1) has its own prefix engine,
+``prefix_real_discrepancies``: the points are integer numerators over one
+common denominator, each is merged once into a sorted list, and at each
+requested length two integer max passes give the exact value.
+``real_extreme_discrepancy`` is that engine at one length.
+
 Everything is computed in exact rational arithmetic.  The only floating point
 in the whole package is the transcendental upper bound of the p-adic-to-real
 discrepancy transfer inequality, quarantined in ``meijer_bound_check`` behind
@@ -28,13 +34,12 @@ a declared tolerance and a three-valued answer.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import mod
+from operator import mod, sub
 
 from .padic import InvariantError, check_prime
 
@@ -248,30 +253,63 @@ def discrepancy_profile(values: list[int], p: int) -> list[Fraction]:
 # Real (extreme) discrepancy on [0,1)
 # --------------------------------------------------------------------------
 
+def prefix_real_discrepancies(
+    numerators: list[int], Q: int, lengths: list[int] | None = None
+) -> dict[int, Fraction]:
+    """Exact extreme discrepancy of each prefix of the points a_i / Q in [0,1).
+
+    ``lengths`` follows ``prefix_discrepancies``: the requested N (default
+    every N from 1 to len(numerators)), duplicates and any order allowed;
+    the answer maps each distinct N, in increasing order, to the value for
+    the first N points.  With the prefix's numerators sorted, a_(1) <= ...
+    <= a_(N), and x_(i) = a_(i) / Q, the supremum over half-open
+    subintervals splits into the largest positive and largest negative
+    deviation of the empirical counting function, evaluated at the points
+    themselves:
+
+        D_N = max_i(i/N - x_(i)) + max_i(x_(i) - (i-1)/N)
+
+    Neither term is negative (i = N in the first, i = 1 in the second).
+    The numerators are kept in one sorted list: each stretch between
+    requested lengths is appended and merged in, so every point is placed
+    once.  At each requested N both maxima are integer passes over N*Q, and
+    one fraction is formed.
+    """
+    if not numerators:
+        raise ValueError("need at least one point")
+    wanted = sorted(set(range(1, len(numerators) + 1) if lengths is None else lengths))
+    if not wanted or wanted[0] < 1 or wanted[-1] > len(numerators):
+        raise ValueError(f"prefix lengths must lie in [1, {len(numerators)}]")
+    if Q < 1:
+        raise ValueError(f"common denominator must be >= 1, got {Q}")
+    lo, hi = min(numerators), max(numerators)
+    if lo < 0 or hi >= Q:  # name the first bad point in sorted order
+        bad = lo if lo < 0 else min(a for a in numerators if a >= Q)
+        raise ValueError(f"point {Fraction(bad, Q)} outside [0,1)")
+    ordered: list[int] = []
+    out: dict[int, Fraction] = {}
+    prev = 0
+    for N in wanted:
+        ordered += numerators[prev:N]
+        ordered.sort()  # merges the new run into the sorted one
+        prev = N
+        scaled = list(map(N.__mul__, ordered))  # a_(i) * N
+        over = max(map(sub, range(Q, (N + 1) * Q, Q), scaled))  # i*Q - a_(i)*N
+        under = max(map(sub, scaled, range(0, N * Q, Q)))  # a_(i)*N - (i-1)*Q
+        out[N] = Fraction(over + under, N * Q)
+    return out
+
+
 def real_extreme_discrepancy(points: list[Fraction]) -> Fraction:
     """Exact extreme discrepancy over half-open subintervals of [0,1).
 
-    With sorted points x_(1) <= ... <= x_(N), the supremum splits into the
-    largest positive and largest negative deviation of the empirical counting
-    function, evaluated at the points themselves:
-
-        D_N = max(0, max_i(i/N - x_(i))) + max(0, max_i(x_(i) - (i-1)/N))
-
-    computed in integers over the common denominator Q of the points, which
-    are sorted as those integers.
+    ``prefix_real_discrepancies`` at the full length, over the common
+    denominator of the points.
     """
-    if not points:
-        raise ValueError("need at least one point")
     pts = [Fraction(x) for x in points]
-    N = len(pts)
     Q = math.lcm(*(x.denominator for x in pts))
-    scaled = sorted(x.numerator * (Q // x.denominator) for x in pts)
-    if scaled[0] < 0 or scaled[-1] >= Q:  # name the first bad point in sorted order
-        bad = scaled[0] if scaled[0] < 0 else scaled[bisect.bisect_left(scaled, Q)]
-        raise ValueError(f"point {Fraction(bad, Q)} outside [0,1)")
-    over = max(0, max((i + 1) * Q - a * N for i, a in enumerate(scaled)))
-    under = max(0, max(a * N - i * Q for i, a in enumerate(scaled)))
-    return Fraction(over + under, N * Q)
+    scaled = [x.numerator * (Q // x.denominator) for x in pts]
+    return prefix_real_discrepancies(scaled, Q, [len(pts)])[len(pts)]
 
 
 def meijer_bound_check(delta: Fraction, d: Fraction, p: int) -> tuple[bool | None, float]:
@@ -285,16 +323,22 @@ def meijer_bound_check(delta: Fraction, d: Fraction, p: int) -> tuple[bool | Non
     Returns (holds, upper) with holds in {True, False, None}.
     """
     check_prime(p)
-    delta = Fraction(delta)
-    d = Fraction(d)
-    if not 0 < delta <= 1:
+    if not isinstance(delta, Fraction):
+        delta = Fraction(delta)
+    if not isinstance(d, Fraction):
+        d = Fraction(d)
+    # compared as numerators and denominators (both positive denominators)
+    a, b = delta.numerator, delta.denominator
+    c, e = d.numerator, d.denominator
+    if not 0 < a <= b:
         raise ValueError("delta must lie in (0, 1]")
-    if not 0 < d <= 1:
+    if not 0 < c <= e:
         raise ValueError("d must lie in (0, 1]")
-    upper = float(delta) * (2.0 + (2.0 * (p - 1) / math.log(p)) * math.log(1.0 / float(delta)))
-    if not delta < d:
+    deltaf = a / b  # float(Fraction) is numerator / denominator
+    upper = deltaf * (2.0 + (2.0 * (p - 1) / math.log(p)) * math.log(1.0 / deltaf))
+    if not a * e < c * b:  # not delta < d
         return False, upper
-    df = float(d)
+    df = c / e
     if abs(df - upper) <= MEIJER_TOLERANCE:
         return None, upper
     return df < upper, upper

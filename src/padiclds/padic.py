@@ -102,26 +102,56 @@ def digits_of(x: int, p: int, K: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def digit_reversals(values: list[int], p: int, K: int | None = None) -> list[tuple[int, int]]:
+    """Digit-reversal images of integers, each as a pair (num, p^L) in lowest terms.
+
+    The image of x is the sum of d_i * p^(-i-1) over its little-endian base-p
+    digits d_0 .. d_(L-1), the last nonzero.  Reading those digits as a
+    big-endian numeral gives num, whose last digit is d_(L-1), so p does not
+    divide num and num / p^L is in lowest terms (x = 0 gives (0, 1)).  With K=None
+    the full (finite) expansion of a nonnegative integer is used; with K
+    every x is first reduced mod p^K.  p^K is formed once per call.
+
+    A residue r mod p^K within p^(K-1) of p^K is reversed through its
+    complement y = p^K - 1 - r: their digits sum to p - 1 place by place, so
+    the reversal of r is p^K - 1 minus the K-digit reversal of y, and the
+    digit loop runs over y's few digits instead of r's K (a small negative x
+    with a large K).
+    """
+    check_prime(p)
+    if K is None:
+        if any(x < 0 for x in values):
+            raise ValueError("negative value has no finite digit expansion; pass a precision K")
+    elif K < 1:
+        raise ValueError("precision K must be >= 1")
+    else:
+        pk = p ** K
+        high = pk - pk // p  # residues r >= high have a complement below p^(K-1)
+    out = []
+    for x in values:
+        complement = False
+        if K is not None:
+            x %= pk
+            if x >= high:
+                x, complement = pk - 1 - x, True
+        num, den = 0, 1
+        while x:
+            x, d = divmod(x, p)
+            num = num * p + d
+            den *= p
+        if complement:
+            num, den = pk - 1 - num * (pk // den), pk
+        out.append((num, den))
+    return out
+
+
 def monna_of_int(x: int, p: int, K: int | None = None) -> Fraction:
     """Digit-reversal image in [0,1): the sum of d_i * p^(-i-1) over x's digits.
 
     With K=None the full (finite) expansion of a nonnegative integer is used,
     so the image is exact.  Negative integers have no finite expansion; they
     require an explicit truncation precision K and are reduced mod p^K first.
-    Reading the digits little-endian as a base-p numeral gives the numerator;
-    zero digits above the leading one leave the value unchanged, so the
-    denominator is p to the number of digits read.
+    The single-value case of ``digit_reversals``.
     """
-    check_prime(p)
-    if K is not None:
-        if K < 1:
-            raise ValueError("precision K must be >= 1")
-        x %= p ** K
-    elif x < 0:
-        raise ValueError("negative value has no finite digit expansion; pass a precision K")
-    num, pk = 0, 1
-    while x:
-        x, d = divmod(x, p)
-        num = num * p + d
-        pk *= p
-    return Fraction(num, pk)
+    [(num, den)] = digit_reversals([x], p, K)
+    return Fraction(num, den)

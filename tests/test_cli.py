@@ -9,7 +9,9 @@ import pytest
 
 from padiclds import cli
 from padiclds.cli import main, parse_fraction, parse_schedule
-from padiclds.padic import InvariantError
+from padiclds.padic import InvariantError, digits_of, monna_of_int
+from padiclds.polynomials import parse_poly
+from padiclds.sequence import poly_sequence
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +50,29 @@ class TestScheduleParsing:
         assert code == 1 and out == ""
         assert err == (f"padiclds: error: invalid schedule {schedule!r}: expected "
                        '"a..b", "a,b,c" or "pk:k1..k2" with integer bounds and entries\n')
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--p", "3", "--n", "1", "--K", "100000000", "--mode", "digits", "--", "x"],
+        ["generate", "--p", "3", "--n", "1", "--K", "100000000", "--mode", "monna", "--", "x"],
+        ["bridge", "--p", "3", "--N", "1..2", "--K", "100000000", "--", "x"],
+    ])
+    def test_digit_budget_exits_1_before_forming_p_to_the_K(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("padiclds: error: --K 100000000 ")
+        assert f"above the limit of {cli.MAX_DIGIT_BITS} bits" in err
+
+    def test_digit_budget_admits_the_limit(self, capsys):
+        # K * N * bit_length(3) is the limit exactly, then one digit above it;
+        # the negative value is reversed through its complement mod 3^K
+        K = cli.MAX_DIGIT_BITS // 2
+        code, out, _ = run_cli(capsys, "bridge", "--p", "3", "--N", "1", "--K", str(K), "--", "x-2")
+        assert code == 0 and out.splitlines()[1] == "1,1/1,1/1,2.0,false"
+        code, _, err = run_cli(capsys, "bridge", "--p", "3", "--N", "1", "--K", str(K + 1),
+                               "--", "x-2")
+        assert code == 1 and f"--K {K + 1} " in err
 
     def test_length_budget_admits_the_limit(self):
         top = cli.MAX_SEQUENCE_LENGTH
@@ -155,6 +180,21 @@ class TestGenerate:
             code, out, err = run_cli(capsys, "generate", "--p", "3", "x", "--n", "2",
                                      "--K", K, "--mode", "digits")
             assert (code, out, err) == (1, "", "padiclds: error: precision K must be >= 1\n")
+
+    def test_negative_digits_and_images_match_the_residues_mod_p_to_the_K(self, capsys):
+        # negative values take the complement path; each row equals the
+        # digits and the image of v mod p^K
+        values = poly_sequence(parse_poly("x^3-50"), 12)
+        for K in (1, 2, 3, 30):
+            pk = 7**K
+            _, out, _ = run_cli(capsys, "generate", "--p", "7", "--n", "12", "--K", str(K),
+                                "--mode", "digits", "--", "x^3-50")
+            assert [line.split(",")[1:] for line in out.splitlines()[1:]] == [
+                [str(d) for d in digits_of(v % pk, 7, K)] for v in values]
+            _, out, _ = run_cli(capsys, "generate", "--p", "7", "--n", "12", "--K", str(K),
+                                "--mode", "monna", "--", "x^3-50")
+            assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
+                str(monna_of_int(v % pk, 7)) if v % pk else "0/1" for v in values]
 
     def test_negative_monna_requires_K(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--p", "3", "x^3-2x", "--n", "2",

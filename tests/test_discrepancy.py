@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,7 @@ from padiclds.discrepancy import (
     meijer_bound_check,
     padic_discrepancy,
     prefix_discrepancies,
+    prefix_real_discrepancies,
     real_extreme_discrepancy,
     separation_depth,
 )
@@ -334,6 +336,48 @@ class TestRealExtremeDiscrepancy:
         assert real_extreme_discrepancy(pts) == naive_real_discrepancy(pts) == 1
 
 
+class TestPrefixRealDiscrepancies:
+    @pytest.mark.parametrize("Q", [1, 2, 9, 64, 3**5])
+    def test_every_prefix_matches_grid_oracle(self, Q):
+        rng = random.Random(Q)
+        numerators = [rng.randrange(Q) for _ in range(40)]
+        results = prefix_real_discrepancies(numerators, Q)
+        assert list(results) == list(range(1, 41))
+        for N, d in results.items():
+            pts = [Fraction(a, Q) for a in numerators[:N]]
+            assert d == naive_real_discrepancy(pts), (Q, N)
+
+    def test_schedules_give_the_same_rows(self):
+        # dense, sparse (long stretches, appended and re-sorted), unsorted and
+        # repeated schedules against the dense profile and the one-length call
+        rng = random.Random(131)
+        Q = 7**4
+        numerators = [rng.randrange(Q) for _ in range(300)]
+        every = prefix_real_discrepancies(numerators, Q)
+        for lengths in ([300], [1, 2, 3, 299, 300], [150, 7, 150, 1, 300, 7],
+                        list(range(5, 301, 5)), [40, 41, 42, 200]):
+            results = prefix_real_discrepancies(numerators, Q, lengths)
+            assert list(results) == sorted(set(lengths))
+            for N, d in results.items():
+                pts = [Fraction(a, Q) for a in numerators[:N]]
+                assert d == every[N] == real_extreme_discrepancy(pts), N
+
+    def test_lengths_contract(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            prefix_real_discrepancies([], 3)
+        for bad in ([0], [1, 4], [], [-1]):
+            with pytest.raises(ValueError, match=r"prefix lengths must lie in \[1, 3\]"):
+                prefix_real_discrepancies([0, 1, 2], 3, bad)
+
+    def test_points_outside_unit_interval(self):
+        with pytest.raises(ValueError, match=r"^point -1/3 outside \[0,1\)$"):
+            prefix_real_discrepancies([5, -1, 4], 3)
+        with pytest.raises(ValueError, match=r"^point 4/3 outside \[0,1\)$"):
+            prefix_real_discrepancies([5, 1, 4], 3, [1])
+        with pytest.raises(ValueError, match="common denominator"):
+            prefix_real_discrepancies([0], 0)
+
+
 class TestMeijerBound:
     def test_worked_point(self):
         holds, upper = meijer_bound_check(Fraction(1, 3), Fraction(4, 9), 3)
@@ -360,6 +404,27 @@ class TestMeijerBound:
             meijer_bound_check(Fraction(0), Fraction(1, 2), 3)
         with pytest.raises(ValueError):
             meijer_bound_check(Fraction(1, 2), Fraction(0), 3)
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_int_str_and_fraction_inputs_agree_with_the_definition(self, p):
+        # the float upper bound of delta, delta < d exactly, and a float
+        # comparison of d with the bound within the tolerance
+        grid = sorted({Fraction(a, b) for b in range(1, 9) for a in range(1, b + 1)})
+        for delta in grid:
+            for d in grid:
+                upper = float(delta) * (2.0 + (2.0 * (p - 1) / math.log(p))
+                                        * math.log(1.0 / float(delta)))
+                if not delta < d:
+                    expected = (False, upper)
+                elif abs(float(d) - upper) <= discrepancy.MEIJER_TOLERANCE:
+                    expected = (None, upper)
+                else:
+                    expected = (float(d) < upper, upper)
+                got = meijer_bound_check(delta, d, p)
+                assert got == expected and repr(got[1]) == repr(upper), (delta, d, p)
+                assert meijer_bound_check(str(delta), str(d), p) == got
+                if delta.denominator == d.denominator == 1:
+                    assert meijer_bound_check(int(delta), int(d), p) == got
 
     def test_pipeline_point(self):
         values = [1, 2, 3, 4, 5, 6, 7, 8, 9]

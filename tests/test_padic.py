@@ -7,6 +7,7 @@ from padiclds.padic import (
     PRIME_BOUND,
     _is_prime,
     check_prime,
+    digit_reversals,
     digits_of,
     monna_of_int,
     valuation,
@@ -166,6 +167,52 @@ class TestMonna:
         with pytest.raises(ValueError, match="finite digit expansion"):
             monna_of_int(-1, 3)
         assert monna_of_int(-1, 3, K=2) == monna_of_int(8, 3, 2) == Fraction(8, 9)
+
+
+def reversal_oracle(x, p, K):
+    """sum d_i * p^(-i-1) over the digits of x mod p^K (K=None: every digit of x)."""
+    if K is not None:
+        x %= p**K
+    digits = []
+    while x:
+        x, d = divmod(x, p)
+        digits.append(d)
+    return sum(Fraction(d, p ** (i + 1)) for i, d in enumerate(digits))
+
+
+class TestDigitReversals:
+    @pytest.mark.parametrize("p", [2, 3, 7, 1048573])
+    def test_lowest_terms_pairs_equal_monna_and_the_oracle(self, p):
+        # x = 0, K=None, a given K, and negative x with K, among them K up to
+        # 40 with values near -1 and near -p^K (the complement mod p^K on
+        # both sides of p^(K-1))
+        rng = random.Random(p + 1)
+        for K in (None, 1, 2, 3, 8, 40):
+            bound = p**8 if K is None else 2 * p**K
+            values = [0, 1, p - 1] + [rng.randint(0, bound) for _ in range(30)]
+            if K is not None:
+                values += [-1, -p, -p**K, -p**K + 1, -p**K - 1, -(p ** (K - 1)), -(p ** (K - 1)) - 1]
+                values += [rng.randint(-bound, -1) for _ in range(30)]
+                values += [-rng.randint(1, p**3) for _ in range(10)]
+            pairs = digit_reversals(values, p, K)
+            assert len(pairs) == len(values)
+            for x, (num, den) in zip(values, pairs):
+                image = Fraction(num, den)
+                assert (image.numerator, image.denominator) == (num, den), (x, K)
+                assert den == 1 if num == 0 else den == p ** valuation(den, p), (x, K)
+                assert image == monna_of_int(x, p, K) == reversal_oracle(x, p, K), (x, p, K)
+
+    def test_examples(self):
+        assert digit_reversals([0, 3, 5, -1], 3, 2) == [(0, 1), (1, 9), (7, 9), (8, 9)]
+        assert digit_reversals([], 3) == []
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="finite digit expansion"):
+            digit_reversals([1, -1], 3)
+        with pytest.raises(ValueError, match="precision K must be >= 1"):
+            digit_reversals([1], 3, 0)
+        with pytest.raises(ValueError, match="prime"):
+            digit_reversals([1], 4)
 
 
 def test_check_prime_accepts_primes():

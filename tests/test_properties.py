@@ -1,13 +1,18 @@
-"""Property tests: the modular image against a set oracle, and the text round trip.
+"""Property tests: the modular image against a set oracle, the text round trip,
+and the real-discrepancy engine against a grid oracle.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
+
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from padiclds.discrepancy import prefix_real_discrepancies, real_extreme_discrepancy  # noqa: E402
 from padiclds.polynomials import IntPolynomial, _image, parse_poly, render  # noqa: E402
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -36,3 +41,35 @@ def test_image_matches_set_oracle(coeffs, m):
 def test_parse_render_round_trip(coeffs):
     f = IntPolynomial(coeffs)
     assert parse_poly(render(f)) == f
+
+
+def grid_real_discrepancy(points):
+    """Supremum over half-open intervals from the grid of the points, 0 and 1:
+    a closed interval's count less its length (shrinking [a, b) onto it), and
+    an open interval's length less its count (growing [a, b) onto it)."""
+    pts = sorted(points)
+    grid = sorted(set(pts) | {Fraction(0), Fraction(1)})
+    N = len(pts)
+    best = Fraction(0)
+    for i, a in enumerate(grid):
+        for b in grid[i:]:
+            closed = bisect_right(pts, b) - bisect_left(pts, a)
+            opened = max(bisect_left(pts, b) - bisect_right(pts, a), 0)
+            best = max(best, Fraction(closed, N) - (b - a), (b - a) - Fraction(opened, N))
+    return best
+
+
+points = st.integers(1, 300).flatmap(lambda Q: st.tuples(
+    st.just(Q), st.lists(st.integers(0, Q - 1), min_size=1, max_size=16)))
+
+
+@fixed
+@given(points, st.data())
+def test_real_discrepancy_engine_matches_grid_oracle(qa, data):
+    Q, numerators = qa
+    lengths = data.draw(st.lists(st.integers(1, len(numerators)), min_size=1, max_size=4))
+    results = prefix_real_discrepancies(numerators, Q, lengths)
+    assert list(results) == sorted(set(lengths))
+    for N, d in results.items():
+        prefix = [Fraction(a, Q) for a in numerators[:N]]
+        assert d == real_extreme_discrepancy(prefix) == grid_real_discrepancy(prefix)

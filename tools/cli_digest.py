@@ -4,8 +4,8 @@ Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
 searches, error paths, five large-p and three high-degree classify calls, long
 and dense discrepancy, paircorr and generate schedules, digit and
-digit-reversal output of negative values, and integer ``--linear``
-sequences), through ``padiclds.cli.main`` in-process, and prints per workload
+digit-reversal output of negative values, integer ``--linear`` sequences,
+and unsorted, long, dense and negative-valued bridge schedules), through ``padiclds.cli.main`` in-process, and prints per workload
 the job count and one sha256 over (argv, exit code, stdout, stderr) of its
 jobs in order.  Two trees whose digests agree produce byte-identical CLI
 output on all of these inputs.
@@ -76,6 +76,16 @@ EXTRA = [
     ["bridge", "--p", "3", "--K", "3", "--N", "1..50", "--", "x^2-5"],
     ["discrepancy", "--p", "3", "--N", "5", "--linear", "1", "0", "--", "x"],
     ["discrepancy", "--p", "3", "--N", "5"],
+    # the incremental real discrepancy: an unsorted schedule with repeats, a
+    # long dense one, digit counts that vary without --K, and negative values
+    # reversed through their complement mod p^K (small and large K)
+    ["bridge", "--p", "3", "--N", "50,7,49,7", "--", "x^3+x"],
+    ["bridge", "--p", "3", "--N", "1..400", "--", "x^3+x"],
+    ["bridge", "--p", "7", "--N", "1..60", "--", "x^2+1"],
+    ["bridge", "--p", "5", "--K", "4", "--N", "1..40", "--", "x^3-9"],
+    ["bridge", "--p", "3", "--K", "20", "--N", "1..30", "--", "x-15"],
+    ["generate", "--p", "3", "--n", "30", "--K", "40", "--mode", "monna", "--", "x^2-7"],
+    ["generate", "--p", "7", "--n", "20", "--K", "25", "--mode", "digits", "--", "x^3-50"],
 ]
 
 
