@@ -16,8 +16,9 @@ into explained/unexplained.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .padic import InvariantError, check_prime
@@ -68,9 +69,6 @@ class DicksonEntry:
             return p == self.prime_spec
         return p != 5 and p % 5 in (2, 3)
 
-    def admissible_parameters(self, p: int) -> list[int]:
-        return admissible_parameters(self.parameter_predicate, p)
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -112,11 +110,11 @@ def _sgn(s: int) -> str:
 
 
 def _entries_table2() -> list[DicksonEntry]:
+    row = functools.partial(DicksonEntry, source_table=2)
     rows: list[DicksonEntry] = []
     rows.append(
-        DicksonEntry(
+        row(
             name="x^3 - a*x",
-            source_table=2,
             prime_spec=3,
             parameter_predicate=PRED_NONSQUARE,
             build=lambda a, p: IntPolynomial([0, -a % p, 0, 1]),
@@ -124,9 +122,8 @@ def _entries_table2() -> list[DicksonEntry]:
     )
     for s in (1, -1):
         rows.append(
-            DicksonEntry(
+            row(
                 name=f"x^4 {_sgn(s)} 3*x",
-                source_table=2,
                 prime_spec=7,
                 parameter_predicate=PRED_NONE,
                 build=lambda a, p, s=s: IntPolynomial([0, s * 3 % p, 0, 0, 1]),
@@ -135,9 +132,8 @@ def _entries_table2() -> list[DicksonEntry]:
             )
         )
     rows.append(
-        DicksonEntry(
+        row(
             name="x^5 - a*x",
-            source_table=2,
             prime_spec=5,
             parameter_predicate=PRED_NOT_FOURTH_POWER,
             build=lambda a, p: IntPolynomial([0, -a % p, 0, 0, 0, 1]),
@@ -145,9 +141,8 @@ def _entries_table2() -> list[DicksonEntry]:
     )
     for s in (1, -1):
         rows.append(
-            DicksonEntry(
+            row(
                 name=f"x^5 + a*x^3 {_sgn(s)} x^2 + 3*a^2*x",
-                source_table=2,
                 prime_spec=7,
                 parameter_predicate=PRED_NONSQUARE,
                 build=lambda a, p, s=s: IntPolynomial(
@@ -157,89 +152,44 @@ def _entries_table2() -> list[DicksonEntry]:
                 sign_variant=_sgn(s),
             )
         )
-    rows.append(_entry_inverse5(source_table=2))
+
+    def build_inverse5(a: int, p: int) -> IntPolynomial:
+        if p == 5 or p % 5 not in (2, 3):
+            raise ValueError(f"prime {p} incompatible with the 5m+-2 family")
+        inv5 = pow(5, -1, p)
+        return IntPolynomial([0, inv5 * a * a % p, 0, a % p, 0, 1])
+
     rows.append(
-        DicksonEntry(
+        row(
+            name="x^5 + a*x^3 + 5^-1*a^2*x",
+            prime_spec=PRIME_FAMILY_5M2,
+            parameter_predicate=PRED_NONZERO,
+            build=build_inverse5,
+        )
+    )
+    rows.append(
+        row(
             name="x^5 + a*x^3 + 3*a^2*x",
-            source_table=2,
             prime_spec=13,
             parameter_predicate=PRED_NONSQUARE,
             build=lambda a, p: IntPolynomial([0, 3 * a * a % p, 0, a % p, 0, 1]),
             derivative_root_exists=True,
         )
     )
-    rows.append(_entry_deg5_double_coeff(source_table=2))
-    rows.extend(_entries_x6_linear(source_table=2))
-    for s1, s2 in itertools.product((1, -1), repeat=2):
-        joint = s1 == s2
-        rows.append(
-            DicksonEntry(
-                name=f"x^6 {_sgn(s1)} a^2*x^3 + a*x^2 {_sgn(s2)} 5*x",
-                source_table=2,
-                prime_spec=11,
-                parameter_predicate=PRED_SQUARE,
-                build=lambda a, p, s1=s1, s2=s2: IntPolynomial(
-                    [0, s2 * 5 % p, a % p, s1 * a * a % p, 0, 0, 1]
-                ),
-                derivative_root_exists=True if joint else None,
-                sign_variant=f"{_sgn(s1)}{_sgn(s2)}",
-                asserted=joint,
-            )
+    rows.append(
+        row(
+            name="x^5 + 2*a*x^3 + a^2*x",
+            prime_spec=5,
+            parameter_predicate=PRED_NONSQUARE,
+            build=lambda a, p: IntPolynomial([0, a * a % p, 0, 2 * a % p, 0, 1]),
+            derivative_root_exists=False,
         )
-    for s1, s2 in itertools.product((1, -1), repeat=2):
-        joint = s1 == s2
-        rows.append(
-            DicksonEntry(
-                name=f"x^6 {_sgn(s1)} 4*a^2*x^3 + a*x^2 {_sgn(s2)} 4*x",
-                source_table=2,
-                prime_spec=11,
-                parameter_predicate=PRED_NONSQUARE,
-                build=lambda a, p, s1=s1, s2=s2: IntPolynomial(
-                    [0, s2 * 4 % p, a % p, s1 * 4 * a * a % p, 0, 0, 1]
-                ),
-                derivative_root_exists=True if joint else None,
-                sign_variant=f"{_sgn(s1)}{_sgn(s2)}",
-                asserted=joint,
-            )
-        )
-    return rows
-
-
-def _entry_inverse5(source_table: int) -> DicksonEntry:
-    def build(a: int, p: int) -> IntPolynomial:
-        if p == 5 or p % 5 not in (2, 3):
-            raise ValueError(f"prime {p} incompatible with the 5m+-2 family")
-        inv5 = pow(5, -1, p)
-        return IntPolynomial([0, inv5 * a * a % p, 0, a % p, 0, 1])
-
-    return DicksonEntry(
-        name="x^5 + a*x^3 + 5^-1*a^2*x",
-        source_table=source_table,
-        prime_spec=PRIME_FAMILY_5M2,
-        parameter_predicate=PRED_NONZERO,
-        build=build,
     )
-
-
-def _entry_deg5_double_coeff(source_table: int) -> DicksonEntry:
-    return DicksonEntry(
-        name="x^5 + 2*a*x^3 + a^2*x",
-        source_table=source_table,
-        prime_spec=5,
-        parameter_predicate=PRED_NONSQUARE,
-        build=lambda a, p: IntPolynomial([0, a * a % p, 0, 2 * a % p, 0, 1]),
-        derivative_root_exists=False,
-    )
-
-
-def _entries_x6_linear(source_table: int) -> list[DicksonEntry]:
-    rows = []
     for coef in (2, 4):
         for s in (1, -1):
             rows.append(
-                DicksonEntry(
+                row(
                     name=f"x^6 {_sgn(s)} {coef}*x",
-                    source_table=source_table,
                     prime_spec=11,
                     parameter_predicate=PRED_NONE,
                     build=lambda a, p, s=s, coef=coef: IntPolynomial(
@@ -249,25 +199,43 @@ def _entries_x6_linear(source_table: int) -> list[DicksonEntry]:
                     sign_variant=_sgn(s),
                 )
             )
+    for c3, c1, predicate in ((1, 5, PRED_SQUARE), (4, 4, PRED_NONSQUARE)):
+        cube = "a^2*x^3" if c3 == 1 else f"{c3}*a^2*x^3"
+        for s1, s2 in itertools.product((1, -1), repeat=2):
+            joint = s1 == s2
+            rows.append(
+                row(
+                    name=f"x^6 {_sgn(s1)} {cube} + a*x^2 {_sgn(s2)} {c1}*x",
+                    prime_spec=11,
+                    parameter_predicate=predicate,
+                    build=lambda a, p, s1=s1, s2=s2, c3=c3, c1=c1: IntPolynomial(
+                        [0, s2 * c1 % p, a % p, s1 * c3 * a * a % p, 0, 0, 1]
+                    ),
+                    derivative_root_exists=True if joint else None,
+                    sign_variant=f"{_sgn(s1)}{_sgn(s2)}",
+                    asserted=joint,
+                )
+            )
     return rows
 
 
-def _entries_table1() -> list[DicksonEntry]:
-    rows = [_entry_deg5_double_coeff(source_table=1)]
-    rows.extend(_entries_x6_linear(source_table=1))
-    rows.append(_entry_inverse5(source_table=1))
-    return rows
+# Table 1 (the low-discrepancy generators) is these Table 2 rows, in order.
+_TABLE1_NAMES = (
+    "x^5 + 2*a*x^3 + a^2*x",
+    "x^6 + 2*x",
+    "x^6 - 2*x",
+    "x^6 + 4*x",
+    "x^6 - 4*x",
+    "x^5 + a*x^3 + 5^-1*a^2*x",
+)
 
 
-_ENTRIES: tuple[DicksonEntry, ...] | None = None
-
-
+@functools.cache
 def dickson_entries() -> tuple[DicksonEntry, ...]:
     """All expanded catalog rows (both source tables)."""
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = tuple(_entries_table2() + _entries_table1())
-    return _ENTRIES
+    table2 = _entries_table2()
+    by_name = {e.name: e for e in table2}
+    return tuple(table2 + [replace(by_name[n], source_table=1) for n in _TABLE1_NAMES])
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +281,7 @@ def verify_entry(entry: DicksonEntry, p: int, check_lds: bool = False) -> EntryV
     failures: list[str] = []
     notes: list[str] = []
     sink = notes if not entry.asserted else failures
-    for a in entry.admissible_parameters(p):
+    for a in admissible_parameters(entry.parameter_predicate, p):
         f = entry.build(a, p)
         perm = is_permutation_mod(f, p)
         roots = tuple(_roots_mod(derivative(f).coeffs, p))
@@ -470,7 +438,7 @@ def table1_instances(p: int) -> list[IntPolynomial]:
     for entry in dickson_entries():
         if entry.source_table != 1 or not entry.matches_prime(p):
             continue
-        for a in entry.admissible_parameters(p):
+        for a in admissible_parameters(entry.parameter_predicate, p):
             f = reduce_coeffs_mod(entry.build(a, p), p)
             if f.coeffs not in seen:
                 seen.add(f.coeffs)

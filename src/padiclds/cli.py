@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .catalog import (
@@ -30,7 +29,7 @@ from .catalog import (
 from .discrepancy import meijer_bound_check, prefix_discrepancies, prefix_real_discrepancies
 from .padic import InvariantError, check_prime, digit_reversals, digits_of
 from .paircorr import ppc_sweep
-from .permcheck import METHOD_NOEBAUER, classify_low_discrepancy, classify_via_reduction
+from .permcheck import classify_low_discrepancy, classify_via_reduction, noebauer_mod_p2
 from .polynomials import IntPolynomial, parse_poly, render, unit_derivative_poly, unit_value_poly
 from .sequence import poly_sequence
 
@@ -77,12 +76,27 @@ def _check_length(N: int, what: str) -> None:
         raise ValueError(f"{what} asks for N={N} values, above the limit of {MAX_SEQUENCE_LENGTH}")
 
 
-def _check_digits(K: int | None, N: int, p: int) -> None:
-    """K digits for each of N values; K=None (full expansions) fixes none."""
+def _check_digits(K: int | None, values: list[int], p: int) -> None:
+    """K digits for each value; K=None (full expansions) fixes none, so it
+    admits no negative value."""
+    if K is None and any(v < 0 for v in values):
+        raise ValueError("negative values have no finite expansion; pass --K")
+    N = len(values)
     bits = 0 if K is None else K * N * p.bit_length()
     if bits > MAX_DIGIT_BITS:
         raise ValueError(f"--K {K} asks for {K} base-{p} digits of N={N} values ({bits} bits), "
                          f"above the limit of {MAX_DIGIT_BITS} bits")
+
+
+def _check_printable(numbers, column: str, K: int | None = None) -> None:
+    """Refuse, before any row is written, an integer of more decimal digits than the
+    interpreter prints (a limit of 0, or CPython before 3.10.7, has none); below
+    2^(3*limit) < 10^limit it fits, so short ones skip forming 10^limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10 ** limit for n in numbers):
+        fix = "a smaller --K" if K is not None else "a smaller polynomial or fewer values"
+        raise ValueError(f"the {column} column needs an integer of more than {limit} decimal "
+                         f"digits, the most the interpreter prints; use {fix}")
 
 
 def parse_schedule(text: str, p: int) -> list[int]:
@@ -181,10 +195,6 @@ def cmd_classify(args) -> int:
     p = args.p
     f = parse_poly(args.poly)
     brute = classify_low_discrepancy(f, p)
-    # The Noebauer verdict is the brute-force one before the level-2 witness:
-    # both are read from the same mod-p tables of f and f'.
-    noeb = replace(brute, method=METHOD_NOEBAUER,
-                   missing_residue=brute.missing_residue if not brute.perm_mod_p else None)
     reduction = None
     divergence = None
     if p >= 3:
@@ -202,7 +212,7 @@ def cmd_classify(args) -> int:
         "polynomial": render(f),
         "coefficients": list(f.coeffs),
         "brute_force": brute.as_dict(),
-        "noebauer": noeb.as_dict(),
+        "noebauer": noebauer_mod_p2(f, p).as_dict(),
         "unit_reduction": reduction,
         "divergence": divergence,
     }
@@ -236,21 +246,20 @@ def cmd_generate(args) -> int:
     if args.mode == "digits":
         if K is None:
             raise ValueError("--K is required for digit output")
-        if K < 1:
-            raise ValueError("precision K must be >= 1")
-        _check_digits(K, N, p)
+        _check_digits(K, values, p)
         header = ["n"] + [f"digit_{i}" for i in range(K)]
         # v and ~v = -v-1 sum to -1, so mod p^K their digits sum to p - 1
         # place by place: a negative v costs the digits of ~v, not K of them
         rows = [[n, *(digits_of(v, p, K) if v >= 0 else [p - 1 - d for d in digits_of(~v, p, K)])]
                 for n, v in enumerate(values, 1)]
     elif args.mode == "monna":
-        if K is None and any(v < 0 for v in values):
-            raise ValueError("negative values have no finite expansion; pass --K")
-        _check_digits(K, N, p)
+        _check_digits(K, values, p)
+        images = digit_reversals(values, p, K)
+        _check_printable((den for _, den in images), "monna", K)  # each num is below its den
         header = ["n", "monna"]
-        rows = [[n, f"{num}/{den}"] for n, (num, den) in enumerate(digit_reversals(values, p, K), 1)]
+        rows = [[n, f"{num}/{den}"] for n, (num, den) in enumerate(images, 1)]
     else:
+        _check_printable(values, "value")
         header = ["n", "value"]
         rows = [[n, v] for n, v in enumerate(values, 1)]
     _emit_rows(args, header, rows, "generate")
@@ -359,13 +368,12 @@ def cmd_bridge(args) -> int:
     p, K = args.p, args.K
     schedule = parse_schedule(args.N, p)
     values = poly_sequence(f, max(schedule))
-    if K is None and any(v < 0 for v in values):
-        raise ValueError("negative values have no finite expansion; pass --K")
-    _check_digits(K, len(values), p)
+    _check_digits(K, values, p)
     images = digit_reversals(values, p, K)
     # every denominator is a power of p, so the largest is a common one
     Q = max(den for _, den in images)
     reals = prefix_real_discrepancies([num * (Q // den) for num, den in images], Q, schedule)
+    _check_printable((reals[N].denominator for N in schedule), "d_N", K)  # each d_N <= 1
     deltas = prefix_discrepancies(values, p, schedule)
     header = ["N", "delta_N", "d_N", "upper", "holds"]
     rows = []

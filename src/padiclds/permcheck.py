@@ -265,15 +265,9 @@ def divergence_scan(
 
     entries: list[DivergenceEntry] = []
     for d in degrees:
-        if d == 0:
-            candidates = ([c] for c in residues)
-        else:
-            candidates = (
-                list(body) + [lead]
-                for body in itertools.product(residues, repeat=d)
-                for lead in nonzero
-            )
-        for coeffs in candidates:
+        for coeffs in itertools.product(residues, repeat=d + 1):
+            if d and not coeffs[-1]:
+                continue
             f = IntPolynomial(coeffs)
             truth = classify_low_discrepancy(f, p)
             formula = classify_via_reduction(f, p)

@@ -79,6 +79,33 @@ class TestEntries:
         assert not inv5.matches_prime(5) and not inv5.matches_prime(11)
         assert verification_primes(inv5) == FAMILY_5M2_SAMPLE_PRIMES
 
+    def test_table1_rows_are_table2_rows(self):
+        t1 = [e for e in dickson_entries() if e.source_table == 1]
+        for entry in t1:
+            (twin,) = entry_by_name(entry.name, 2)
+            assert entry.as_dict() == {**twin.as_dict(), "source_table": 1}
+            for p in verification_primes(entry):
+                for a in admissible_parameters(entry.parameter_predicate, p):
+                    assert entry.build(a, p) == twin.build(a, p), (entry.name, p, a)
+
+    def test_two_sign_sextic_builds(self):
+        # build(a, 11) at the square a = 3 and the nonsquare a = 2, for the
+        # asserted and the crossed sign variants alike
+        expected = {
+            "x^6 + a^2*x^3 + a*x^2 + 5*x": ((0, 5, 3, 9, 0, 0, 1), (0, 5, 2, 4, 0, 0, 1)),
+            "x^6 + a^2*x^3 + a*x^2 - 5*x": ((0, 6, 3, 9, 0, 0, 1), (0, 6, 2, 4, 0, 0, 1)),
+            "x^6 - a^2*x^3 + a*x^2 + 5*x": ((0, 5, 3, 2, 0, 0, 1), (0, 5, 2, 7, 0, 0, 1)),
+            "x^6 - a^2*x^3 + a*x^2 - 5*x": ((0, 6, 3, 2, 0, 0, 1), (0, 6, 2, 7, 0, 0, 1)),
+            "x^6 + 4*a^2*x^3 + a*x^2 + 4*x": ((0, 4, 3, 3, 0, 0, 1), (0, 4, 2, 5, 0, 0, 1)),
+            "x^6 + 4*a^2*x^3 + a*x^2 - 4*x": ((0, 7, 3, 3, 0, 0, 1), (0, 7, 2, 5, 0, 0, 1)),
+            "x^6 - 4*a^2*x^3 + a*x^2 + 4*x": ((0, 4, 3, 8, 0, 0, 1), (0, 4, 2, 6, 0, 0, 1)),
+            "x^6 - 4*a^2*x^3 + a*x^2 - 4*x": ((0, 7, 3, 8, 0, 0, 1), (0, 7, 2, 6, 0, 0, 1)),
+        }
+        for name, (at_square, at_nonsquare) in expected.items():
+            (entry,) = entry_by_name(name, 2)
+            assert entry.build(3, 11).coeffs == at_square, name
+            assert entry.build(2, 11).coeffs == at_nonsquare, name
+
 
 class TestVerifyEntry:
     def test_quartic_derivative_roots(self):

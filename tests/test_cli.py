@@ -74,6 +74,20 @@ class TestScheduleParsing:
                                "--", "x-2")
         assert code == 1 and f"--K {K + 1} " in err
 
+    @pytest.mark.parametrize("argv, column, fix", [
+        (["generate", "--p", "3", "--n", "1", "--K", "10000", "--mode", "monna", "--", "x-2"],
+         "monna", "--K"),
+        (["bridge", "--p", "3", "--N", "1..2", "--K", "10000", "--", "x-2"], "d_N", "--K"),
+        (["generate", "--p", "3", "--n", "2", "--", "x^20000"], "value", "polynomial"),
+        (["generate", "--p", "3", "--n", "2", "--format", "json", "--", "x^20000"],
+         "value", "polynomial"),
+    ])
+    def test_integer_too_long_to_print_exits_1_with_one_line(self, capsys, argv, column, fix):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"padiclds: error: the {column} column ")
+        assert fix in err and "set_int_max_str_digits" not in err
+
     def test_length_budget_admits_the_limit(self):
         top = cli.MAX_SEQUENCE_LENGTH
         assert parse_schedule(f"{top - 1}..{top}", 2) == [top - 1, top]

@@ -5,10 +5,12 @@ given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
 searches, error paths, five large-p and three high-degree classify calls, long
 and dense discrepancy, paircorr and generate schedules, digit and
 digit-reversal output of negative values, integer ``--linear`` sequences,
-and unsorted, long, dense and negative-valued bridge schedules), through ``padiclds.cli.main`` in-process, and prints per workload
-the job count and one sha256 over (argv, exit code, stdout, stderr) of its
-jobs in order.  Two trees whose digests agree produce byte-identical CLI
-output on all of these inputs.
+unsorted, long, dense and negative-valued bridge schedules, and the catalog
+dump of each ``verify-tables --which`` selection), through
+``padiclds.cli.main`` in-process, and prints per workload the job count and
+one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
+trees whose digests agree produce byte-identical CLI output on all of these
+inputs.
 
 Usage:
     PYTHONPATH=<tree>/src python3 tools/cli_digest.py [SEED ...]   # default 1 2 3
@@ -86,6 +88,9 @@ EXTRA = [
     ["bridge", "--p", "3", "--K", "20", "--N", "1..30", "--", "x-15"],
     ["generate", "--p", "3", "--n", "30", "--K", "40", "--mode", "monna", "--", "x^2-7"],
     ["generate", "--p", "7", "--n", "20", "--K", "25", "--mode", "digits", "--", "x^3-50"],
+    # every catalog field of each table selection (the search workload runs
+    # verify-tables without --dump)
+    *(["verify-tables", "--which", which, "--dump"] for which in ("dickson", "derivatives", "lds")),
 ]
 
 
