@@ -8,7 +8,14 @@ tables by exhaustive search, and bridges to real sequences in [0,1) via the
 digit-reversal map.
 """
 
-from .padic import check_prime, digit_reversals, digits_of, monna_of_int, valuation
+from .padic import (
+    check_prime,
+    digit_expansions,
+    digit_reversals,
+    digits_of,
+    monna_of_int,
+    valuation,
+)
 from .polynomials import (
     IntPolynomial,
     PolyParseError,
@@ -37,6 +44,7 @@ from .sequence import poly_sequence
 from .discrepancy import (
     DiscrepancyResult,
     discrepancy_profile,
+    lds_prefix_discrepancies,
     meijer_bound_check,
     padic_discrepancy,
     prefix_discrepancies,
@@ -47,6 +55,7 @@ from .discrepancy import (
 from .paircorr import (
     F_statistic,
     PairCorrInput,
+    lds_pair_count,
     pair_count,
     ppc_sweep,
     threshold_level,

@@ -26,8 +26,13 @@ from .catalog import (
     verification_primes,
     verify_entry,
 )
-from .discrepancy import meijer_bound_check, prefix_discrepancies, prefix_real_discrepancies
-from .padic import InvariantError, check_prime, digit_reversals, digits_of
+from .discrepancy import (
+    lds_prefix_discrepancies,
+    meijer_bound_check,
+    prefix_discrepancies,
+    prefix_real_discrepancies,
+)
+from .padic import InvariantError, check_prime, digit_expansions, digit_reversals
 from .paircorr import ppc_sweep
 from .permcheck import classify_low_discrepancy, classify_via_reduction, noebauer_mod_p2
 from .polynomials import IntPolynomial, parse_poly, render, unit_derivative_poly, unit_value_poly
@@ -248,10 +253,7 @@ def cmd_generate(args) -> int:
             raise ValueError("--K is required for digit output")
         _check_digits(K, values, p)
         header = ["n"] + [f"digit_{i}" for i in range(K)]
-        # v and ~v = -v-1 sum to -1, so mod p^K their digits sum to p - 1
-        # place by place: a negative v costs the digits of ~v, not K of them
-        rows = [[n, *(digits_of(v, p, K) if v >= 0 else [p - 1 - d for d in digits_of(~v, p, K)])]
-                for n, v in enumerate(values, 1)]
+        rows = [[n, *digits] for n, digits in enumerate(digit_expansions(values, p, K), 1)]
     elif args.mode == "monna":
         _check_digits(K, values, p)
         images = digit_reversals(values, p, K)
@@ -266,13 +268,26 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _certified(f: IntPolynomial, p: int, schedule: list[int]) -> bool:
+    """Whether f is a certified low-discrepancy sequence at p with p^2 <= max N.
+
+    Such an f permutes every Z/p^k, so ``discrepancy`` and ``paircorr`` rows
+    follow from closed forms with no values.  The certificate is
+    ``classify_low_discrepancy``'s (a broken invariant exits 2); its
+    enumeration mod p^2 costs no more than the N values it replaces.
+    """
+    return p * p <= max(schedule) and classify_low_discrepancy(f, p).low_discrepancy
+
+
 def cmd_discrepancy(args) -> int:
     f = _sequence_spec(args)
     schedule = parse_schedule(args.N, args.p)
-    values = poly_sequence(f, max(schedule))
     header = ["N", "D_N", "N_times_D_N", "witness_level", "witness_residue",
               "separation_depth", "D_N_approx"]
-    results = prefix_discrepancies(values, args.p, schedule)
+    if _certified(f, args.p, schedule):
+        results = lds_prefix_discrepancies(args.p, schedule)
+    else:
+        results = prefix_discrepancies(poly_sequence(f, max(schedule)), args.p, schedule)
     rows = []
     for N in schedule:
         res = results[N]
@@ -292,7 +307,7 @@ def cmd_paircorr(args) -> int:
     schedule = parse_schedule(args.N, args.p)
     alpha = parse_fraction(args.alpha)
     s_list = [parse_fraction(s) for s in args.s.split(",")]
-    values = poly_sequence(f, max(schedule))
+    values = None if _certified(f, args.p, schedule) else poly_sequence(f, max(schedule))
     rows_raw = ppc_sweep(values, args.p, alpha, s_list, schedule)
     header = ["N", "s", "F", "F_approx"]
     rows = [[N, _frac(s), _frac(F), float(F)] for N, s, F in rows_raw]

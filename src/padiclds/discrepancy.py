@@ -18,7 +18,9 @@ the occupancy counts and their extremes, and forms the exact supremum and its
 witness only at the requested lengths.  A long stretch is counted into every
 level by one C-level pass, a short one (a dense schedule) value by value.
 ``padic_discrepancy`` and ``discrepancy_profile`` are that engine at one
-length or at every length.
+length or at every length.  For a sequence that permutes every Z/p^k (a
+certified low-discrepancy sequence) ``lds_prefix_discrepancies`` gives the
+same results in closed form, with no values.
 
 The real extreme discrepancy on [0,1) has its own prefix engine,
 ``prefix_real_discrepancies``: the points are integer numerators over one
@@ -229,6 +231,36 @@ def prefix_discrepancies(
         while len(levels) < 2 or len(levels[-2].counts) < len(multiplicities):
             levels.append(_Level(p ** (len(levels) + 1), values[:N]))
         out[N] = _supremum(levels, N, cstar)
+    return out
+
+
+def lds_prefix_discrepancies(p: int, lengths: list[int]) -> dict[int, DiscrepancyResult]:
+    """``prefix_discrepancies`` of f(1), f(2), ... for an f that permutes every
+    Z/p^k, from the closed form alone.
+
+    Such an f fills the balls mod p^k exactly as n -> n does: with
+    N = q*p^k + s and 0 <= s < p^k, s residues hold q + 1 of the first N
+    values and the rest q.  The values are distinct, so the tail term is 1/N,
+    and every level's term is below it: |c/N - p^-k| is (p^k - s)/(N*p^k)
+    for c = q + 1 (held only when s > 0) and s/(N*p^k) for c = q, and an
+    unoccupied residue (q = 0, so N < p^k) gives p^-k.  So D_N = 1/N with
+    witness "tail", and the separation depth is the least k >= 1 with
+    p^k >= N.  ``lengths`` follows ``prefix_discrepancies``: duplicates and any
+    order allowed, each distinct N answered in increasing order.
+    """
+    check_prime(p)
+    wanted = sorted(set(lengths))
+    if not wanted or wanted[0] < 1:
+        raise ValueError("prefix lengths must be >= 1")
+    out: dict[int, DiscrepancyResult] = {}
+    k, pk = 1, p
+    for N in wanted:
+        while pk < N:
+            k, pk = k + 1, pk * p
+        out[N] = DiscrepancyResult(
+            value=Fraction(1, N), witness_level=WITNESS_TAIL, witness_residue=None,
+            separation_depth=k,
+        )
     return out
 
 

@@ -82,24 +82,40 @@ def valuation(x: int, p: int) -> int:
     return m
 
 
+def digit_expansions(values: list[int], p: int, K: int) -> list[tuple[int, ...]]:
+    """Little-endian base-p digits of each x mod p^K; p, K and p^K once per call.
+
+    A negative x is read through its complement ~x = -x-1: x and ~x sum to
+    -1, so mod p^K their digits sum to p - 1 place by place, and the digit
+    loop divides the small ~x rather than the K-digit residue of x.
+    """
+    check_prime(p)
+    if K < 1:
+        raise ValueError("precision K must be >= 1")
+    pk = p ** K
+    out = []
+    for x in values:
+        negative = x < 0
+        x = (~x if negative else x) % pk
+        digits = []
+        for _ in range(K):
+            x, d = divmod(x, p)
+            digits.append(d)
+        out.append(tuple(p - 1 - d for d in digits) if negative else tuple(digits))
+    return out
+
+
 def digits_of(x: int, p: int, K: int) -> tuple[int, ...]:
-    """Little-endian base-p digits of x mod p^K.
+    """Little-endian base-p digits of a nonnegative x mod p^K: the single-value
+    case of ``digit_expansions``.
 
     Examples:
         >>> digits_of(7, 3, 3)
         (1, 2, 0)
     """
-    check_prime(p)
-    if K < 1:
-        raise ValueError("precision K must be >= 1")
     if x < 0:
         raise ValueError("digits_of expects a nonnegative integer")
-    x %= p ** K
-    out = []
-    for _ in range(K):
-        out.append(x % p)
-        x //= p
-    return tuple(out)
+    return digit_expansions([x], p, K)[0]
 
 
 def digit_reversals(values: list[int], p: int, K: int | None = None) -> list[tuple[int, int]]:

@@ -11,7 +11,9 @@ A sweep over an (N, s) grid counts each distinct (N, k) once.  Per level k it
 keeps one running count of residue classes, grown by the stretch of values
 between consecutive N in one C-level pass, and the sum of the squared class
 sizes, from which the ordered pairs follow; level 0 holds all N(N-1) pairs
-and is not counted at all.
+and is not counted at all.  A sequence that permutes every Z/p^k (a certified
+low-discrepancy sequence) needs no values: its classes are those of n -> n,
+and ``lds_pair_count`` gives the pairs in closed form.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ from itertools import repeat
 from operator import mod, mul
 
 from .padic import check_prime
+
+# ``threshold_level`` refuses a radius s = su/sv at alpha = u/v when v times
+# the bits of su and sv exceeds this.  Its level loop grows with the square
+# of that product and is dearest at v = 1, p = 2: about 5 ms at the limit
+# (N = 10^5), 17 ms at twice it, and 10.5 s for s = 1/10^1000 at v = 1000
+# (CPython 3.11, 2-core x86-64 host).
+MAX_RADIUS_BITS = 10_000
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,8 @@ def threshold_level(s: Fraction, N: int, alpha: Fraction, p: int) -> int:
 
     Being within the radius s/N^alpha is then exactly congruence mod p^k.
     With alpha = u/v and s = su/sv, the condition is N^u * sv^v <= su^v * p^(k*v),
-    so v is bounded (by 1000) before any of these powers is formed.
+    so v (by 1000) and v times the bits of su and sv (by ``MAX_RADIUS_BITS``)
+    are bounded before any of these powers is formed.
     """
     check_prime(p)
     s = Fraction(s)
@@ -79,6 +89,10 @@ def threshold_level(s: Fraction, N: int, alpha: Fraction, p: int) -> int:
     u, v = alpha.numerator, alpha.denominator
     if v > 1000:
         raise ValueError(f"alpha = {alpha} has denominator {v}; at most 1000 is supported")
+    bits = s.numerator.bit_length() + s.denominator.bit_length()
+    if v * bits > MAX_RADIUS_BITS:  # named by its size: s may have too many digits to print
+        raise ValueError(f"radius s of {bits} bits (numerator and denominator) at alpha = "
+                         f"{alpha} needs {v * bits} bits; at most {MAX_RADIUS_BITS} is supported")
     lhs = N ** u * s.denominator ** v
     rhs = s.numerator ** v
     step = p ** v
@@ -129,6 +143,24 @@ def pair_count(values, p: int, k: int) -> int:
     return _close_pairs(values, p, [(N, k)])[N, k]
 
 
+def lds_pair_count(N: int, p: int, k: int) -> int:
+    """``pair_count`` of f(1), ..., f(N) for an f that permutes every Z/p^k.
+
+    Such an f fills the classes mod p^k as n -> n does: with N = q*p^k + s and
+    0 <= s < p^k, s classes hold q + 1 values and p^k - s hold q, so the
+    ordered pairs number s*(q+1)*q + (p^k - s)*q*(q-1) = q*((q-1)*p^k + 2s).
+    Level 0 counts all N(N-1).
+    """
+    check_prime(p)
+    if k < 0:
+        raise ValueError("level k must be >= 0")
+    if k == 0:
+        return N * (N - 1)
+    pk = p ** k
+    q, s = divmod(N, pk)
+    return q * ((q - 1) * pk + 2 * s)
+
+
 def F_statistic(inp: PairCorrInput) -> Fraction:
     """The normalized pair count (p^k / N^2) * #{close ordered pairs}."""
     N = len(inp.values)
@@ -146,10 +178,11 @@ def ppc_sweep(
 ) -> list[tuple[int, Fraction, Fraction]]:
     """Evaluate the statistic on an (N, s) grid, emitted in schedule order.
 
-    ``source`` is a full value list whose prefixes are used, or a callable
-    N -> values.  alpha and the radii are validated once, and each distinct
-    (N, k) is counted once: over the prefixes of the value list together, or
-    over each callable's list alone.
+    ``source`` is a full value list whose prefixes are used, a callable
+    N -> values, or None for a sequence that permutes every Z/p^k, whose close
+    pairs ``lds_pair_count`` gives with no values.  alpha and the radii are
+    validated once, and each distinct (N, k) is counted once: over the
+    prefixes of the value list together, or over each callable's list alone.
     """
     if not N_schedule:
         raise ValueError("schedule must be nonempty")
@@ -172,12 +205,15 @@ def ppc_sweep(
             counted[N] = len(values), _close_pairs(values, p, requests([len(values)]))
     else:
         for N in N_schedule:
-            if N > len(source):
+            if source is not None and N > len(source):
                 raise ValueError(f"only {len(source)} values available, N={N} requested")
             if N < 1:
                 raise ValueError("need at least one value")
         prefixes = set(N_schedule)
-        pairs = _close_pairs(source[: max(prefixes)], p, requests(prefixes))
+        if source is None:
+            pairs = {(n, k): lds_pair_count(n, p, k) for n, k in set(requests(prefixes))}
+        else:
+            pairs = _close_pairs(source[: max(prefixes)], p, requests(prefixes))
         counted = {N: (N, pairs) for N in prefixes}
     rows: list[tuple[int, Fraction, Fraction]] = []
     for N in N_schedule:

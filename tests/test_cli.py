@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from padiclds import cli
+from padiclds import cli, paircorr
 from padiclds.cli import main, parse_fraction, parse_schedule
 from padiclds.padic import InvariantError, digits_of, monna_of_int
 from padiclds.polynomials import parse_poly
@@ -300,6 +300,83 @@ class TestPaircorrCommand:
         assert time.perf_counter() - start < 1
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "alpha = 1/100000000" in err
+
+    @pytest.mark.parametrize("s", ["1/1" + "0" * 4000, "1e-5000"])
+    def test_oversized_radius_exits_1_at_once(self, capsys, s):
+        # the level loop would step a 13-million-bit bound by 2^1000 per level;
+        # s = 1/10^5000 has too many digits to print, so it is named by size
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "paircorr", "--p", "2", "--N", "1",
+                                 "--alpha", "1/1000", "--s", s, "--", "x")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        bits = 1 + parse_fraction(s).denominator.bit_length()
+        assert err == (f"padiclds: error: radius s of {bits} bits (numerator and denominator) "
+                       f"at alpha = 1/1000 needs {1000 * bits} bits; at most "
+                       f"{paircorr.MAX_RADIUS_BITS} is supported\n")
+
+
+class TestCertifiedRoute:
+    """discrepancy and paircorr answer an input that classify certifies as
+    low-discrepancy, with p^2 <= max N, from closed forms with no values, and
+    every other input from the value engines."""
+
+    CERTIFIED = [
+        ["discrepancy", "--p", "3", "--N", "9,4,9,1,10", "--", "x^3+x"],
+        ["discrepancy", "--p", "2", "--N", "1..70", "--", "x^4+x^2+x"],
+        ["discrepancy", "--p", "7", "--N", "49", "--linear", "5", "3"],
+        ["discrepancy", "--p", "3", "--N", "pk:0..7", "--format", "json", "--", "x^3+x"],
+        ["paircorr", "--p", "3", "--N", "3000,1,2999", "--alpha", "1/2", "--s", "1/3,1,2",
+         "--", "x^3+x"],
+        ["paircorr", "--p", "2", "--N", "pk:0..12", "--alpha", "1/3", "--s", "1/2,3",
+         "--", "x^4+x^2+x"],
+        ["paircorr", "--p", "7", "--N", "50,48,49", "--alpha", "1", "--s", "1",
+         "--format", "json", "--linear", "5", "3"],
+    ]
+    ENGINE = [
+        ["discrepancy", "--p", "3", "--N", "1..30", "--", "x^2+1"],  # not low-discrepancy
+        ["discrepancy", "--p", "7", "--N", "48,3", "--linear", "5", "3"],  # 49 > max N
+        ["paircorr", "--p", "3", "--N", "9,27", "--alpha", "1/2", "--s", "1", "--", "x^3"],
+        ["paircorr", "--p", "11", "--N", "1..120", "--alpha", "1/2", "--s", "1",
+         "--linear", "3", "1"],
+    ]
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value engine was reached")
+
+    @pytest.mark.parametrize("argv", CERTIFIED)
+    def test_certified_input_never_reaches_the_engines(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_certified", lambda f, p, schedule: False)
+            engine = run_cli(capsys, *argv)
+        assert engine[0] == 0
+        monkeypatch.setattr(cli, "poly_sequence", self.refuse)
+        monkeypatch.setattr(cli, "prefix_discrepancies", self.refuse)
+        monkeypatch.setattr(paircorr, "_close_pairs", self.refuse)
+        assert run_cli(capsys, *argv) == engine  # the same bytes
+
+    @pytest.mark.parametrize("argv", ENGINE)
+    def test_other_inputs_reach_the_engines(self, monkeypatch, argv):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "prefix_discrepancies", reached)
+        monkeypatch.setattr(paircorr, "_close_pairs", reached)
+        with pytest.raises(Reached):
+            main(argv)
+
+    def test_broken_certificate_exits_2(self, capsys, monkeypatch):
+        def broken(f, p):
+            raise InvariantError("internal error: injected for the test")
+
+        monkeypatch.setattr(cli, "classify_low_discrepancy", broken)
+        for argv in self.CERTIFIED[0], self.CERTIFIED[4]:
+            assert run_cli(capsys, *argv) == (
+                2, "", "padiclds: error: internal error: injected for the test\n")
 
 
 class TestVerifyTablesCommand:

@@ -7,6 +7,7 @@ from padiclds.padic import (
     PRIME_BOUND,
     _is_prime,
     check_prime,
+    digit_expansions,
     digit_reversals,
     digits_of,
     monna_of_int,
@@ -118,6 +119,22 @@ class TestDigits:
     def test_rejects_bad_precision(self):
         with pytest.raises(ValueError):
             digits_of(1, 3, 0)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 1048573])
+    def test_expansions_equal_the_digits_of_each_residue(self, p):
+        # negative values take the complement path
+        rng = random.Random(p)
+        for K in (1, 2, 5, 9):
+            pk = p**K
+            values = [rng.randint(-pk * p, pk * p) for _ in range(40)]
+            values += [0, -1, -pk, pk - 1, -pk - 1]
+            assert digit_expansions(values, p, K) == [digits_of(v % pk, p, K) for v in values]
+
+    def test_expansions_reject_bad_p_and_K(self):
+        assert digit_expansions([], 3, 2) == []
+        for p, K, message in ((4, 2, "p must be prime"), (3, 0, "precision K must be >= 1")):
+            with pytest.raises(ValueError, match=message):
+                digit_expansions([5, -5], p, K)
 
 
 class TestMonna:

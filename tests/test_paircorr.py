@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from padiclds.discrepancy import separation_depth
 from padiclds.padic import valuation
 from padiclds.paircorr import (
+    MAX_RADIUS_BITS,
     F_statistic,
     PairCorrInput,
+    lds_pair_count,
     pair_count,
     ppc_sweep,
     threshold_level,
@@ -64,6 +67,22 @@ class TestThresholdLevel:
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
             threshold_level(Fraction(0), 5, Fraction(1), 3)
+
+    def test_oversized_radius_rejected_before_any_power(self):
+        # the level loop would take about 3,300 steps on a 3.3-million-bit bound
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="radius s of 3323 bits .* at alpha = 1/1000"):
+            threshold_level(Fraction(1, 10**1000), 10**5, Fraction(1, 1000), 2)
+        assert time.perf_counter() - start < 0.1
+
+    def test_radius_bits_admitted_up_to_the_limit(self):
+        # v = 1 and p = 2 make the most level steps per bit: one per bit of s
+        s = Fraction(1, 2 ** (MAX_RADIUS_BITS - 2))  # 1 + (MAX_RADIUS_BITS - 1) bits
+        assert threshold_level(s, 10**5, Fraction(1), 2) == MAX_RADIUS_BITS - 2 + 17
+        with pytest.raises(ValueError, match=f"at most {MAX_RADIUS_BITS}"):
+            threshold_level(s / 2, 10**5, Fraction(1), 2)
+        with pytest.raises(ValueError, match=f"needs {3 * MAX_RADIUS_BITS} bits"):
+            threshold_level(s, 10**5, Fraction(1, 3), 2)
 
 
 class TestPairCount:
@@ -214,6 +233,21 @@ class TestSweep:
             inp = PairCorrInput(values=tuple(lists[N]), p=3, alpha=Fraction(1), s=s)
             assert F == F_statistic(inp)
         assert [N for N, _, _ in rows] == [4, 4, 2, 2, 5, 5, 4, 4]
+
+    @pytest.mark.parametrize("p,text", [(2, "x^4+x^2+x"), (3, "x^3+x"), (7, "5x+3")])
+    def test_closed_form_source_equals_the_values(self, p, text):
+        # source None: a sequence that permutes every Z/p^k, counted in closed form
+        values = poly_sequence(parse_poly(text), 400)
+        schedule = [400, 1, p * p, p * p - 1, 97, p * p + 1, 400]
+        radii = [Fraction(400), Fraction(1), Fraction(1, 3), Fraction(1, p ** 9)]
+        for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+            assert ppc_sweep(None, p, alpha, radii, schedule) == ppc_sweep(
+                values, p, alpha, radii, schedule)
+        for N in (1, 2, p, 97, 400):
+            for k in range(6):
+                assert lds_pair_count(N, p, k) == pair_count_oracle(values[:N], p, k), (N, k)
+        with pytest.raises(ValueError, match="need at least one value"):
+            ppc_sweep(None, p, Fraction(1), [Fraction(1)], [3, 0])
 
     def test_validation_messages(self):
         values = [1, 2, 3]

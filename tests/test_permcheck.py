@@ -1,10 +1,12 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from padiclds import cli, permcheck
+from padiclds.discrepancy import padic_discrepancy
 from padiclds.padic import InvariantError
 from padiclds.permcheck import (
     METHOD_BRUTE_FORCE,
@@ -29,6 +31,7 @@ from padiclds.polynomials import (
     unit_derivative_poly,
     unit_value_poly,
 )
+from padiclds.sequence import poly_sequence
 
 
 def perm_oracle(f, m):
@@ -375,6 +378,19 @@ class TestCertificateOracle:
             if p >= 3:
                 folded += unit_value_poly(f, p) != reduce_coeffs_mod(f, p)
         assert folded > 0  # the foldings really differ from f
+
+    @pytest.mark.parametrize("cases", [exhaustive_cases, sampled_cases])
+    def test_verdict_equals_the_discrepancy_at_p_squared_plus_one(self, cases):
+        # the paper's theorem as a third oracle, with no Noebauer table and no
+        # enumeration mod p^2: an LDS f fills every ball as n -> n does, so
+        # D_N = 1/N, and any other f misses a ball mod p or p^2, so D_N >= p^-2
+        seen = set()
+        for f, p in cases():
+            N = p * p + 1
+            lds = padic_discrepancy(poly_sequence(f, N), p).value == Fraction(1, N)
+            assert classify_low_discrepancy(f, p).low_discrepancy == lds, (f, p)
+            seen.add(lds)
+        assert seen == {True, False}
 
     def test_cli_blocks_equal_the_library_verdicts(self, capsys):
         # cmd_classify derives its noebauer block from the brute-force verdict

@@ -1,9 +1,12 @@
 """Property tests: the modular image against a set oracle, the text round trip,
-and the real-discrepancy engine against a grid oracle.
+the real-discrepancy engine against a grid oracle, and the closed forms of a
+low-discrepancy sequence against the p-adic engines.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
+import functools
+import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -12,8 +15,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from padiclds.discrepancy import prefix_real_discrepancies, real_extreme_discrepancy  # noqa: E402
+from padiclds.discrepancy import (  # noqa: E402
+    lds_prefix_discrepancies,
+    prefix_discrepancies,
+    prefix_real_discrepancies,
+    real_extreme_discrepancy,
+)
+from padiclds.paircorr import _close_pairs, lds_pair_count  # noqa: E402
+from padiclds.permcheck import classify_low_discrepancy  # noqa: E402
 from padiclds.polynomials import IntPolynomial, _image, parse_poly, render  # noqa: E402
+from padiclds.sequence import poly_sequence  # noqa: E402
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -73,3 +84,39 @@ def test_real_discrepancy_engine_matches_grid_oracle(qa, data):
     for N, d in results.items():
         prefix = [Fraction(a, Q) for a in numerators[:N]]
         assert d == real_extreme_discrepancy(prefix) == grid_real_discrepancy(prefix)
+
+
+@functools.cache
+def lds_bases(p):
+    """Every coefficient tuple over [0, p) of degree <= 3 that classify accepts."""
+    return [c for c in itertools.product(range(p), repeat=4)
+            if classify_low_discrepancy(IntPolynomial(c), p).low_discrepancy]
+
+
+@st.composite
+def lds_inputs(draw):
+    """(p, coefficients) of a low-discrepancy f: a*x + b with p not dividing a,
+    or a tuple classify accepts plus p*h for a random h.  f + p*h is
+    low-discrepancy exactly when f is: they agree mod p, and so do their
+    derivatives."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    if draw(st.booleans()):
+        a = p * draw(st.integers(-10**4, 10**4)) + draw(st.integers(1, p - 1))
+        return p, [draw(st.integers(-10**4, 10**4)), a]
+    base = draw(st.sampled_from(lds_bases(p)))
+    h = draw(st.lists(st.integers(-5, 5), max_size=7))
+    return p, [b + p * c for b, c in itertools.zip_longest(base, h, fillvalue=0)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(lds_inputs())
+def test_closed_forms_equal_the_engines_on_low_discrepancy_input(pc):
+    p, coeffs = pc
+    f = IntPolynomial(coeffs)
+    assert classify_low_discrepancy(f, p).low_discrepancy
+    values = poly_sequence(f, 300)
+    assert lds_prefix_discrepancies(p, range(300, 0, -1)) == prefix_discrepancies(values, p)
+    for N in {1, 2, p, p * p + 1, 97, 300}:
+        requests = [(N, k) for k in range(7)]
+        assert _close_pairs(values, p, requests) == {
+            (N, k): lds_pair_count(N, p, k) for N, k in requests}

@@ -5,8 +5,10 @@ given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
 searches, error paths, five large-p and three high-degree classify calls, long
 and dense discrepancy, paircorr and generate schedules, digit and
 digit-reversal output of negative values, integer ``--linear`` sequences,
-unsorted, long, dense and negative-valued bridge schedules, and the catalog
-dump of each ``verify-tables --which`` selection), through
+unsorted, long, dense and negative-valued bridge schedules, the catalog
+dump of each ``verify-tables --which`` selection, and the closed-form
+``discrepancy`` and ``paircorr`` rows of certified low-discrepancy inputs at
+their boundaries, beside the inputs that still take the value engines), through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
 trees whose digests agree produce byte-identical CLI output on all of these
@@ -91,6 +93,30 @@ EXTRA = [
     # every catalog field of each table selection (the search workload runs
     # verify-tables without --dump)
     *(["verify-tables", "--which", which, "--dump"] for which in ("dickson", "derivatives", "lds")),
+    # certified low-discrepancy inputs answered in closed form: N = 1, p^2 - 1,
+    # p^2, p^2 + 1 and p^k +- 1, an integer --linear sequence, a power
+    # schedule at alpha 1/3, JSON, and an unsorted schedule with repeats
+    *([cmd, "--p", p, "--N", sched, *radii, "--", f]
+      for p, f, sched in (("2", "x^4+x^2+x", "1,3,4,5,1023,1025,65535,65537"),
+                          ("7", "x^5+x^3+3x+49x^2", "1,48,49,50,342,344,16806,16808"))
+      for cmd, radii in (("discrepancy", []),
+                         ("paircorr", ["--alpha", "1/2", "--s", "1/3,1,2,7/2"]))),
+    ["discrepancy", "--p", "7", "--N", "1..49", "--linear", "5", "3"],
+    ["paircorr", "--p", "7", "--N", "1..60", "--alpha", "2/3", "--s", "1,1/7",
+     "--linear", "5", "3"],
+    ["paircorr", "--p", "2", "--N", "pk:0..16", "--alpha", "1/3", "--s", "1/2,1,3",
+     "--", "x^4+x^2+x"],
+    ["discrepancy", "--p", "3", "--N", "1..30", "--format", "json", "--", "x^3+x"],
+    ["paircorr", "--p", "3", "--N", "81,9", "--alpha", "1", "--s", "1,3", "--format", "json",
+     "--", "x^3+x"],
+    ["discrepancy", "--p", "3", "--N", "50,9,50,1,9", "--", "x^3+x"],
+    ["paircorr", "--p", "3", "--N", "50,9,50,1,9", "--alpha", "3/4", "--s", "1/2,2", "--", "x^3+x"],
+    # the value engines: an input that is not low-discrepancy, and certified
+    # ones whose largest N is below p^2
+    ["discrepancy", "--p", "3", "--N", "1..100", "--", "x^3"],
+    ["paircorr", "--p", "3", "--N", "100,10", "--alpha", "1/2", "--s", "1,1/3", "--", "x^3"],
+    ["discrepancy", "--p", "7", "--N", "1..48", "--linear", "5", "3"],
+    ["paircorr", "--p", "11", "--N", "120,1", "--alpha", "1/2", "--s", "1,2", "--linear", "3", "1"],
 ]
 
 
