@@ -72,7 +72,13 @@ def _frac(fr: Fraction) -> str:
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as exc:
+        # a well-formed rational can still hold more digits than str -> int converts
+        if str(exc).startswith("Exceeds the limit"):
+            raise ValueError(f"rational {text[:16]!r}... ({len(text)} characters) has an integer "
+                             f"of more than {sys.get_int_max_str_digits()} digits, the most the "
+                             f"interpreter converts; write it with an exponent, like 1e-5000"
+                             ) from None
         raise ValueError(f"invalid rational {text!r} (expected forms like 2 or 1/3)") from None
 
 
@@ -188,8 +194,7 @@ def _emit_rows(args, header: list[str], rows: list[list], command: str) -> None:
 
 def _emit_json(args, payload: dict) -> None:
     with _out_stream(args) as stream:
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -317,18 +322,10 @@ def cmd_paircorr(args) -> int:
 
 def cmd_verify_tables(args) -> int:
     which = args.which
-    entries = []
-    for entry in dickson_entries():
-        if which == "dickson" and entry.source_table != 2:
-            continue
-        if which == "lds" and entry.source_table != 1:
-            continue
-        if which == "derivatives":
-            if entry.source_table != 2:
-                continue
-            if entry.expected_derivative_roots is None and entry.derivative_root_exists is None:
-                continue
-        entries.append(entry)
+    entries = [e for e in dickson_entries()
+               if e.source_table == (1 if which == "lds" else 2)
+               and (which != "derivatives" or e.expected_derivative_roots is not None
+                    or e.derivative_root_exists is not None)]
 
     if args.dump:
         _emit_json(args, {

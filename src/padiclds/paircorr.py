@@ -26,11 +26,11 @@ from operator import mod, mul
 
 from .padic import check_prime
 
-# ``threshold_level`` refuses a radius s = su/sv at alpha = u/v when v times
-# the bits of su and sv exceeds this.  Its level loop grows with the square
-# of that product and is dearest at v = 1, p = 2: about 5 ms at the limit
-# (N = 10^5), 17 ms at twice it, and 10.5 s for s = 1/10^1000 at v = 1000
-# (CPython 3.11, 2-core x86-64 host).
+# A radius s = su/sv at alpha = u/v is refused when v times the bits of su and
+# sv exceeds this.  Each radius's levels are walked once, up from k = 0; the
+# walk's length grows with that product and is dearest at v = 1, p = 2, where
+# at the limit it climbs 10^4 levels: 5 ms for one size, 0.11 s over the sizes
+# 1..10^5 (CPython 3.11, 2-core x86-64 host).
 MAX_RADIUS_BITS = 10_000
 
 
@@ -57,7 +57,11 @@ class PairCorrInput:
 
 
 def _checked_parameters(p: int, alpha, s_list) -> tuple[Fraction, list[Fraction]]:
-    """alpha and the radii as fractions, each validated once."""
+    """alpha and the radii as fractions, each validated once.
+
+    alpha's denominator v (by 1000) and v times the bits of each radius (by
+    ``MAX_RADIUS_BITS``) are bounded before any power of them is formed.
+    """
     check_prime(p)
     alpha = Fraction(alpha)
     radii = [Fraction(s) for s in s_list]
@@ -66,41 +70,48 @@ def _checked_parameters(p: int, alpha, s_list) -> tuple[Fraction, list[Fraction]
     for s in radii:
         if s <= 0:
             raise ValueError("s must be positive: the normalizing measure vanishes at s = 0")
+    v = alpha.denominator
+    if v > 1000:
+        raise ValueError(f"alpha = {alpha} has denominator {v}; at most 1000 is supported")
+    for s in radii:
+        bits = s.numerator.bit_length() + s.denominator.bit_length()
+        if v * bits > MAX_RADIUS_BITS:  # named by its size: s may have too many digits to print
+            raise ValueError(f"radius s of {bits} bits (numerator and denominator) at alpha = "
+                             f"{alpha} needs {v * bits} bits; at most {MAX_RADIUS_BITS} is "
+                             f"supported")
     return alpha, radii
+
+
+def _levels(s: Fraction, alpha: Fraction, p: int, sizes):
+    """The smallest k >= 0 with p^(-k) <= s / N^alpha at each N of the
+    increasing sizes.
+
+    With alpha = u/v and s = su/sv, that is N^u * sv^v <= su^v * p^(k*v).  The
+    level cannot fall as N grows, so one walk serves every size and never
+    restarts k.
+    """
+    u, v = alpha.numerator, alpha.denominator
+    scale = s.denominator ** v
+    bound = s.numerator ** v
+    step = p ** v
+    k = 0
+    for N in sizes:
+        lhs = N ** u * scale
+        while lhs > bound:
+            bound *= step
+            k += 1
+        yield k
 
 
 def threshold_level(s: Fraction, N: int, alpha: Fraction, p: int) -> int:
     """Smallest k >= 0 with p^(-k) <= s / N^alpha, decided in exact integers.
 
     Being within the radius s/N^alpha is then exactly congruence mod p^k.
-    With alpha = u/v and s = su/sv, the condition is N^u * sv^v <= su^v * p^(k*v),
-    so v (by 1000) and v times the bits of su and sv (by ``MAX_RADIUS_BITS``)
-    are bounded before any of these powers is formed.
     """
-    check_prime(p)
-    s = Fraction(s)
-    alpha = Fraction(alpha)
-    if s <= 0:
-        raise ValueError("s must be positive")
+    alpha, (s,) = _checked_parameters(p, alpha, [s])
     if N < 1:
         raise ValueError("N must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    u, v = alpha.numerator, alpha.denominator
-    if v > 1000:
-        raise ValueError(f"alpha = {alpha} has denominator {v}; at most 1000 is supported")
-    bits = s.numerator.bit_length() + s.denominator.bit_length()
-    if v * bits > MAX_RADIUS_BITS:  # named by its size: s may have too many digits to print
-        raise ValueError(f"radius s of {bits} bits (numerator and denominator) at alpha = "
-                         f"{alpha} needs {v * bits} bits; at most {MAX_RADIUS_BITS} is supported")
-    lhs = N ** u * s.denominator ** v
-    rhs = s.numerator ** v
-    step = p ** v
-    k = 0
-    while lhs > rhs:
-        rhs *= step
-        k += 1
-    return k
+    return next(_levels(s, alpha, p, [N]))
 
 
 def _close_pairs(values, p: int, requests) -> dict[tuple[int, int], int]:
@@ -163,10 +174,7 @@ def lds_pair_count(N: int, p: int, k: int) -> int:
 
 def F_statistic(inp: PairCorrInput) -> Fraction:
     """The normalized pair count (p^k / N^2) * #{close ordered pairs}."""
-    N = len(inp.values)
-    k = threshold_level(inp.s, N, inp.alpha, inp.p)
-    cnt = pair_count(inp.values, inp.p, k)
-    return Fraction(inp.p ** k * cnt, N * N)
+    return ppc_sweep(inp.values, inp.p, inp.alpha, [inp.s], [len(inp.values)])[0][2]
 
 
 def ppc_sweep(
@@ -181,44 +189,30 @@ def ppc_sweep(
     ``source`` is a full value list whose prefixes are used, a callable
     N -> values, or None for a sequence that permutes every Z/p^k, whose close
     pairs ``lds_pair_count`` gives with no values.  alpha and the radii are
-    validated once, and each distinct (N, k) is counted once: over the
-    prefixes of the value list together, or over each callable's list alone.
+    validated once, each radius's levels are walked once over the sorted
+    sizes, and each distinct (N, k) is counted once: over the prefixes of the
+    value list together, or over each callable's list alone.
     """
     if not N_schedule:
         raise ValueError("schedule must be nonempty")
     alpha, radii = _checked_parameters(p, alpha, s_list)
-    level: dict[tuple[int, Fraction], int] = {}
-
-    def requests(sizes):
-        for n in sizes:
-            for s in radii:
-                level[n, s] = k = threshold_level(s, n, alpha, p)
-                yield n, k
-
-    # N -> (length of the list the statistic is computed on, its close pairs)
-    counted: dict[int, tuple[int, dict]] = {}
     if callable(source):
+        rows = {}
         for N in dict.fromkeys(N_schedule):
             values = source(N)
-            if not values:
-                raise ValueError("need at least one value")
-            counted[N] = len(values), _close_pairs(values, p, requests([len(values)]))
-    else:
-        for N in N_schedule:
-            if source is not None and N > len(source):
-                raise ValueError(f"only {len(source)} values available, N={N} requested")
-            if N < 1:
-                raise ValueError("need at least one value")
-        prefixes = set(N_schedule)
-        if source is None:
-            pairs = {(n, k): lds_pair_count(n, p, k) for n, k in set(requests(prefixes))}
-        else:
-            pairs = _close_pairs(source[: max(prefixes)], p, requests(prefixes))
-        counted = {N: (N, pairs) for N in prefixes}
-    rows: list[tuple[int, Fraction, Fraction]] = []
+            rows[N] = [(N, s, F) for _, s, F in ppc_sweep(values, p, alpha, radii, [len(values)])]
+        return [row for N in N_schedule for row in rows[N]]
     for N in N_schedule:
-        n, pairs = counted[N]
-        for s in radii:
-            k = level[n, s]
-            rows.append((N, s, Fraction(p ** k * pairs[n, k], n * n)))
-    return rows
+        if source is not None and N > len(source):
+            raise ValueError(f"only {len(source)} values available, N={N} requested")
+        if N < 1:
+            raise ValueError("need at least one value")
+    sizes = sorted(set(N_schedule))
+    level = {s: dict(zip(sizes, _levels(s, alpha, p, sizes))) for s in radii}
+    requests = {(N, k) for by_size in level.values() for N, k in by_size.items()}
+    if source is None:
+        pairs = {(N, k): lds_pair_count(N, p, k) for N, k in requests}
+    else:
+        pairs = _close_pairs(source[: sizes[-1]], p, requests)
+    return [(N, s, Fraction(p ** k * pairs[N, k], N * N))
+            for N in N_schedule for s in radii for k in [level[s][N]]]

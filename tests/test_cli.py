@@ -315,6 +315,28 @@ class TestPaircorrCommand:
                        f"at alpha = 1/1000 needs {1000 * bits} bits; at most "
                        f"{paircorr.MAX_RADIUS_BITS} is supported\n")
 
+    @pytest.mark.parametrize("option", ["--s", "--alpha"])
+    def test_rational_beyond_the_digit_limit_exits_1_in_one_short_line(self, capsys, option):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        text = "1/1" + "0" * (limit + 700)
+        given = {"--s": "1", "--alpha": "1/2", option: text}
+        code, out, err = run_cli(capsys, "paircorr", "--p", "2", "--N", "5",
+                                 "--alpha", given["--alpha"], "--s", given["--s"], "--", "x")
+        assert code == 1 and out == ""
+        assert err == (f"padiclds: error: rational '1/10000000000000'... ({len(text)} characters) "
+                       f"has an integer of more than {limit} digits, the most the interpreter "
+                       f"converts; write it with an exponent, like 1e-5000\n")
+
+    @pytest.mark.parametrize("option", ["--s", "--alpha"])
+    def test_malformed_rational_is_echoed(self, capsys, option):
+        given = {"--s": "1", "--alpha": "1/2", option: "1/x"}
+        code, out, err = run_cli(capsys, "paircorr", "--p", "2", "--N", "5",
+                                 "--alpha", given["--alpha"], "--s", given["--s"], "--", "x")
+        assert (code, out, err) == (
+            1, "", "padiclds: error: invalid rational '1/x' (expected forms like 2 or 1/3)\n")
+
 
 class TestCertifiedRoute:
     """discrepancy and paircorr answer an input that classify certifies as

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from padiclds import paircorr
 from padiclds.discrepancy import separation_depth
 from padiclds.padic import valuation
 from padiclds.paircorr import (
@@ -29,6 +30,16 @@ def pair_count_oracle(values, p, k):
         for j in range(n)
         if i != j and (values[i] - values[j]) % pk == 0
     )
+
+
+def level_oracle(s, N, alpha, p):
+    """Smallest k >= 0 with N^u * sv^v <= su^v * p^(k*v) for alpha = u/v and
+    s = su/sv, by a fresh loop from k = 0."""
+    u, v = alpha.numerator, alpha.denominator
+    lhs, rhs, k = N ** u * s.denominator ** v, s.numerator ** v, 0
+    while lhs > rhs:
+        rhs, k = rhs * p ** v, k + 1
+    return k
 
 
 class TestThresholdLevel:
@@ -65,8 +76,14 @@ class TestThresholdLevel:
         assert levels == sorted(levels, reverse=True)
 
     def test_rejects_nonpositive_s(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="measure vanishes at s = 0"):
             threshold_level(Fraction(0), 5, Fraction(1), 3)
+
+    def test_rejects_alpha_outside_the_statistic_domain(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            threshold_level(Fraction(1), 5, Fraction(3, 2), 3)
+        with pytest.raises(ValueError, match="alpha = 1/1001 has denominator 1001"):
+            threshold_level(Fraction(1), 5, Fraction(1, 1001), 3)
 
     def test_oversized_radius_rejected_before_any_power(self):
         # the level loop would take about 3,300 steps on a 3.3-million-bit bound
@@ -156,6 +173,8 @@ class TestFStatistic:
             PairCorrInput(values=(1,), p=3, alpha=Fraction(3, 2), s=Fraction(1))
         with pytest.raises(ValueError, match="measure vanishes"):
             PairCorrInput(values=(1,), p=3, alpha=Fraction(1), s=Fraction(0))
+        with pytest.raises(ValueError, match=f"at most {MAX_RADIUS_BITS} is supported"):
+            PairCorrInput(values=(1,), p=2, alpha=Fraction(1), s=Fraction(1, 2 ** MAX_RADIUS_BITS))
 
 
 class TestSweep:
@@ -218,11 +237,37 @@ class TestSweep:
             assert [(N, s) for N, s, _ in rows] == [(N, s) for N in schedule for s in radii]
             for N, s, F in rows:
                 inp = PairCorrInput(values=tuple(values[:N]), p=p, alpha=alpha, s=s)
-                k = threshold_level(s, N, alpha, p)
+                k = level_oracle(s, N, alpha, p)
+                assert threshold_level(s, N, alpha, p) == k
                 reached.add("whole ring" if k == 0 else "past k_sep+1" if k > depth + 1 else "ball")
                 assert F == F_statistic(inp), (p, N, s)
                 assert F == Fraction(p ** k * pair_count_oracle(values[:N], p, k), N * N)
         assert reached == {"whole ring", "ball", "past k_sep+1"}
+
+    def test_one_level_walk_per_radius(self, monkeypatch):
+        walks = []
+        walk = paircorr._levels
+
+        def counted(s, *args):
+            walks.append(s)
+            return walk(s, *args)
+
+        monkeypatch.setattr(paircorr, "_levels", counted)
+        radii = [Fraction(1, 3), Fraction(1), Fraction(2)]
+        schedule = list(range(300, 0, -1)) + [7, 300]
+        for source in (list(range(1, 301)), None):
+            walks.clear()
+            ppc_sweep(source, 3, Fraction(1, 2), radii, schedule)
+            assert walks == radii
+
+    def test_radius_at_the_bit_bound_is_walked_once(self):
+        # a fresh loop per size would climb the 10^4 levels 2,000 times
+        s = Fraction(1, 2 ** 9990)
+        start = time.perf_counter()
+        rows = ppc_sweep(None, 2, Fraction(1), [s], list(range(1, 2001)))
+        assert time.perf_counter() - start < 2
+        assert rows == [(N, s, 0) for N in range(1, 2001)]  # no two values within 2^-9990
+        assert threshold_level(s, 2000, Fraction(1), 2) == 9990 + 11
 
     def test_callable_lists_are_counted_on_their_own(self):
         # a callable source need not give prefixes of one list

@@ -1,6 +1,7 @@
 """Property tests: the modular image against a set oracle, the text round trip,
-the real-discrepancy engine against a grid oracle, and the closed forms of a
-low-discrepancy sequence against the p-adic engines.
+the real-discrepancy engine against a grid oracle, the closed forms of a
+low-discrepancy sequence against the p-adic engines, and the pair-correlation
+level walk against a fresh loop per size.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -21,10 +22,11 @@ from padiclds.discrepancy import (  # noqa: E402
     prefix_real_discrepancies,
     real_extreme_discrepancy,
 )
-from padiclds.paircorr import _close_pairs, lds_pair_count  # noqa: E402
+from padiclds.paircorr import MAX_RADIUS_BITS, _close_pairs, _levels, lds_pair_count  # noqa: E402
 from padiclds.permcheck import classify_low_discrepancy  # noqa: E402
 from padiclds.polynomials import IntPolynomial, _image, parse_poly, render  # noqa: E402
 from padiclds.sequence import poly_sequence  # noqa: E402
+from test_paircorr import level_oracle  # noqa: E402
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -120,3 +122,26 @@ def test_closed_forms_equal_the_engines_on_low_discrepancy_input(pc):
         requests = [(N, k) for k in range(7)]
         assert _close_pairs(values, p, requests) == {
             (N, k): lds_pair_count(N, p, k) for N, k in requests}
+
+
+@st.composite
+def walk_inputs(draw):
+    """(s, alpha, p, sizes): alpha = u/v with v <= 8, a radius su/sv with up to
+    MAX_RADIUS_BITS / v bits in su and sv together (often exactly that many),
+    and increasing sizes up to 10^5."""
+    v = draw(st.integers(1, 8))
+    alpha = Fraction(draw(st.integers(1, v)), v)
+    bits = draw(st.one_of(st.just(MAX_RADIUS_BITS // v), st.integers(2, MAX_RADIUS_BITS // v)))
+    top = draw(st.integers(1, bits - 1))
+    su, sv = (draw(st.integers(2 ** (b - 1), 2 ** b - 1)) for b in (top, bits - top))
+    s = Fraction(su, sv)
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    sizes = sorted(draw(st.lists(st.integers(1, 10**5), min_size=1, max_size=6, unique=True)))
+    return s, alpha, p, sizes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(walk_inputs())
+def test_level_walk_equals_a_fresh_loop_per_size(args):
+    s, alpha, p, sizes = args
+    assert list(_levels(s, alpha, p, sizes)) == [level_oracle(s, N, alpha, p) for N in sizes]

@@ -8,7 +8,8 @@ digit-reversal output of negative values, integer ``--linear`` sequences,
 unsorted, long, dense and negative-valued bridge schedules, the catalog
 dump of each ``verify-tables --which`` selection, and the closed-form
 ``discrepancy`` and ``paircorr`` rows of certified low-discrepancy inputs at
-their boundaries, beside the inputs that still take the value engines), through
+their boundaries, beside the inputs that still take the value engines, and
+paircorr's level walk on dense, power and bit-bound schedules), through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
 trees whose digests agree produce byte-identical CLI output on all of these
@@ -117,6 +118,16 @@ EXTRA = [
     ["paircorr", "--p", "3", "--N", "100,10", "--alpha", "1/2", "--s", "1,1/3", "--", "x^3"],
     ["discrepancy", "--p", "7", "--N", "1..48", "--linear", "5", "3"],
     ["paircorr", "--p", "11", "--N", "120,1", "--alpha", "1/2", "--s", "1,2", "--linear", "3", "1"],
+    # one level walk per radius: the dense baseline schedule in closed form and
+    # on the value engine, a radius at the bit bound whose walk climbs 10^4
+    # levels before the first size, and power schedules at alpha 2/3, whose
+    # levels rise by 0 or 1 between consecutive sizes
+    *(["paircorr", "--p", "3", "--alpha", "1/2", "--s", "1/3,1/2,1,2", "--N", "1..3000", "--", f]
+      for f in ("x^3+x", "x^3")),
+    *(["paircorr", "--p", "2", "--alpha", "1", "--N", "1..300", "--s", f"1/{2 ** 9990},1", "--", f]
+      for f in ("x", "x^2")),
+    *(["paircorr", "--p", "2", "--N", "pk:0..12", "--alpha", "2/3", "--s", "1/5,1,3", "--", f]
+      for f in ("x^4+x^2+x", "x^3")),
 ]
 
 
