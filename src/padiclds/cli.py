@@ -279,7 +279,9 @@ def _certified(f: IntPolynomial, p: int, schedule: list[int]) -> bool:
     Such an f permutes every Z/p^k, so ``discrepancy`` and ``paircorr`` rows
     follow from closed forms with no values.  The certificate is
     ``classify_low_discrepancy``'s (a broken invariant exits 2); its
-    enumeration mod p^2 costs no more than the N values it replaces.
+    enumeration mod p^2 costs no more than the N values it replaces, and a
+    verdict that f is not low-discrepancy, checked by one collision mod p^2,
+    costs O(p * deg f).
     """
     return p * p <= max(schedule) and classify_low_discrepancy(f, p).low_discrepancy
 

@@ -7,11 +7,14 @@ gives the smallest root.  The three routes differ only in what they feed it:
 
 * the Noebauer criterion -- g = f, dg = f'.  f permutes Z/p^2 iff it permutes
   Z/p and f' has no root mod p, so this decides both levels from mod-p data;
-* brute force -- the Noebauer verdict plus an independent exhaustive
-  injectivity test mod p^2.  The two must agree; a mismatch is a broken
-  invariant and raises ``InvariantError``.  This is the authoritative route.
-  When f permutes Z/p but not Z/p^2 its level-2 missed residue comes from the
-  Hensel fibres over the derivative roots, with no second enumeration;
+* brute force -- the Noebauer verdict checked against f's own values mod
+  p^2: a "permutes Z/p^2" verdict by an exhaustive injectivity test mod p^2,
+  a "does not" verdict by one collision f(x) = f(x') mod p^2, x != x', found
+  from the mod-p facts and proved by evaluating f at both points.  A check
+  that fails is a broken invariant and raises ``InvariantError``.  This is
+  the authoritative route.  When f permutes Z/p but not Z/p^2 its level-2
+  missed residue comes from the Hensel fibres over the derivative roots,
+  with no enumeration mod p^2;
 * the unit-group folding formula -- g and dg are the two degree <= p-2
   reductions of f and f'.  The folding is only valid at unit residues, so this
   route can disagree with ground truth; it is never treated as authoritative,
@@ -159,23 +162,59 @@ def noebauer_mod_p2(f: IntPolynomial, p: int) -> Verdict:
 
 
 def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
-    """Ground-truth verdict: the Noebauer verdict checked by enumeration mod p^2.
+    """Ground-truth verdict: the Noebauer verdict checked on f's values mod p^2.
 
     The sequence (f(n)) is low-discrepancy exactly when f permutes Z/p and
-    Z/p^2.  The exhaustive permutation test mod p^2 is independent of the
-    derivative criterion; a mismatch would mean a broken invariant, so it
-    raises ``InvariantError`` rather than returning.
+    Z/p^2.  A verdict that f permutes Z/p^2 is confirmed by the exhaustive
+    permutation test mod p^2; one that it does not, by a collision mod p^2
+    that ``_collides_mod_p2`` evaluates, in O(p * deg f) at most.  Either
+    check reads only values of f, so it is independent of the derivative
+    criterion; a failed check would mean a broken invariant, so it raises
+    ``InvariantError`` rather than returning.
     """
     check_prime(p)
     _check_p2_enumeration(p)
-    verdict = _mod_p_verdict(f, derivative(f), p, METHOD_BRUTE_FORCE)
-    if is_permutation_mod(f, p * p) != verdict.perm_mod_p2:
+    df = derivative(f)
+    verdict = _mod_p_verdict(f, df, p, METHOD_BRUTE_FORCE)
+    if verdict.perm_mod_p2:
+        confirmed = is_permutation_mod(f, p * p)
+    else:
+        confirmed = _collides_mod_p2(f, df, p, verdict.derivative_root)
+    if not confirmed:
         raise InvariantError(
             f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
         )
     if verdict.perm_mod_p and not verdict.perm_mod_p2:
         return replace(verdict, missing_residue=(2, _fibre_witness(f, p)))
     return verdict
+
+
+def _collides_mod_p2(f: IntPolynomial, df: IntPolynomial, p: int, root: int | None) -> bool:
+    """Whether two distinct x, x' in [0, p^2), chosen from the mod-p facts,
+    have f(x) = f(x') mod p^2, by evaluating f at both.
+
+    For every x, f(x + tp) = f(x) + tp*f'(x) mod p^2.  At a root r of f' mod p
+    the pair is (r, r + p).  With no root, f must miss a residue mod p: take
+    its first repeat a < b mod p in x order, and lift a to a + tp with
+    t = ((f(b) - f(a)) / p) / f'(a) mod p, f(a) and f(b) read mod p^2.  The
+    derivative only finds the pair; the answer rests on f's two values.
+    """
+    pp = p * p
+    if root is not None:
+        x, y = root, root + p
+    else:
+        first: dict[int, int] = {}
+        for y in range(p):
+            x = first.setdefault(eval_mod(f, y, p), y)
+            if x != y:
+                break
+        else:
+            return False  # f permutes Z/p: no repeat to lift
+        rise = (eval_mod(f, y, pp) - eval_mod(f, x, pp)) % pp // p
+        # Fermat's inverse, which never raises: whatever f'(x) is, the
+        # comparison below decides.
+        x += rise * pow(eval_mod(df, x, p), p - 2, p) % p * p
+    return eval_mod(f, x, pp) == eval_mod(f, y, pp)
 
 
 def _fibre_witness(f: IntPolynomial, p: int) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padiclds import cli, permcheck
+from padiclds import cli, permcheck, polynomials
 from padiclds.discrepancy import padic_discrepancy
 from padiclds.padic import InvariantError
 from padiclds.permcheck import (
@@ -110,6 +110,56 @@ class TestClassify:
         monkeypatch.setattr(permcheck, "is_permutation_mod", lambda f, m: False)
         with pytest.raises(InvariantError, match="Noebauer criterion disagrees"):
             classify_low_discrepancy(parse_poly("x^3 + x"), 3)
+
+    @staticmethod
+    def root_free_non_permutation(p):
+        """The first x^3 + a*x, 0 < a < p, that misses a residue mod p while
+        its derivative has no root mod p."""
+        return next(f for a in range(1, p)
+                    for f in [IntPolynomial([0, a, 0, 1])]
+                    for v in [noebauer_mod_p2(f, p)]
+                    if not v.perm_mod_p and v.derivative_root is None)
+
+    @pytest.mark.parametrize("branch", ["root", "pair"])
+    def test_non_lds_verdict_enumerates_nothing_mod_p2(self, monkeypatch, branch):
+        # the root branch checks (r, r + p) at the root r = p - 1 of 2x + 2;
+        # the pair branch lifts the first repeat mod p of a root-free f
+        p, f = (1163, parse_poly("x^2 + 2x")) if branch == "root" else (
+            1019, self.root_free_non_permutation(1019))
+        moduli = []
+
+        def recorded(coeffs, m, stop_at_repeat):
+            moduli.append(m)
+            return polynomials._image(coeffs, m, stop_at_repeat)
+
+        monkeypatch.setattr(permcheck, "_image", recorded)
+        permcheck._mod_p_facts.cache_clear()
+        v = classify_low_discrepancy(f, p)
+        assert not v.perm_mod_p and not v.perm_mod_p2
+        assert v.derivative_root == (p - 1 if branch == "root" else None)
+        assert moduli == [p]  # the mod-p table only
+
+    def test_lds_verdict_enumerates_once(self, monkeypatch):
+        calls = []
+
+        def recorded(g, m):
+            calls.append((g, m))
+            return is_permutation_mod(g, m)
+
+        monkeypatch.setattr(permcheck, "is_permutation_mod", recorded)
+        f = parse_poly("x^6 + 2x")
+        assert classify_low_discrepancy(f, 11).low_discrepancy
+        assert calls == [(f, 121)]
+
+    @pytest.mark.parametrize("text,p,facts", [
+        ("x^2 + 2x", 1163, (0, 0)),     # the root of 2x + 2 is p - 1, not 0
+        ("x^3 + x", 3, (None, 1)),      # f' = 3x^2 + 1 has no root mod 3
+        ("x^6 + 2x", 11, (4, None)),    # f permutes Z/11: nothing is missed
+    ])
+    def test_wrong_mod_p_facts_fail_the_collision(self, monkeypatch, text, p, facts):
+        monkeypatch.setattr(permcheck, "_mod_p_facts", lambda g, dg, q: facts)
+        with pytest.raises(InvariantError, match="Noebauer criterion disagrees"):
+            classify_low_discrepancy(parse_poly(text), p)
 
     def test_verdict_invariants_enforced(self):
         with pytest.raises(ValueError, match="conjunction"):

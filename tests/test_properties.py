@@ -1,12 +1,16 @@
 """Property tests: the modular image against a set oracle, the text round trip,
 the real-discrepancy engine against a grid oracle, the closed forms of a
-low-discrepancy sequence against the p-adic engines, and the pair-correlation
-level walk against a fresh loop per size.
+low-discrepancy sequence against the p-adic engines, the classifier against
+enumeration mod p^2 and the discrepancy at N = p^2 + 1, and the
+pair-correlation level walk against a fresh loop per size; and ``classify``
+on arbitrary arguments, which must end in an exit code, never a traceback.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
+import contextlib
 import functools
+import io
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -14,8 +18,9 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from padiclds import cli  # noqa: E402
 from padiclds.discrepancy import (  # noqa: E402
     lds_prefix_discrepancies,
     prefix_discrepancies,
@@ -122,6 +127,63 @@ def test_closed_forms_equal_the_engines_on_low_discrepancy_input(pc):
         requests = [(N, k) for k in range(7)]
         assert _close_pairs(values, p, requests) == {
             (N, k): lds_pair_count(N, p, k) for N, k in requests}
+
+
+@st.composite
+def classify_inputs(draw):
+    """(p, coefficients): a random f, or a*x + b + p*h with p not dividing a,
+    which is low-discrepancy; p reaches 17 and 19, where the enumeration mod
+    p^2 takes rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19)))
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), max_size=12))
+    if draw(st.booleans()):
+        lift = [p * c for c in coeffs] + [0, 0]
+        lift[0] += draw(st.integers(-10**6, 10**6))
+        lift[1] += draw(st.integers(1, p - 1))
+        return p, lift
+    return p, coeffs
+
+
+@fixed
+@given(classify_inputs())
+def test_verdict_equals_enumeration_and_the_discrepancy_at_p_squared_plus_one(pc):
+    p, coeffs = pc
+    f = IntPolynomial(coeffs)
+    verdict = classify_low_discrepancy(f, p)
+    assert verdict.perm_mod_p2 == (_image(f.coeffs, p * p, True) is not None)
+    if p <= 7:
+        N = p * p + 1
+        D = prefix_discrepancies(poly_sequence(f, N), p, [N])[N].value
+        assert verdict.low_discrepancy == (D == Fraction(1, N))
+
+
+# primes, non-primes, 0, 1, negatives, and the largest prime under the p^2
+# enumeration cap beside the smallest above it
+classify_p = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 17, 19, 101, 1009, 1163, 3137, 3163]),
+    st.sampled_from([0, 1, -1, -7, 4, 9, 3139, 10**30]),
+    st.integers(-10**4, 10**4),
+)
+classify_coefficients = st.lists(
+    st.one_of(st.integers(-10**6, 10**6), st.integers(-10**4000, 10**4000)), max_size=10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(classify_p, classify_coefficients, st.sampled_from(("csv", "json")))
+# at the cap: a full enumeration mod 3137^2 (about a second), a collision, a refusal
+@example(3137, [-10**4000, 1], "csv")
+@example(3137, [10**4000, 0, -1], "json")
+@example(3163, [0, 1], "json")
+def test_classify_ends_in_an_exit_code(p, coeffs, fmt):
+    argv = ["classify", "--p", str(p), "--format", fmt, "--", render(IntPolynomial(coeffs))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert (code == 0) == (err.getvalue() == "") == (out.getvalue() != ""), argv
 
 
 @st.composite

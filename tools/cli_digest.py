@@ -2,8 +2,9 @@
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
-searches, error paths, five large-p and three high-degree classify calls, long
-and dense discrepancy, paircorr and generate schedules, digit and
+searches, error paths, five large-p, three high-degree and two root-free
+non-permutation classify calls, long and dense discrepancy, paircorr and
+generate schedules, digit and
 digit-reversal output of negative values, integer ``--linear`` sequences,
 unsorted, long, dense and negative-valued bridge schedules, the catalog
 dump of each ``verify-tables --which`` selection, and the closed-form
@@ -62,6 +63,10 @@ EXTRA = [
     ["classify", "--p", "17", "--", "17x^30+x"],
     ["classify", "--p", "29", "--", "29x^60+3x+1"],
     ["classify", "--p", "17", "--format", "csv", "--", "x^33+x^17+x"],
+    # non-permutations whose derivative has no root mod p, at a large prime
+    # and at p = 2: the collision mod p^2 lifts their first repeat mod p
+    ["classify", "--p", "1019", "--", "x^3+x"],
+    ["classify", "--p", "2", "--format", "csv", "--", "x^2+x"],
     # long stretches between requested lengths (bulk counting), an unsorted
     # schedule with a short stretch, a dense schedule (value by value), and
     # a high-degree polynomial's values by finite differences
