@@ -26,7 +26,6 @@ from .polynomials import (
     reduce_coeffs_mod,
     reduce_functional,
     render,
-    unit_derivative_poly,
     unit_value_poly,
 )
 from .permcheck import (

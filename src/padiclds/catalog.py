@@ -380,7 +380,8 @@ def exhaustive_search(
         for mids in itertools.product(range(p), repeat=d - 2 if shift else d - 1):
             g = (0, *mids, 0, 1) if shift else (0, *mids, 1)
             # permutation mod p and g' root-free mod p (the Noebauer criterion)
-            if not _is_injective_mod(g, p) or _roots_mod([i * c for i, c in enumerate(g)][1:], p):
+            dg = [i * c for i, c in enumerate(g)][1:]
+            if not _is_injective_mod(g, p) or next(_roots_mod(dg, p), None) is not None:
                 continue
             for c in range(p) if shift else (0,):
                 h = _taylor_shift(g, c, p)

@@ -33,9 +33,9 @@ from .discrepancy import (
     prefix_real_discrepancies,
 )
 from .padic import InvariantError, check_prime, digit_expansions, digit_reversals
-from .paircorr import ppc_sweep
+from .paircorr import MAX_RADIUS_BITS, ppc_sweep
 from .permcheck import classify_low_discrepancy, classify_via_reduction, noebauer_mod_p2
-from .polynomials import IntPolynomial, parse_poly, render, unit_derivative_poly, unit_value_poly
+from .polynomials import IntPolynomial, derivative, parse_poly, render, unit_value_poly
 from .sequence import poly_sequence
 
 SCHEMA_VERSION = 1
@@ -70,8 +70,12 @@ def _frac(fr: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        return Fraction(text)
+        # Fraction forms 10^|exponent| before any bound is checked; past
+        # MAX_RADIUS_BITS no supported alpha or s has such an exponent
+        if not (e and abs(int(exponent)) > MAX_RADIUS_BITS):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         # a well-formed rational can still hold more digits than str -> int converts
         if str(exc).startswith("Exceeds the limit"):
@@ -80,6 +84,8 @@ def parse_fraction(text: str) -> Fraction:
                              f"interpreter converts; write it with an exponent, like 1e-5000"
                              ) from None
         raise ValueError(f"invalid rational {text!r} (expected forms like 2 or 1/3)") from None
+    raise ValueError(f"rational {text[:16]!r}{'...' if len(text) > 16 else ''} has a decimal "
+                     f"exponent beyond {MAX_RADIUS_BITS} in magnitude, unlike any supported value")
 
 
 def _check_length(N: int, what: str) -> None:
@@ -211,7 +217,7 @@ def cmd_classify(args) -> int:
         formula = classify_via_reduction(f, p)
         reduction = {
             "value_poly": render(unit_value_poly(f, p)),
-            "derivative_poly": render(unit_derivative_poly(f, p)),
+            "derivative_poly": render(unit_value_poly(derivative(f), p)),
             "verdict": formula.as_dict(),
         }
         divergence = formula.low_discrepancy != brute.low_discrepancy

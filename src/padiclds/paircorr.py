@@ -71,8 +71,10 @@ def _checked_parameters(p: int, alpha, s_list) -> tuple[Fraction, list[Fraction]
         if s <= 0:
             raise ValueError("s must be positive: the normalizing measure vanishes at s = 0")
     v = alpha.denominator
-    if v > 1000:
-        raise ValueError(f"alpha = {alpha} has denominator {v}; at most 1000 is supported")
+    if v > 1000:  # named by its size once it is too long to quote
+        shown = (f"alpha = {alpha} has denominator {v}" if v.bit_length() <= 64
+                 else f"alpha has a denominator of {v.bit_length()} bits")
+        raise ValueError(f"{shown}; at most 1000 is supported")
     for s in radii:
         bits = s.numerator.bit_length() + s.denominator.bit_length()
         if v * bits > MAX_RADIUS_BITS:  # named by its size: s may have too many digits to print

@@ -38,7 +38,6 @@ from .polynomials import (
     _roots_mod,
     derivative,
     eval_mod,
-    unit_derivative_poly,
     unit_value_poly,
 )
 
@@ -129,8 +128,7 @@ def _mod_p_facts(g: tuple[int, ...], dg: tuple[int, ...], p: int) -> tuple[int |
     reads the pair the Noebauer route has just computed.  The keys keep any
     zero lead left by the reduction, which costs at most a cache miss.
     """
-    roots = _roots_mod(dg, p)
-    return first_missing_residue(IntPolynomial(g), p), (roots[0] if roots else None)
+    return first_missing_residue(IntPolynomial(g), p), next(_roots_mod(dg, p), None)
 
 
 def _mod_p_verdict(g: IntPolynomial, dg: IntPolynomial, p: int, method: str) -> Verdict:
@@ -228,12 +226,8 @@ def _fibre_witness(f: IntPolynomial, p: int) -> int:
     p^2, and of f(r) mod p + p otherwise.
     """
     pp = p * p
-    witnesses = []
-    for r in _roots_mod(derivative(f).coeffs, p):
-        hit = eval_mod(f, r, pp)
-        base = hit % p
-        witnesses.append(base if base != hit else base + p)
-    return min(witnesses)
+    hits = (eval_mod(f, r, pp) for r in _roots_mod(derivative(f).coeffs, p))
+    return min(hit % p if hit >= p else hit + p for hit in hits)
 
 
 def classify_via_reduction(f: IntPolynomial, p: int) -> Verdict:
@@ -247,7 +241,7 @@ def classify_via_reduction(f: IntPolynomial, p: int) -> Verdict:
     root of the derivative folding.
     """
     return _mod_p_verdict(
-        unit_value_poly(f, p), unit_derivative_poly(f, p), p, METHOD_UNIT_REDUCTION
+        unit_value_poly(f, p), unit_value_poly(derivative(f), p), p, METHOD_UNIT_REDUCTION
     )
 
 

@@ -1,21 +1,23 @@
-"""Integer polynomial algebra with exact coefficients.
+"""Integer polynomials as plain values: canonical coefficient tuples.
 
-Polynomials are stored little-endian: index i holds the coefficient of x^i,
-trailing zeros trimmed, the zero polynomial being the empty tuple.
-Coefficients are arbitrary signed integers; modular reduction happens at
-evaluation or reduction time, never silently at construction.
+Index i holds the coefficient of x^i, trailing zeros trimmed, the zero
+polynomial being the empty tuple.  Coefficients are arbitrary signed
+integers; modular reduction happens at evaluation or reduction time, never
+silently at construction.
 
-Besides parsing/printing and exact evaluation, this module provides the two
-degree-lowering reductions used by the classifier: folding exponents with the
-period of the unit group mod p yields low-degree polynomials that agree with f
-(respectively f') at every unit residue.  Its private evaluators mod m give
-the image of f (``_image``, which alone decides how to enumerate a modulus),
-the roots of f mod p, and the search's injectivity test mod p.
+Besides parsing/printing and exact evaluation, this module provides the
+formal derivative and the degree-lowering reductions used by the classifier:
+folding exponents with the period of the unit group mod p yields a
+polynomial of degree <= p-2 that agrees with its input (f, or f') at every
+unit residue.  Its private evaluators mod m give the image of f (``_image``,
+which alone decides how to enumerate a modulus), the roots of f mod p one at
+a time, and the search's injectivity test mod p.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -52,34 +54,6 @@ class IntPolynomial:
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other) -> IntPolynomial:
-        if isinstance(other, int):
-            return IntPolynomial(other * c for c in self.coeffs)
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x: int) -> int:
         """Exact integer evaluation (Horner)."""
@@ -130,17 +104,15 @@ def _is_injective_mod(coeffs, m: int) -> bool:
     return True
 
 
-def _roots_mod(coeffs, p: int) -> list[int]:
-    """The x in [0, p) with f(x) = 0 mod p, in increasing order."""
+def _roots_mod(coeffs, p: int):
+    """Yield the x in [0, p) with f(x) = 0 mod p, in increasing order."""
     rev = coeffs[::-1]
-    roots = []
     for x in range(p):
         v = 0
         for c in rev:
             v = (v * x + c) % p
         if not v:
-            roots.append(x)
-    return roots
+            yield x
 
 
 def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:
@@ -237,13 +209,14 @@ def affine_compose(
         raise ValueError("modulus must be >= 1")
     if gcd(a, m) != 1 or gcd(c, m) != 1:
         raise ValueError("not an affine equivalence: multipliers must be units mod m")
-    # Horner over polynomials: result = result*(c x + d) + coeff.
-    inner_poly = IntPolynomial([d % m, c % m])
-    acc = IntPolynomial()
+    # Horner on coefficient lists: acc <- acc*(c*x + d) + coef, then a*acc + b.
+    acc = [0]
     for coef in reversed(f.coeffs):
-        acc = reduce_coeffs_mod(acc * inner_poly + IntPolynomial([coef]), m)
-    acc = reduce_coeffs_mod(acc * (a % m), m)
-    return reduce_coeffs_mod(acc + IntPolynomial([b]), m)
+        acc = [(d * v + c * u) % m for v, u in zip([*acc, 0], [0, *acc])]
+        acc[0] = (acc[0] + coef) % m
+    acc = [a * v % m for v in acc]
+    acc[0] = (acc[0] + b) % m
+    return IntPolynomial(acc)
 
 
 def reduce_functional(f: IntPolynomial, p: int) -> IntPolynomial:
@@ -279,12 +252,6 @@ def unit_value_poly(f: IntPolynomial, p: int) -> IntPolynomial:
     return IntPolynomial(c % p for c in out)
 
 
-def unit_derivative_poly(f: IntPolynomial, p: int) -> IntPolynomial:
-    """Degree <= p-2 polynomial agreeing with f' at every unit residue mod p:
-    the unit-group folding of f'."""
-    return unit_value_poly(derivative(f), p)
-
-
 # --------------------------------------------------------------------------
 # Parsing and printing
 # --------------------------------------------------------------------------
@@ -295,6 +262,18 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"syntax error at position {position}: {message}")
         self.position = position
+
+
+def _int_literal(literal: str, position: int) -> int:
+    """int(literal), or a PolyParseError at ``position`` if it is not one or too long."""
+    try:
+        return int(literal)
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):
+            limit = sys.get_int_max_str_digits()
+            raise PolyParseError(f"integer {literal[:16]!r}... has more than {limit} digits, the "
+                                 f"most the interpreter converts", position) from None
+        raise PolyParseError(f"invalid integer {literal!r}", position) from None
 
 
 def parse_poly(text: str) -> IntPolynomial:
@@ -322,16 +301,8 @@ def _parse_coeff_list(text: str) -> IntPolynomial:
     inner = s[1:-1].strip()
     if not inner:
         return IntPolynomial()
-    parts = inner.split(",")
-    coeffs: list[int] = []
-    for part in parts:
-        p = part.strip()
-        try:
-            coeffs.append(int(p))
-        except ValueError:
-            raise PolyParseError(f"invalid integer {part.strip()!r}", text.find(part)) from None
-    coeffs.reverse()  # input is degree-descending
-    return IntPolynomial(coeffs)
+    coeffs = [_int_literal(part.strip(), text.find(part)) for part in inner.split(",")]
+    return IntPolynomial(coeffs[::-1])  # input is degree-descending
 
 
 def _parse_terms(text: str) -> IntPolynomial:
@@ -350,7 +321,7 @@ def _parse_terms(text: str) -> IntPolynomial:
             j += 1
         if j == start:
             raise PolyParseError("expected digits", start)
-        return int(text[start:j]), j
+        return _int_literal(text[start:j], start), j
 
     i = skip_ws(i)
     if i == n:
@@ -403,7 +374,7 @@ def render(f: IntPolynomial) -> str:
         return "0"
     parts: list[str] = []
     for k in range(f.degree, -1, -1):
-        c = f.coefficient(k)
+        c = f.coeffs[k]
         if c == 0:
             continue
         mag = abs(c)

@@ -227,6 +227,12 @@ class TestExhaustiveSearch:
         for f in found:
             assert classify_low_discrepancy(f, 3).low_discrepancy
 
+    def test_derivative_root_at_zero_rejects_the_candidate(self):
+        # x^3 permutes Z/5 and g' = 3x^2 vanishes only at 0: that first root is
+        # falsy, yet it must reject x^3 before the confirmation mod 25 runs
+        found = exhaustive_search(5, 3, SearchConstraints(monic=True, zero_constant=True))
+        assert (0, 0, 0, 1) not in {f.coeffs for f in found}
+
     def test_p3_degree2_empty_beyond_linear(self):
         found = exhaustive_search(3, 2, SearchConstraints())
         assert all(f.degree == 1 for f in found)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -133,6 +134,30 @@ class TestClassify:
         doc = json.loads(out)
         assert code == 0
         assert doc["unit_reduction"] is None and doc["divergence"] is None
+
+    def test_derivative_root_at_zero_is_reported(self, capsys):
+        # f' = 2x vanishes at 0 only: a falsy first root is still the certificate
+        code, out, _ = run_cli(capsys, "classify", "--p", "3", "--", "x^2")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["brute_force"]["derivative_root"] == 0
+        assert doc["noebauer"]["derivative_root"] == 0
+
+    @pytest.mark.parametrize("poly,position", [
+        ("1" + "0" * 5000 + "x", 0),
+        ("x^1" + "0" * 5000, 2),
+        ("[1" + "0" * 5000 + ",1]", 1),
+    ])
+    def test_integer_beyond_the_digit_limit_exits_1_in_one_short_line(self, capsys, poly,
+                                                                        position):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not 0 < limit <= 5000:
+            pytest.skip("this interpreter converts integers of 5,001 digits")
+        code, out, err = run_cli(capsys, "classify", "--p", "3", "--", poly)
+        assert (code, out) == (1, "")
+        assert err == (f"padiclds: error: syntax error at position {position}: integer "
+                       f"'1000000000000000'... has more than {limit} digits, the most the "
+                       f"interpreter converts\n")
 
     def test_parse_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--p", "3", "x^^5")
@@ -328,6 +353,31 @@ class TestPaircorrCommand:
         assert err == (f"padiclds: error: rational '1/10000000000000'... ({len(text)} characters) "
                        f"has an integer of more than {limit} digits, the most the interpreter "
                        f"converts; write it with an exponent, like 1e-5000\n")
+
+    @pytest.mark.parametrize("option,text,message", [
+        # Fraction would form 10^9999999 before any bound is checked
+        ("--s", "1e-9999999", "rational '1e-9999999' has a decimal exponent beyond 10000 in "
+                              "magnitude, unlike any supported value"),
+        ("--alpha", "0.50000000000000000001e+10001", "rational '0.50000000000000'... has a "
+         "decimal exponent beyond 10000 in magnitude, unlike any supported value"),
+        # denominators too long to quote are named by their size
+        ("--alpha", "1e-5000", "alpha has a denominator of 16610 bits; at most 1000 is supported"),
+        ("--alpha", "1/1" + "0" * 4000,
+         "alpha has a denominator of 13288 bits; at most 1000 is supported"),
+    ])
+    def test_oversized_rational_exits_1_at_once_in_one_short_line(self, capsys, option, text,
+                                                                    message):
+        given = {"--s": "1", "--alpha": "1/2", option: text}
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "paircorr", "--p", "3", "--N", "5",
+                                 "--alpha", given["--alpha"], "--s", given["--s"], "--", "x")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"padiclds: error: {message}\n")
+
+    def test_largest_decimal_exponent_parses(self):
+        bound = paircorr.MAX_RADIUS_BITS
+        assert parse_fraction(f"1e-{bound}") == Fraction(1, 10**bound)
+        assert parse_fraction(f"3E+{bound}") == 3 * 10**bound
 
     @pytest.mark.parametrize("option", ["--s", "--alpha"])
     def test_malformed_rational_is_echoed(self, capsys, option):

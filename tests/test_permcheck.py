@@ -28,7 +28,6 @@ from padiclds.polynomials import (
     parse_poly,
     reduce_coeffs_mod,
     render,
-    unit_derivative_poly,
     unit_value_poly,
 )
 from padiclds.sequence import poly_sequence
@@ -214,13 +213,28 @@ class TestSharedModPFacts:
             for _ in range(40):
                 f = IntPolynomial([rng.randint(-p, 2 * p) for _ in range(rng.randint(1, 2 * p))])
                 k = rng.randint(0, 2 * p)
-                lift = f + IntPolynomial([0] * k + [p * rng.choice([-1, 1, 2])])
+                cs = list(f.coeffs) + [0] * (k + 1)
+                cs[k] += p * rng.choice([-1, 1, 2])
+                lift = IntPolynomial(cs)
                 assert noebauer_mod_p2(lift, p) == noebauer_mod_p2(f, p), (f, lift, p)
                 assert classify_via_reduction(lift, p) == classify_via_reduction(f, p), (f, p)
                 for h in (f, lift):
                     assert classify_low_discrepancy(h, p) == _brute_oracle(h, p), (h, p)
                     assert noebauer_mod_p2(h, p) == _criterion_oracle(
                         h, derivative(h), p, METHOD_NOEBAUER), (h, p)
+
+    def test_root_scan_stops_at_the_first_root(self):
+        steps = []
+
+        class Counted(int):
+            def __radd__(self, other):  # the "v * x + c" of each Horner step of dg
+                steps.append(other)
+                return int(other) + int(self)
+
+        # dg = x - 3 at p = 101: evaluated at x = 0, 1, 2, 3, not at all 101 residues
+        p = 101
+        assert permcheck._mod_p_facts.__wrapped__((0, 1), (Counted(p - 3), 1), p) == (None, 3)
+        assert len(steps) == 4
 
     def test_folding_route_reads_the_noebauer_pair(self):
         # deg f <= p-2: the foldings are f and f' mod p, so no new tables
@@ -317,7 +331,7 @@ class TestDivergenceScan:
         assert len(report.entries) == 324
         for e in report.entries:
             assert e.ground_truth == _brute_oracle(e.poly, 3), e.poly
-            g, dg = unit_value_poly(e.poly, 3), unit_derivative_poly(e.poly, 3)
+            g, dg = unit_value_poly(e.poly, 3), unit_value_poly(derivative(e.poly), 3)
             assert e.formula == _criterion_oracle(g, dg, 3, METHOD_UNIT_REDUCTION), e.poly
 
     def test_degree1_empty(self):
@@ -406,8 +420,8 @@ class TestCertificateOracle:
         assert noebauer_mod_p2(f, p) == noeb, (f, p)
         assert noeb.perm_mod_p2 == brute.perm_mod_p2  # the criterion itself
         if p >= 3:
-            g, dg = unit_value_poly(f, p), unit_derivative_poly(f, p)
             df = derivative(f)
+            g, dg = unit_value_poly(f, p), unit_value_poly(df, p)
             assert all(eval_mod(g, x, p) == eval_mod(f, x, p) for x in range(1, p))
             assert all(eval_mod(dg, x, p) == eval_mod(df, x, p) for x in range(1, p))
             assert classify_via_reduction(f, p) == _criterion_oracle(

@@ -2,7 +2,8 @@
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
-searches, error paths, five large-p, three high-degree and two root-free
+searches, error paths, rationals and integer literals too long to convert or
+quote, five large-p, three high-degree and two root-free
 non-permutation classify calls, long and dense discrepancy, paircorr and
 generate schedules, digit and
 digit-reversal output of negative values, integer ``--linear`` sequences,
@@ -133,6 +134,14 @@ EXTRA = [
       for f in ("x", "x^2")),
     *(["paircorr", "--p", "2", "--N", "pk:0..12", "--alpha", "2/3", "--s", "1/5,1,3", "--", f]
       for f in ("x^4+x^2+x", "x^3")),
+    # one-line refusals of rationals and integer literals too long to convert
+    # or quote: a decimal exponent that Fraction would expand, alpha
+    # denominators named by their size, and integers past the digit limit in
+    # a coefficient, an exponent and a coefficient list
+    *(["paircorr", "--p", "3", "--N", "5", "--alpha", alpha, "--s", s, "--", "x"]
+      for alpha, s in (("1/2", "1e-9999999"), ("1e-5000", "1"), ("1/1" + "0" * 4000, "1"))),
+    *(["classify", "--p", "3", "--", f]
+      for f in ("1" + "0" * 5000 + "x", "x^1" + "0" * 5000, "[1" + "0" * 5000 + ",1]")),
 ]
 
 
