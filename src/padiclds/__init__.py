@@ -12,7 +12,6 @@ from .padic import (
     check_prime,
     digit_expansions,
     digit_reversals,
-    digits_of,
     monna_of_int,
     valuation,
 )
@@ -23,7 +22,6 @@ from .polynomials import (
     derivative,
     eval_mod,
     parse_poly,
-    reduce_coeffs_mod,
     reduce_functional,
     render,
     unit_value_poly,

@@ -23,13 +23,7 @@ from typing import Callable
 
 from .padic import InvariantError, check_prime
 from .permcheck import _check_p2_enumeration, classify_low_discrepancy, is_permutation_mod
-from .polynomials import (
-    IntPolynomial,
-    _is_injective_mod,
-    _roots_mod,
-    derivative,
-    reduce_coeffs_mod,
-)
+from .polynomials import IntPolynomial, _image, _roots_mod, derivative
 
 PRED_NONSQUARE = "nonsquare"
 PRED_NOT_FOURTH_POWER = "not_fourth_power"
@@ -264,12 +258,12 @@ class EntryVerification:
         return not self.failures
 
 
-def verify_entry(entry: DicksonEntry, p: int, check_lds: bool = False) -> EntryVerification:
+def verify_entry(entry: DicksonEntry, p: int) -> EntryVerification:
     """Re-derive one row's claims at a concrete prime.
 
     For every admissible parameter the instantiation must be a permutation
     mod p, the recomputed derivative-root set must match the recorded
-    expectation (exact set or existence flag), and with ``check_lds`` the
+    expectation (exact set or existence flag), and for a Table 1 row the
     full low-discrepancy classification must come out positive.  Failed
     claims go to ``failures``; outcomes of non-asserted sign variants go to
     ``notes``.
@@ -285,9 +279,7 @@ def verify_entry(entry: DicksonEntry, p: int, check_lds: bool = False) -> EntryV
         f = entry.build(a, p)
         perm = is_permutation_mod(f, p)
         roots = tuple(_roots_mod(derivative(f).coeffs, p))
-        lds: bool | None = None
-        if check_lds:
-            lds = classify_low_discrepancy(f, p).low_discrepancy
+        lds = classify_low_discrepancy(f, p).low_discrepancy if entry.source_table == 1 else None
         results.append(ParameterResult(a, f, perm, roots, lds))
         label = f"{entry.name} @ p={p}, a={a}"
         if not perm:
@@ -303,7 +295,7 @@ def verify_entry(entry: DicksonEntry, p: int, check_lds: bool = False) -> EntryV
             sink.append(f"{label}: expected a derivative root, found none")
         if entry.derivative_root_exists is False and roots:
             sink.append(f"{label}: expected no derivative roots, found {sorted(roots)}")
-        if check_lds and not lds:
+        if lds is False:
             sink.append(f"{label}: not classified low-discrepancy")
     return EntryVerification(entry, p, tuple(results), tuple(failures), tuple(notes))
 
@@ -381,7 +373,7 @@ def exhaustive_search(
             g = (0, *mids, 0, 1) if shift else (0, *mids, 1)
             # permutation mod p and g' root-free mod p (the Noebauer criterion)
             dg = [i * c for i, c in enumerate(g)][1:]
-            if not _is_injective_mod(g, p) or next(_roots_mod(dg, p), None) is not None:
+            if _image(g, p, True) is None or next(_roots_mod(dg, p), None) is not None:
                 continue
             for c in range(p) if shift else (0,):
                 h = _taylor_shift(g, c, p)
@@ -440,7 +432,7 @@ def table1_instances(p: int) -> list[IntPolynomial]:
         if entry.source_table != 1 or not entry.matches_prime(p):
             continue
         for a in admissible_parameters(entry.parameter_predicate, p):
-            f = reduce_coeffs_mod(entry.build(a, p), p)
+            f = entry.build(a, p)
             if f.coeffs not in seen:
                 seen.add(f.coeffs)
                 out.append(f)
@@ -499,7 +491,7 @@ def match_against_table(found: list[IntPolynomial], p: int) -> MatchReport:
     check_prime(p)
     t1 = table1_instances(p)
     literal_t1 = {f.coeffs for f in t1}
-    reduced = [reduce_coeffs_mod(f, p) for f in found]
+    reduced = [IntPolynomial(c % p for c in f.coeffs) for f in found]
     degrees = {g.degree for g in reduced}
     # u*t(cx+d)+v == uc*x^p + uac*x + const (mod p) for a family member t, so every
     # image of t has canon t; unit multipliers keep the degree, so skip other rows.

@@ -35,7 +35,7 @@ from .discrepancy import (
 from .padic import InvariantError, check_prime, digit_expansions, digit_reversals
 from .paircorr import MAX_RADIUS_BITS, ppc_sweep
 from .permcheck import classify_low_discrepancy, classify_via_reduction, noebauer_mod_p2
-from .polynomials import IntPolynomial, derivative, parse_poly, render, unit_value_poly
+from .polynomials import IntPolynomial, _quote, derivative, parse_poly, render, unit_value_poly
 from .sequence import poly_sequence
 
 SCHEMA_VERSION = 1
@@ -79,18 +79,25 @@ def parse_fraction(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         # a well-formed rational can still hold more digits than str -> int converts
         if str(exc).startswith("Exceeds the limit"):
-            raise ValueError(f"rational {text[:16]!r}... ({len(text)} characters) has an integer "
+            raise ValueError(f"rational {_quote(text)} ({len(text)} characters) has an integer "
                              f"of more than {sys.get_int_max_str_digits()} digits, the most the "
                              f"interpreter converts; write it with an exponent, like 1e-5000"
                              ) from None
-        raise ValueError(f"invalid rational {text!r} (expected forms like 2 or 1/3)") from None
-    raise ValueError(f"rational {text[:16]!r}{'...' if len(text) > 16 else ''} has a decimal "
-                     f"exponent beyond {MAX_RADIUS_BITS} in magnitude, unlike any supported value")
+        raise ValueError(f"invalid rational {_quote(text)} (expected forms like 2 "
+                         f"or 1/3)") from None
+    raise ValueError(f"rational {_quote(text)} has a decimal exponent beyond {MAX_RADIUS_BITS} "
+                     f"in magnitude, unlike any supported value")
+
+
+def _shown(n: int) -> int | str:
+    """n itself, or its first 16 digits as ``_quote`` shows them if it has more."""
+    return n if n < 10**16 else _quote(str(n))
 
 
 def _check_length(N: int, what: str) -> None:
     if N > MAX_SEQUENCE_LENGTH:
-        raise ValueError(f"{what} asks for N={N} values, above the limit of {MAX_SEQUENCE_LENGTH}")
+        raise ValueError(f"{what} asks for N={_shown(N)} values, above the limit of "
+                         f"{MAX_SEQUENCE_LENGTH}")
 
 
 def _check_digits(K: int | None, values: list[int], p: int) -> None:
@@ -101,8 +108,8 @@ def _check_digits(K: int | None, values: list[int], p: int) -> None:
     N = len(values)
     bits = 0 if K is None else K * N * p.bit_length()
     if bits > MAX_DIGIT_BITS:
-        raise ValueError(f"--K {K} asks for {K} base-{p} digits of N={N} values ({bits} bits), "
-                         f"above the limit of {MAX_DIGIT_BITS} bits")
+        raise ValueError(f"--K {_shown(K)} asks for {_shown(K)} base-{p} digits of N={N} values "
+                         f"({_shown(bits)} bits), above the limit of {MAX_DIGIT_BITS} bits")
 
 
 def _check_printable(numbers, column: str, K: int | None = None) -> None:
@@ -127,7 +134,7 @@ def parse_schedule(text: str, p: int) -> list[int]:
         try:
             return int(part)
         except ValueError:
-            raise ValueError(f'invalid schedule {text!r}: expected "a..b", "a,b,c" or '
+            raise ValueError(f'invalid schedule {_quote(text)}: expected "a..b", "a,b,c" or '
                              f'"pk:k1..k2" with integer bounds and entries') from None
 
     text = text.strip()
@@ -141,7 +148,7 @@ def parse_schedule(text: str, p: int) -> list[int]:
             raise ValueError("power schedule bounds must satisfy 0 <= k1 <= k2")
         # p >= 2, so p^k2 exceeds the limit once k2 reaches its bit length
         if k2 >= MAX_SEQUENCE_LENGTH.bit_length() or p ** k2 > MAX_SEQUENCE_LENGTH:
-            raise ValueError(f"schedule asks for N={p}^{k2} values, above the limit of "
+            raise ValueError(f"schedule asks for N={p}^{_shown(k2)} values, above the limit of "
                              f"{MAX_SEQUENCE_LENGTH}")
         return [p ** k for k in range(k1, k2 + 1)]
     if ".." in text:
@@ -351,7 +358,7 @@ def cmd_verify_tables(args) -> int:
         else:
             primes = verification_primes(entry)
         for q in primes:
-            ver = verify_entry(entry, q, check_lds=(which == "lds"))
+            ver = verify_entry(entry, q)
             status = "ok" if ver.ok else "FAIL"
             if not entry.asserted:
                 status = "info"

@@ -105,19 +105,6 @@ def digit_expansions(values: list[int], p: int, K: int) -> list[tuple[int, ...]]
     return out
 
 
-def digits_of(x: int, p: int, K: int) -> tuple[int, ...]:
-    """Little-endian base-p digits of a nonnegative x mod p^K: the single-value
-    case of ``digit_expansions``.
-
-    Examples:
-        >>> digits_of(7, 3, 3)
-        (1, 2, 0)
-    """
-    if x < 0:
-        raise ValueError("digits_of expects a nonnegative integer")
-    return digit_expansions([x], p, K)[0]
-
-
 def digit_reversals(values: list[int], p: int, K: int | None = None) -> list[tuple[int, int]]:
     """Digit-reversal images of integers, each as a pair (num, p^L) in lowest terms.
 

@@ -256,9 +256,6 @@ class DivergenceEntry:
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    p: int
-    max_degree: int
-    coefficient_range: tuple[int, int]
     candidates: int
     entries: tuple[DivergenceEntry, ...]
 
@@ -274,7 +271,7 @@ def divergence_scan(
     Coefficients are canonicalized into [0, p) before enumeration: both the
     permutation tests and the derivative-root test depend only on the
     coefficient residues mod p, so distinct lifts carry the same verdicts.
-    Entries are reported in (degree, coefficient-tuple) order.
+    Entries come in (degree, coefficient-tuple) order, the enumeration's own.
     """
     check_prime(p)
     if isinstance(coefficient_range, range):
@@ -306,11 +303,4 @@ def divergence_scan(
             formula = classify_via_reduction(f, p)
             if truth.low_discrepancy != formula.low_discrepancy:
                 entries.append(DivergenceEntry(f, truth, formula))
-    entries.sort(key=lambda e: (e.poly.degree, e.poly.coeffs))
-    return DivergenceReport(
-        p=p,
-        max_degree=max_degree,
-        coefficient_range=(lo, hi),
-        candidates=total,
-        entries=tuple(entries),
-    )
+    return DivergenceReport(candidates=total, entries=tuple(entries))

@@ -10,8 +10,8 @@ formal derivative and the degree-lowering reductions used by the classifier:
 folding exponents with the period of the unit group mod p yields a
 polynomial of degree <= p-2 that agrees with its input (f, or f') at every
 unit residue.  Its private evaluators mod m give the image of f (``_image``,
-which alone decides how to enumerate a modulus), the roots of f mod p one at
-a time, and the search's injectivity test mod p.
+which alone decides how to enumerate a modulus) and the roots of f mod p one
+at a time.
 """
 
 from __future__ import annotations
@@ -48,13 +48,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __call__(self, x: int) -> int:
         """Exact integer evaluation (Horner)."""
         v = 0
@@ -83,26 +76,11 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
 # The evaluators below take a bare little-endian coefficient sequence, so the
 # exhaustive search can call them without building an IntPolynomial per
 # candidate.  Each inlines its Horner loop: one shared generator evaluator
-# made the search's per-candidate mod-p test about 1.25x as slow, and sending
-# that test through _image 1.12x (48.2 against 43.0 ms over the 28,561
-# degree-6 candidates at p = 13).  _image takes rows mod q^2 from q = 16 on:
-# against Horner over Z/q^2 (CPython 3.11, 2-core x86-64 host, min of 40
-# calls) they took 0.55-0.68x the time for q = 16..23 at degree 1 and
-# 0.14-0.18x at degree 30, but 1.2x at q = 8 and 2.5x at q = 3 (degree 1).
-
-def _is_injective_mod(coeffs, m: int) -> bool:
-    """True iff x -> f(x) mod m is injective on [0, m); stops at the first repeat."""
-    rev = coeffs[::-1]
-    seen = bytearray(m)
-    for x in range(m):
-        v = 0
-        for c in rev:
-            v = (v * x + c) % m
-        if seen[v]:
-            return False
-        seen[v] = 1
-    return True
-
+# made the search's per-candidate mod-p tests about 1.25x as slow.  _image
+# takes rows mod q^2 from q = 16 on: against Horner over Z/q^2 (CPython 3.11,
+# 2-core x86-64 host, min of 40 calls) they took 0.55-0.68x the time for
+# q = 16..23 at degree 1 and 0.14-0.18x at degree 30, but 1.2x at q = 8 and
+# 2.5x at q = 3 (degree 1).
 
 def _roots_mod(coeffs, p: int):
     """Yield the x in [0, p) with f(x) = 0 mod p, in increasing order."""
@@ -184,13 +162,6 @@ def derivative(f: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(i * c for i, c in enumerate(f.coeffs) if i >= 1)
 
 
-def reduce_coeffs_mod(f: IntPolynomial, m: int) -> IntPolynomial:
-    """Canonical representative with all coefficients in [0, m)."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    return IntPolynomial(c % m for c in f.coeffs)
-
-
 def affine_compose(
     f: IntPolynomial,
     outer: tuple[int, int],
@@ -264,6 +235,11 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+def _quote(text: str) -> str:
+    """repr of text's first 16 characters, plus "..." if it is longer: one short line."""
+    return f"{text[:16]!r}{'...' if len(text) > 16 else ''}"
+
+
 def _int_literal(literal: str, position: int) -> int:
     """int(literal), or a PolyParseError at ``position`` if it is not one or too long."""
     try:
@@ -271,9 +247,9 @@ def _int_literal(literal: str, position: int) -> int:
     except ValueError as exc:
         if str(exc).startswith("Exceeds the limit"):
             limit = sys.get_int_max_str_digits()
-            raise PolyParseError(f"integer {literal[:16]!r}... has more than {limit} digits, the "
+            raise PolyParseError(f"integer {_quote(literal)} has more than {limit} digits, the "
                                  f"most the interpreter converts", position) from None
-        raise PolyParseError(f"invalid integer {literal!r}", position) from None
+        raise PolyParseError(f"invalid integer {_quote(literal)}", position) from None
 
 
 def parse_poly(text: str) -> IntPolynomial:
@@ -370,7 +346,7 @@ def _parse_terms(text: str) -> IntPolynomial:
 
 def render(f: IntPolynomial) -> str:
     """Canonical text form; parse_poly(render(f)) == f."""
-    if f.is_zero:
+    if not f.coeffs:
         return "0"
     parts: list[str] = []
     for k in range(f.degree, -1, -1):

@@ -25,7 +25,6 @@ from padiclds.polynomials import (
     derivative,
     eval_mod,
     parse_poly,
-    reduce_coeffs_mod,
 )
 
 
@@ -106,6 +105,14 @@ class TestEntries:
             assert entry.build(3, 11).coeffs == at_square, name
             assert entry.build(2, 11).coeffs == at_nonsquare, name
 
+    def test_builds_are_reduced_mod_p(self):
+        # table1_instances and the search diff read the builds as residues
+        for entry in dickson_entries():
+            for p in verification_primes(entry):
+                for a in admissible_parameters(entry.parameter_predicate, p):
+                    coeffs = entry.build(a, p).coeffs
+                    assert all(0 <= c < p for c in coeffs), (entry.name, p, a, coeffs)
+
 
 class TestVerifyEntry:
     def test_quartic_derivative_roots(self):
@@ -174,16 +181,25 @@ class TestVerifyEntry:
     def test_doctored_low_discrepancy_claim_fails(self):
         # x^4 + 3x permutes Z/7 but f' has roots there, so a table-1 claim fails
         (quartic,) = entry_by_name("x^4 + 3*x", 2)
-        ver = verify_entry(dataclasses.replace(quartic, source_table=1), 7, check_lds=True)
+        ver = verify_entry(dataclasses.replace(quartic, source_table=1), 7)
         assert ver.failures == ("x^4 + 3*x @ p=7, a=0: not classified low-discrepancy",)
         assert ver.results[0].low_discrepancy is False
+
+    def test_only_table1_rows_are_classified(self):
+        for entry in dickson_entries():
+            for p in verification_primes(entry):
+                for r in verify_entry(entry, p).results:
+                    if entry.source_table == 1:
+                        assert isinstance(r.low_discrepancy, bool), (entry.name, p, r.a)
+                    else:
+                        assert r.low_discrepancy is None, (entry.name, p, r.a)
 
     def test_table1_rows_are_low_discrepancy(self):
         for entry in dickson_entries():
             if entry.source_table != 1:
                 continue
             for p in verification_primes(entry):
-                ver = verify_entry(entry, p, check_lds=True)
+                ver = verify_entry(entry, p)
                 assert ver.ok, (entry.name, p, ver.failures)
                 assert all(r.low_discrepancy for r in ver.results)
 
@@ -223,7 +239,7 @@ class TestExhaustiveSearch:
         coeffs = {f.coeffs for f in found}
         assert (0, 1, 0, 1) in coeffs  # x^3 + x
         # x^3 - 2x reduces to the same residue polynomial
-        assert reduce_coeffs_mod(parse_poly("x^3 - 2x"), 3).coeffs == (0, 1, 0, 1)
+        assert tuple(c % 3 for c in parse_poly("x^3 - 2x").coeffs) == (0, 1, 0, 1)
         for f in found:
             assert classify_low_discrepancy(f, 3).low_discrepancy
 
@@ -301,7 +317,7 @@ class TestMatchAgainstTable:
     def test_affine_images_are_recognized(self):
         rng = random.Random(149)
         for template in table1_instances(11) + prop_family_instances(5):
-            p = 11 if template.coefficient(6) else 5
+            p = 11 if template.degree == 6 else 5
             c = rng.choice(range(1, p))
             d = rng.randint(0, p - 1)
             u = rng.choice(range(1, p))
@@ -363,11 +379,11 @@ def reference_orbit(p):
 
 def is_prop_instance(g, p):
     """x^p + a*x + b with a and a+1 units, read off the reduced coefficients."""
-    if g.degree != p or g.coefficient(p) != 1:
+    if g.degree != p or g.coeffs[p] != 1:
         return False
-    if any(g.coefficient(i) for i in range(2, p)):
+    if any(g.coeffs[2:p]):
         return False
-    a = g.coefficient(1)
+    a = g.coeffs[1]
     return a != 0 and (a + 1) % p != 0
 
 
@@ -442,6 +458,6 @@ class TestMatchDifferential:
         for p, found in image_inputs(157):
             self.compare(found, p, seen)
             lifted = [lift(f, p, rng) for f in found]
-            assert all(f.degree > reduce_coeffs_mod(f, p).degree for f in lifted)
+            assert all(f.degree > IntPolynomial(c % p for c in f.coeffs).degree for f in lifted)
             self.compare(lifted, p, seen)
         assert seen == set(CATEGORIES)

@@ -10,7 +10,7 @@ import pytest
 
 from padiclds import cli, paircorr
 from padiclds.cli import main, parse_fraction, parse_schedule
-from padiclds.padic import InvariantError, digits_of, monna_of_int
+from padiclds.padic import InvariantError, digit_expansions, monna_of_int
 from padiclds.polynomials import parse_poly
 from padiclds.sequence import poly_sequence
 
@@ -45,12 +45,25 @@ class TestScheduleParsing:
         assert err.count("\n") == 1 and err.startswith("padiclds: error: ")
         assert f"above the limit of {cli.MAX_SEQUENCE_LENGTH}" in err
 
-    @pytest.mark.parametrize("schedule", ["1..5,100", "1..x", "pk:a..3", "3.5"])
+    @pytest.mark.parametrize("schedule",
+                             ["1..5,100", "1..x", "pk:a..3", "3.5", "1..zzzzzzzzzzzzz"])
     def test_malformed_number_exits_1_with_one_line(self, capsys, schedule):
         code, out, err = run_cli(capsys, "discrepancy", "--p", "3", "--N", schedule, "--", "x")
         assert code == 1 and out == ""
         assert err == (f"padiclds: error: invalid schedule {schedule!r}: expected "
                        '"a..b", "a,b,c" or "pk:k1..k2" with integer bounds and entries\n')
+
+    @pytest.mark.parametrize("schedule,message", [
+        ("1..2" + "z" * 5000, "invalid schedule '1..2zzzzzzzzzzzz'...: expected"),
+        (f"1..{10**15}", f"schedule asks for N={10**15} values"),
+        ("1.." + "9" * 4000, "schedule asks for N='9999999999999999'... values"),
+        ("pk:1.." + "9" * 4000, "schedule asks for N=3^'9999999999999999'... values"),
+    ], ids=["5004 characters", "N of 16 digits", "N of 4000 digits", "k2 of 4000 digits"])
+    def test_long_schedule_is_cut_to_16_characters(self, capsys, schedule, message):
+        code, out, err = run_cli(capsys, "discrepancy", "--p", "3", "--N", schedule, "--", "x")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"padiclds: error: {message}") and err.count("\n") == 1
+        assert len(err) < 200
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--p", "3", "--n", "1", "--K", "100000000", "--mode", "digits", "--", "x"],
@@ -64,6 +77,15 @@ class TestScheduleParsing:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("padiclds: error: --K 100000000 ")
         assert f"above the limit of {cli.MAX_DIGIT_BITS} bits" in err
+
+    @pytest.mark.parametrize("command", [["generate", "--n", "2", "--mode", "digits"],
+                                         ["bridge", "--N", "2"]])
+    def test_long_K_is_cut_to_16_characters(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--p", "3", "--K", "1" + "0" * 4000, "--", "x")
+        assert (code, out) == (1, "")
+        assert err == ("padiclds: error: --K '1000000000000000'... asks for '1000000000000000'... "
+                       "base-3 digits of N=2 values ('4000000000000000'... bits), above the limit "
+                       f"of {cli.MAX_DIGIT_BITS} bits\n")
 
     def test_digit_budget_admits_the_limit(self, capsys):
         # K * N * bit_length(3) is the limit exactly, then one digit above it;
@@ -228,8 +250,9 @@ class TestGenerate:
             pk = 7**K
             _, out, _ = run_cli(capsys, "generate", "--p", "7", "--n", "12", "--K", str(K),
                                 "--mode", "digits", "--", "x^3-50")
+            residues = [v % pk for v in values]
             assert [line.split(",")[1:] for line in out.splitlines()[1:]] == [
-                [str(d) for d in digits_of(v % pk, 7, K)] for v in values]
+                [str(d) for d in digits] for digits in digit_expansions(residues, 7, K)]
             _, out, _ = run_cli(capsys, "generate", "--p", "7", "--n", "12", "--K", str(K),
                                 "--mode", "monna", "--", "x^3-50")
             assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
@@ -386,6 +409,15 @@ class TestPaircorrCommand:
                                  "--alpha", given["--alpha"], "--s", given["--s"], "--", "x")
         assert (code, out, err) == (
             1, "", "padiclds: error: invalid rational '1/x' (expected forms like 2 or 1/3)\n")
+
+    @pytest.mark.parametrize("option", ["--s", "--alpha"])
+    def test_long_malformed_rational_is_cut_to_16_characters(self, capsys, option):
+        given = {"--s": "1", "--alpha": "1/2", option: "1/x" + "b" * 5000}
+        code, out, err = run_cli(capsys, "paircorr", "--p", "2", "--N", "5",
+                                 "--alpha", given["--alpha"], "--s", given["--s"], "--", "x")
+        assert (code, out) == (1, "")
+        assert err == ("padiclds: error: invalid rational '1/xbbbbbbbbbbbbb'... "
+                       "(expected forms like 2 or 1/3)\n")
 
 
 class TestCertifiedRoute:

@@ -9,7 +9,6 @@ from padiclds.padic import (
     check_prime,
     digit_expansions,
     digit_reversals,
-    digits_of,
     monna_of_int,
     valuation,
 )
@@ -84,7 +83,7 @@ class TestDigits:
         [(7, 3, 3, (1, 2, 0)), (0, 5, 4, (0, 0, 0, 0)), (243, 3, 5, (0, 0, 0, 0, 0))],
     )
     def test_examples(self, x, p, K, expected):
-        assert digits_of(x, p, K) == expected
+        assert digit_expansions([x], p, K) == [expected]
 
     def test_reconstruction(self):
         rng = random.Random(3)
@@ -92,7 +91,7 @@ class TestDigits:
             p = rng.choice([2, 3, 5, 7])
             K = rng.randint(1, 12)
             x = rng.randint(0, p**K - 1)
-            d = digits_of(x, p, K)
+            [d] = digit_expansions([x], p, K)
             assert sum(di * p**i for i, di in enumerate(d)) == x
             assert len(d) == K
 
@@ -103,7 +102,7 @@ class TestDigits:
             K = 8
             x = rng.randint(0, p**K - 1)
             y = rng.randint(0, p**K - 1)
-            dx, dy = digits_of(x, p, K), digits_of(y, p, K)
+            dx, dy = digit_expansions([x, y], p, K)
             for k in range(K + 1):
                 same_mod = (x - y) % p**k == 0
                 assert same_mod == (dx[:k] == dy[:k])
@@ -112,13 +111,9 @@ class TestDigits:
                 ty = monna_of_int(y, p, k) if k else Fraction(0)
                 assert same_mod == (abs(tx - ty) < Fraction(1, p**k))
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            digits_of(-1, 3, 2)
-
     def test_rejects_bad_precision(self):
         with pytest.raises(ValueError):
-            digits_of(1, 3, 0)
+            digit_expansions([1], 3, 0)
 
     @pytest.mark.parametrize("p", [2, 3, 7, 1048573])
     def test_expansions_equal_the_digits_of_each_residue(self, p):
@@ -128,7 +123,8 @@ class TestDigits:
             pk = p**K
             values = [rng.randint(-pk * p, pk * p) for _ in range(40)]
             values += [0, -1, -pk, pk - 1, -pk - 1]
-            assert digit_expansions(values, p, K) == [digits_of(v % pk, p, K) for v in values]
+            residues = [v % pk for v in values]
+            assert digit_expansions(values, p, K) == digit_expansions(residues, p, K)
 
     def test_expansions_reject_bad_p_and_K(self):
         assert digit_expansions([], 3, 2) == []
@@ -167,7 +163,7 @@ class TestMonna:
             K = rng.randint(1, 8)
             bound = p ** rng.randint(0, 9)
             x = rng.randint(-bound, bound)
-            digits = digits_of(x % p**K, p, K)
+            [digits] = digit_expansions([x % p**K], p, K)
             expected = sum(Fraction(d, p ** (i + 1)) for i, d in enumerate(digits))
             assert monna_of_int(x, p, K) == expected, (x, p, K)
             x, ndigits = abs(x), 0

@@ -26,7 +26,6 @@ from padiclds.polynomials import (
     derivative,
     eval_mod,
     parse_poly,
-    reduce_coeffs_mod,
     render,
     unit_value_poly,
 )
@@ -345,6 +344,16 @@ class TestDivergenceScan:
         with pytest.raises(ValueError, match="cap"):
             divergence_scan(3, 20, range(0, 3), cap=1000)
 
+    @pytest.mark.parametrize("p,max_degree,coefficients,count",
+                             [(3, 5, range(-4, 2), 108), (5, 4, range(2, 7), 160)])
+    def test_wrapped_ranges_come_in_degree_then_coefficient_order(
+            self, p, max_degree, coefficients, count):
+        # the residues of a range that wraps past p are enumerated sorted
+        report = divergence_scan(p, max_degree, coefficients)
+        keys = [(e.poly.degree, e.poly.coeffs) for e in report.entries]
+        assert len(keys) == count
+        assert keys == sorted(keys)
+
     def test_cap_stops_counting(self):
         # the count stops once it passes the cap instead of summing 10^9 degrees
         message = r"^search space of at least 1594323 candidates exceeds cap 1000000$"
@@ -440,7 +449,7 @@ class TestCertificateOracle:
         for f, p in sampled_cases():
             self.check(f, p)
             if p >= 3:
-                folded += unit_value_poly(f, p) != reduce_coeffs_mod(f, p)
+                folded += unit_value_poly(f, p) != IntPolynomial(c % p for c in f.coeffs)
         assert folded > 0  # the foldings really differ from f
 
     @pytest.mark.parametrize("cases", [exhaustive_cases, sampled_cases])

@@ -8,7 +8,6 @@ from padiclds.permcheck import first_missing_residue
 from padiclds.polynomials import (
     IntPolynomial,
     _image,
-    _is_injective_mod,
     _rows,
     PolyParseError,
     affine_compose,
@@ -82,6 +81,16 @@ class TestParse:
             parse_poly("[1, a]")
         assert str(err.value) == "syntax error at position 3: invalid integer 'a'"
 
+    @pytest.mark.parametrize("entry,quoted", [
+        ("a" * 16, repr("a" * 16)),  # 16 characters are quoted in full
+        ("a" * 17, repr("a" * 16) + "..."),
+        ("a" + "b" * 5000, repr("a" + "b" * 15) + "..."),
+    ], ids=["16", "17", "5001"])
+    def test_long_invalid_list_entry_is_cut_to_16_characters(self, entry, quoted):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(f"[1, {entry}]")
+        assert str(err.value) == f"syntax error at position 3: invalid integer {quoted}"
+
     def test_parse_render_round_trip(self):
         rng = random.Random(17)
         for _ in range(300):
@@ -146,7 +155,6 @@ class TestSquareRows:
         assert _image(coeffs, m, False) == image, (coeffs, m)
         injective = all(image)
         assert _image(coeffs, m, True) == (image if injective else None), (coeffs, m)
-        assert injective == _is_injective_mod(coeffs, m), (coeffs, m)
         return injective, "rows" if len(self.row_moduli) > calls else "horner"
 
     def test_random_degrees_and_moduli(self):
@@ -228,7 +236,7 @@ class TestSquareRows:
 class TestDerivative:
     def test_examples(self):
         assert derivative(parse_poly("x^3 + x")).coeffs == (1, 0, 3)
-        assert derivative(IntPolynomial([5])).is_zero
+        assert derivative(IntPolynomial([5])).coeffs == ()
         assert derivative(parse_poly("x^5 + 4x^3 + 4x")).coeffs == (4, 0, 12, 0, 5)
 
     def test_linearity(self):
@@ -302,7 +310,7 @@ class TestUnitFoldings:
 
     def test_derivative_examples(self):
         # the folding of f', as the folding route and the classify CLI take it
-        assert unit_value_poly(derivative(parse_poly("x^5 + x")), 3).is_zero
+        assert unit_value_poly(derivative(parse_poly("x^5 + x")), 3).coeffs == ()
         assert unit_value_poly(derivative(parse_poly("x^5")), 3).coeffs == (2,)
         assert unit_value_poly(derivative(parse_poly("x^3 + x")), 3).coeffs == (1,)
 

@@ -207,3 +207,64 @@ def walk_inputs(draw):
 def test_level_walk_equals_a_fresh_loop_per_size(args):
     s, alpha, p, sizes = args
     assert list(_levels(s, alpha, p, sizes)) == [level_oracle(s, N, alpha, p) for N in sizes]
+
+
+# numerals short enough to run and long enough to pass the interpreter's digit
+# limit, and runs of one arbitrary character between short texts, so that
+# inputs reach about 6,000 characters; paircorr's schedule and alpha are often
+# valid, so that the radii are parsed too
+short = st.integers(-2, 120).map(str)
+numerals = st.one_of(short, st.builds(lambda d, n: d + "0" * n, st.sampled_from("123456789"),
+                                      st.one_of(st.integers(0, 3), st.integers(4, 6000))))
+junk = st.builds(lambda a, c, n, b: a + c * n + b, st.text(max_size=8), st.characters(),
+                 st.integers(0, 6000), st.text(max_size=8))
+schedules = st.one_of(
+    numerals,
+    st.builds("{}..{}".format, numerals, numerals),
+    st.lists(numerals, min_size=1, max_size=4).map(",".join),
+    st.builds("pk:{}..{}".format, numerals, numerals),
+    junk,
+)
+rationals = st.one_of(
+    numerals,
+    st.builds("{}/{}".format, short, short),
+    st.builds("{}/{}".format, numerals, numerals),
+    st.builds("{}e{}".format, numerals, numerals),
+    junk,
+)
+
+
+def often(valid, anything):
+    """valid three times in four, else anything."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else anything)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(("discrepancy", "paircorr")),
+       often(st.sampled_from(("9", "1..30", "pk:0..6", "81,9,1")), schedules),
+       often(st.sampled_from(("1/2", "1", "2/3")), rationals),
+       st.lists(rationals, min_size=1, max_size=3).map(",".join))
+# the echoes of a malformed schedule and rational, and of an N past the limit
+@example("discrepancy", "1..2" + "z" * 5000, "1/2", "1")
+@example("paircorr", "9", "1/2", "1/x" + "b" * 5000)
+@example("paircorr", "9", "1/x" + "b" * 5000, "1")
+@example("discrepancy", "1.." + "9" * 4000, "1/2", "1")
+@example("discrepancy", "pk:1.." + "9" * 4000, "1/2", "1")
+def test_schedules_and_rationals_end_in_an_exit_code(command, N, alpha, s):
+    # x is certified low-discrepancy at p = 3, so any accepted schedule that
+    # reaches N = 9 is answered from the closed forms
+    argv = [command, "--p", "3", f"--N={N}", "--", "x"]
+    if command == "paircorr":
+        argv[4:4] = [f"--alpha={alpha}", f"--s={s}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    assert (code == 0) == (err == "") == (out.getvalue() != ""), (argv, code, err)
+    if code == 1:
+        assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) <= 300, err

@@ -3,10 +3,10 @@
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
 searches, error paths, rationals and integer literals too long to convert or
-quote, five large-p, three high-degree and two root-free
-non-permutation classify calls, long and dense discrepancy, paircorr and
-generate schedules, digit and
-digit-reversal output of negative values, integer ``--linear`` sequences,
+quote, malformed inputs too long to echo, five large-p, three high-degree and
+two root-free non-permutation classify calls, long and dense discrepancy,
+paircorr and generate schedules, digit and digit-reversal output of negative
+values, integer ``--linear`` sequences,
 unsorted, long, dense and negative-valued bridge schedules, the catalog
 dump of each ``verify-tables --which`` selection, and the closed-form
 ``discrepancy`` and ``paircorr`` rows of certified low-discrepancy inputs at
@@ -142,6 +142,14 @@ EXTRA = [
       for alpha, s in (("1/2", "1e-9999999"), ("1e-5000", "1"), ("1/1" + "0" * 4000, "1"))),
     *(["classify", "--p", "3", "--", f]
       for f in ("1" + "0" * 5000 + "x", "x^1" + "0" * 5000, "[1" + "0" * 5000 + ",1]")),
+    # malformed inputs and numbers too long to echo, quoted by their first 16
+    # characters: an integer, a rational, a schedule, a range end, a power and
+    # a digit count
+    ["classify", "--p", "3", "--", "[1, a" + "b" * 5000 + "]"],
+    ["paircorr", "--p", "3", "--N", "5", "--alpha", "1/2", "--s", "1/x" + "b" * 5000, "--", "x"],
+    *(["discrepancy", "--p", "3", "--N", N, "--", "x"]
+      for N in ("1.." + "z" * 5000, "1.." + "9" * 4000, "pk:1.." + "9" * 4000)),
+    ["generate", "--p", "3", "--n", "2", "--K", "1" + "0" * 4000, "--mode", "digits", "--", "x"],
 ]
 
 
