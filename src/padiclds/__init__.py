@@ -53,7 +53,6 @@ from .paircorr import (
     F_statistic,
     PairCorrInput,
     lds_pair_count,
-    pair_count,
     ppc_sweep,
     threshold_level,
 )

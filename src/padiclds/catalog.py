@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .padic import InvariantError, check_prime
-from .permcheck import _check_p2_enumeration, classify_low_discrepancy, is_permutation_mod
+from .permcheck import (_check_enumeration, _count_candidates, classify_low_discrepancy,
+                        is_permutation_mod)
 from .polynomials import IntPolynomial, _image, _roots_mod, derivative
 
 PRED_NONSQUARE = "nonsquare"
@@ -64,20 +65,10 @@ class DicksonEntry:
         return p != 5 and p % 5 in (2, 3)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "source_table": self.source_table,
-            "prime_spec": self.prime_spec,
-            "parameter_predicate": self.parameter_predicate,
-            "expected_derivative_roots": (
-                sorted(self.expected_derivative_roots)
-                if self.expected_derivative_roots is not None
-                else None
-            ),
-            "derivative_root_exists": self.derivative_root_exists,
-            "sign_variant": self.sign_variant,
-            "asserted": self.asserted,
-        }
+        out = {k: v for k, v in vars(self).items() if k != "build"}
+        if self.expected_derivative_roots is not None:
+            out["expected_derivative_roots"] = sorted(self.expected_derivative_roots)
+        return out
 
 
 def admissible_parameters(predicate: str, p: int) -> list[int]:
@@ -247,8 +238,6 @@ class ParameterResult:
 
 @dataclass(frozen=True)
 class EntryVerification:
-    entry: DicksonEntry
-    p: int
     results: tuple[ParameterResult, ...]
     failures: tuple[str, ...]
     notes: tuple[str, ...]
@@ -297,7 +286,7 @@ def verify_entry(entry: DicksonEntry, p: int) -> EntryVerification:
             sink.append(f"{label}: expected no derivative roots, found {sorted(roots)}")
         if lds is False:
             sink.append(f"{label}: not classified low-discrepancy")
-    return EntryVerification(entry, p, tuple(results), tuple(failures), tuple(notes))
+    return EntryVerification(tuple(results), tuple(failures), tuple(notes))
 
 
 def verification_primes(entry: DicksonEntry) -> tuple[int, ...]:
@@ -334,14 +323,14 @@ def exhaustive_search(
     p: int,
     max_degree: int,
     constraints: SearchConstraints = SearchConstraints(),
-    cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[IntPolynomial]:
     """All polynomials of degree 1..max_degree (coefficients in [0, p)) under
     the given shape constraints that generate low-discrepancy sequences.
 
     Verdicts depend only on coefficient residues mod p (the permutation test
     mod p^2 reduces to mod-p data via the derivative criterion), so [0, p) is
-    the complete search space; ``cap`` bounds its size.  The verdict is also
+    the complete search space; more than ``DEFAULT_SEARCH_CAP`` candidates
+    are refused before any is tested.  The verdict is also
     invariant under f -> u*f(x + c) + v (u a unit), so only monic zero-constant
     representatives g take the mod-p test, with a_{d-1} = 0 as well when
     d >= 2 and p does not divide d: the x^{d-1} coefficient of g(x + c) is
@@ -352,17 +341,16 @@ def exhaustive_search(
     coefficient tuple) order.
     """
     check_prime(p)
-    _check_p2_enumeration(p)
+    _check_enumeration(p * p, "p^2")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     n_lead = 1 if constraints.monic else p - 1
     n_a0 = 1 if constraints.zero_constant else p
     n_a1 = p - 1 if constraints.nonzero_linear else p
-    total = 0
-    for d in range(1, max_degree + 1):
-        total += n_lead * n_a0 * (n_a1 * p ** (d - 2) if d > 1 else 1)
-        if total > cap:
-            raise ValueError(f"search space of at least {total} candidates exceeds cap {cap}")
+    _count_candidates(
+        (n_lead * n_a0 * (n_a1 * p ** (d - 2) if d > 1 else 1) for d in range(1, max_degree + 1)),
+        DEFAULT_SEARCH_CAP,
+    )
 
     units = (1,) if constraints.monic else range(1, p)
     consts = (0,) if constraints.zero_constant else range(p)

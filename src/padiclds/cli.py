@@ -32,10 +32,10 @@ from .discrepancy import (
     prefix_discrepancies,
     prefix_real_discrepancies,
 )
-from .padic import InvariantError, check_prime, digit_expansions, digit_reversals
+from .padic import InvariantError, _quote, _shown, check_prime, digit_expansions, digit_reversals
 from .paircorr import MAX_RADIUS_BITS, ppc_sweep
 from .permcheck import classify_low_discrepancy, classify_via_reduction, noebauer_mod_p2
-from .polynomials import IntPolynomial, _quote, derivative, parse_poly, render, unit_value_poly
+from .polynomials import IntPolynomial, derivative, parse_poly, render, unit_value_poly
 from .sequence import poly_sequence
 
 SCHEMA_VERSION = 1
@@ -55,6 +55,12 @@ MAX_SEQUENCE_LENGTH = 100_000
 # p^K stays below 2*10^6 bits, where forming it takes milliseconds (at K =
 # 10^6 it took over a minute).
 MAX_DIGIT_BITS = 2_000_000
+
+CLASSIFY_COLUMNS = (
+    "p", "polynomial", "low_discrepancy", "perm_mod_p", "perm_mod_p2",
+    "derivative_root", "missing_level", "missing_residue",
+    "formula_low_discrepancy", "divergence",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,11 +93,6 @@ def parse_fraction(text: str) -> Fraction:
                          f"or 1/3)") from None
     raise ValueError(f"rational {_quote(text)} has a decimal exponent beyond {MAX_RADIUS_BITS} "
                      f"in magnitude, unlike any supported value")
-
-
-def _shown(n: int) -> int | str:
-    """n itself, or its first 16 digits as ``_quote`` shows them if it has more."""
-    return n if n < 10**16 else _quote(str(n))
 
 
 def _check_length(N: int, what: str) -> None:
@@ -191,13 +192,9 @@ def _out_stream(args):
         yield sys.stdout
 
 
-def _emit_rows(args, header: list[str], rows: list[list], command: str) -> None:
+def _emit_rows(args, header: list[str] | tuple[str, ...], rows: list[list], command: str) -> None:
     if args.format == "json":
-        _emit_json(args, {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "rows": [dict(zip(header, row)) for row in rows],
-        })
+        _emit_json(args, command, {"rows": [dict(zip(header, row)) for row in rows]})
         return
     with _out_stream(args) as stream:
         writer = csv.writer(stream, lineterminator="\n")
@@ -205,7 +202,8 @@ def _emit_rows(args, header: list[str], rows: list[list], command: str) -> None:
         writer.writerows(rows)
 
 
-def _emit_json(args, payload: dict) -> None:
+def _emit_json(args, command: str, body: dict) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **body}
     with _out_stream(args) as stream:
         stream.write(json.dumps(payload, indent=2) + "\n")
 
@@ -229,8 +227,6 @@ def cmd_classify(args) -> int:
         }
         divergence = formula.low_discrepancy != brute.low_discrepancy
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
         "p": p,
         "polynomial": render(f),
         "coefficients": list(f.coeffs),
@@ -240,11 +236,6 @@ def cmd_classify(args) -> int:
         "divergence": divergence,
     }
     if args.format == "csv":
-        header = [
-            "p", "polynomial", "low_discrepancy", "perm_mod_p", "perm_mod_p2",
-            "derivative_root", "missing_level", "missing_residue",
-            "formula_low_discrepancy", "divergence",
-        ]
         missing = brute.missing_residue or (None, None)
         row = [
             p, render(f), brute.low_discrepancy, brute.perm_mod_p, brute.perm_mod_p2,
@@ -252,9 +243,9 @@ def cmd_classify(args) -> int:
             None if reduction is None else reduction["verdict"]["low_discrepancy"],
             divergence,
         ]
-        _emit_rows(args, header, [row], "classify")
+        _emit_rows(args, CLASSIFY_COLUMNS, [row], "classify")
     else:
-        _emit_json(args, payload)
+        _emit_json(args, "classify", payload)
     return EXIT_OK
 
 
@@ -343,11 +334,7 @@ def cmd_verify_tables(args) -> int:
                     or e.derivative_root_exists is not None)]
 
     if args.dump:
-        _emit_json(args, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify-tables",
-            "dump": [e.as_dict() for e in entries],
-        })
+        _emit_json(args, "verify-tables", {"dump": [e.as_dict() for e in entries]})
         return EXIT_OK
 
     failures: list[str] = []
@@ -440,9 +427,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser(
         "classify", help="classify a polynomial at a prime",
-        description="CSV columns: p, polynomial, low_discrepancy, perm_mod_p, "
-                    "perm_mod_p2, derivative_root, missing_level, missing_residue, "
-                    "formula_low_discrepancy, divergence.",
+        description=f"CSV columns: {', '.join(CLASSIFY_COLUMNS)}.",
     )
     _add_common(sp, linear=False, fmt_default="json")
     sp.set_defaults(func=cmd_classify)

@@ -355,10 +355,7 @@ def meijer_bound_check(delta: Fraction, d: Fraction, p: int) -> tuple[bool | Non
     Returns (holds, upper) with holds in {True, False, None}.
     """
     check_prime(p)
-    if not isinstance(delta, Fraction):
-        delta = Fraction(delta)
-    if not isinstance(d, Fraction):
-        d = Fraction(d)
+    delta, d = Fraction(delta), Fraction(d)
     # compared as numerators and denominators (both positive denominators)
     a, b = delta.numerator, delta.denominator
     c, e = d.numerator, d.denominator

@@ -1,9 +1,10 @@
 """Exact base-p digit arithmetic on p-adic integers.
 
 Values are plain integers throughout.  This module holds the exact
-primality check every entry point uses, valuations, little-endian digit
-tuples of x mod p^K and the digit-reversal (Monna) map into [0,1).  No
-floating point is used anywhere, so results can be compared exactly.
+primality check every entry point uses, the 16-character quoting of long
+inputs in one-line errors, valuations, little-endian digit tuples of x mod
+p^K and the digit-reversal (Monna) map into [0,1).  No floating point is
+used anywhere, so results can be compared exactly.
 
 All functions are pure; the module is safe for unrestricted concurrent use.
 """
@@ -43,18 +44,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _quote(text: str) -> str:
+    """repr of text's first 16 characters, plus "..." if it is longer: one short line."""
+    return f"{text[:16]!r}{'...' if len(text) > 16 else ''}"
+
+
+def _shown(n: int) -> int | str:
+    """n itself, or its first 16 characters as ``_quote`` shows them if it has more."""
+    return n if -10**15 < n < 10**16 else _quote(str(n))
+
+
 def check_prime(p: int) -> int:
     """Validate that p is a prime below PRIME_BOUND (about 3.3e24).
 
     Returns p unchanged so it can be used inline.  Raises ValueError for
     composite or out-of-range input.
     """
-    if not isinstance(p, int) or p < 2:
+    if not isinstance(p, int):
         raise ValueError(f"p must be a prime >= 2, got {p!r}")
+    if p < 2:
+        raise ValueError(f"p must be a prime >= 2, got {_shown(p)}")
     if p >= PRIME_BOUND:
-        raise ValueError(f"p must be below {PRIME_BOUND} (primality decided exactly), got {p}")
+        raise ValueError(f"p must be below {PRIME_BOUND} (primality decided exactly), "
+                         f"got {_shown(p)}")
     if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise ValueError(f"p must be prime, got {_shown(p)}")
     return p
 
 

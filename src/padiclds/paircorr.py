@@ -143,21 +143,8 @@ def _close_pairs(values, p: int, requests) -> dict[tuple[int, int], int]:
     return out
 
 
-def pair_count(values, p: int, k: int) -> int:
-    """Ordered pairs i != j with x_i congruent to x_j mod p^k.
-
-    Computed from class sizes as sum of m*(m-1); level 0 counts all N^2 - N
-    ordered pairs.
-    """
-    check_prime(p)
-    if k < 0:
-        raise ValueError("level k must be >= 0")
-    N = len(values)
-    return _close_pairs(values, p, [(N, k)])[N, k]
-
-
 def lds_pair_count(N: int, p: int, k: int) -> int:
-    """``pair_count`` of f(1), ..., f(N) for an f that permutes every Z/p^k.
+    """Ordered pairs i != j <= N with f(i) = f(j) mod p^k, for f permuting every Z/p^k.
 
     Such an f fills the classes mod p^k as n -> n does: with N = q*p^k + s and
     0 <= s < p^k, s classes hold q + 1 values and p^k - s hold q, so the

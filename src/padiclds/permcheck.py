@@ -45,6 +45,9 @@ from .polynomials import (
 # classification fast while covering every prime of interest (p^2 <= cap).
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
+# The most candidates ``divergence_scan`` enumerates.
+DIVERGENCE_CAP = 1_000_000
+
 METHOD_BRUTE_FORCE = "brute_force"
 METHOD_NOEBAUER = "noebauer"
 METHOD_UNIT_REDUCTION = "unit_reduction"
@@ -79,27 +82,26 @@ class Verdict:
                 raise ValueError("inconsistent verdict: missing level-1 witness")
 
     def as_dict(self) -> dict:
-        return {
-            "low_discrepancy": self.low_discrepancy,
-            "perm_mod_p": self.perm_mod_p,
-            "perm_mod_p2": self.perm_mod_p2,
-            "derivative_root": self.derivative_root,
-            "missing_residue": list(self.missing_residue) if self.missing_residue else None,
-            "method": self.method,
-        }
+        missing = self.missing_residue
+        return {**vars(self), "missing_residue": list(missing) if missing else None}
 
 
-def _check_enumeration(m: int) -> None:
+def _check_enumeration(m: int, name: str = "m") -> None:
     if m < 1:
         raise ValueError("modulus must be >= 1")
     if m > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"enumeration too large: m={m} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+        raise ValueError(f"enumeration too large: {name}={m} exceeds cap {DEFAULT_ENUMERATION_CAP}")
 
 
-def _check_p2_enumeration(p: int) -> None:
-    pp = p * p
-    if pp > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"enumeration too large: p^2={pp} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+def _count_candidates(sizes, cap: int) -> int:
+    """The sum of ``sizes``, refused as soon as it passes ``cap``, so a huge
+    number of terms is never summed in full."""
+    total = 0
+    for size in sizes:
+        total += size
+        if total > cap:
+            raise ValueError(f"search space of at least {total} candidates exceeds cap {cap}")
+    return total
 
 
 def is_permutation_mod(f: IntPolynomial, m: int) -> bool:
@@ -171,7 +173,7 @@ def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
     ``InvariantError`` rather than returning.
     """
     check_prime(p)
-    _check_p2_enumeration(p)
+    _check_enumeration(p * p, "p^2")
     df = derivative(f)
     verdict = _mod_p_verdict(f, df, p, METHOD_BRUTE_FORCE)
     if verdict.perm_mod_p2:
@@ -260,38 +262,29 @@ class DivergenceReport:
     entries: tuple[DivergenceEntry, ...]
 
 
-def divergence_scan(
-    p: int,
-    max_degree: int,
-    coefficient_range: range | tuple[int, int],
-    cap: int = 1_000_000,
-) -> DivergenceReport:
+def divergence_scan(p: int, max_degree: int, coefficient_range: range) -> DivergenceReport:
     """Enumerate polynomials and list every disagreement between the two classifiers.
 
     Coefficients are canonicalized into [0, p) before enumeration: both the
     permutation tests and the derivative-root test depend only on the
     coefficient residues mod p, so distinct lifts carry the same verdicts.
-    Entries come in (degree, coefficient-tuple) order, the enumeration's own.
+    A range's residues repeat with period p, so its first p members hold them
+    all.  More than ``DIVERGENCE_CAP`` candidates are refused before any is
+    classified.  Entries come in (degree, coefficient-tuple) order.
     """
     check_prime(p)
-    if isinstance(coefficient_range, range):
-        lo, hi = coefficient_range.start, coefficient_range.stop
-    else:
-        lo, hi = coefficient_range
-    if hi <= lo:
+    residues = sorted({c % p for c in coefficient_range[:p]})
+    if not residues:
         raise ValueError("empty coefficient range")
-    residues = sorted({c % p for c in range(lo, hi)})
     width = len(residues)
     nonzero = [r for r in residues if r != 0]
 
     # Every candidate of degree d >= 1 has a nonzero lead, so without one
     # only the constants remain.
     degrees = range(max_degree + 1) if nonzero else range(1)
-    total = width - len(nonzero)  # plus d = 0 below: the width degree-0 candidates
-    for d in degrees:
-        total += width ** d * len(nonzero)
-        if total > cap:
-            raise ValueError(f"search space of at least {total} candidates exceeds cap {cap}")
+    total = _count_candidates(
+        (width ** d * len(nonzero) if d else width for d in degrees), DIVERGENCE_CAP
+    )
 
     entries: list[DivergenceEntry] = []
     for d in degrees:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .padic import check_prime
+from .padic import _quote, check_prime
 
 
 @dataclass(frozen=True)
@@ -235,11 +235,6 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _quote(text: str) -> str:
-    """repr of text's first 16 characters, plus "..." if it is longer: one short line."""
-    return f"{text[:16]!r}{'...' if len(text) > 16 else ''}"
-
-
 def _int_literal(literal: str, position: int) -> int:
     """int(literal), or a PolyParseError at ``position`` if it is not one or too long."""
     try:
@@ -338,8 +333,6 @@ def _parse_terms(text: str) -> IntPolynomial:
             terms[0] = terms.get(0, 0) + sign * coef
         i = skip_ws(i)
 
-    if not terms:
-        return IntPolynomial()
     top = max(terms)
     return IntPolynomial(terms.get(k, 0) for k in range(top + 1))
 

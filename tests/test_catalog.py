@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from padiclds import catalog
 from padiclds.catalog import (
     FAMILY_5M2_SAMPLE_PRIMES,
     MatchReport,
@@ -227,7 +228,6 @@ def low_discrepancy_space(p, max_degree):
 
 class TestExhaustiveSearch:
     def test_failed_confirmation_raises(self, monkeypatch):
-        from padiclds import catalog
         from padiclds.padic import InvariantError
 
         monkeypatch.setattr(catalog, "is_permutation_mod", lambda f, m: False)
@@ -293,9 +293,10 @@ class TestExhaustiveSearch:
         found = exhaustive_search(p, max_degree, SearchConstraints(*flags))
         assert [f.coeffs for f in found] == expected
 
-    def test_cap_respected(self):
+    def test_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(catalog, "DEFAULT_SEARCH_CAP", 1000)
         with pytest.raises(ValueError, match="cap"):
-            exhaustive_search(13, 6, SearchConstraints(), cap=1000)
+            exhaustive_search(13, 6, SearchConstraints())
 
     def test_ordering(self):
         found = exhaustive_search(5, 5, SearchConstraints(monic=True, zero_constant=True))
@@ -406,14 +407,15 @@ def reference_partition(found, p):
     return MatchReport(**{cat: tuple(fs) for cat, fs in buckets.items()})
 
 
-def search_inputs():
+def search_inputs(monkeypatch):
     """Search hits per (p, flags) at the largest degree <= 5 with <= 20k candidates."""
+    monkeypatch.setattr(catalog, "DEFAULT_SEARCH_CAP", 20_000)
     for p in (2, 3, 5, 7):
         for flags in itertools.product((False, True), repeat=3):
             cons = SearchConstraints(*flags)
             for degree in range(5, 0, -1):
                 try:
-                    yield p, exhaustive_search(p, degree, cons, cap=20_000)
+                    yield p, exhaustive_search(p, degree, cons)
                     break
                 except ValueError:
                     continue
@@ -448,11 +450,11 @@ class TestMatchDifferential:
         assert report == reference_partition(found, p), (p, found)
         seen.update(cat for cat in CATEGORIES if getattr(report, cat))
 
-    def test_agrees_with_reference_partition(self):
+    def test_agrees_with_reference_partition(self, monkeypatch):
         # the lifted inputs all lose degree on reduction, so an orbit filter
         # reading the unreduced degrees would miss every table-1 image
         seen = set()
-        for p, found in search_inputs():
+        for p, found in search_inputs(monkeypatch):
             self.compare(found, p, seen)
         rng = random.Random(163)
         for p, found in image_inputs(157):

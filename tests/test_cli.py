@@ -673,3 +673,27 @@ class TestOutputPlumbing:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+class TestErrorLines:
+    LONG = "1" + "0" * 4000
+
+    @pytest.mark.parametrize("argv,line", [
+        (["generate", "--p", "3", "--n", "0", "--", "x"], "--n must be >= 1"),
+        (["search", "--p", "3", "--degree", "0"], "max_degree must be >= 1"),
+        (["classify", "--p", "3", "--", "[1,2"],
+         "syntax error at position 3: coefficient list must be enclosed in [ ]"),
+        (["classify", "--p", "3", "--", "3*y"], "syntax error at position 2: expected 'x' after '*'"),
+        # p is shown in full up to 16 characters and cut to 16 beyond
+        (["classify", "--p", "1048577", "--", "x"], "p must be prime, got 1048577"),
+        (["classify", "--p", "-999999999999999", "--", "x"],
+         "p must be a prime >= 2, got -999999999999999"),
+        (["classify", "--p", LONG, "--", "x"], "p must be below 3317044064679887385961981 "
+         "(primality decided exactly), got '1000000000000000'..."),
+        (["classify", "--p", "-" + LONG, "--", "x"],
+         "p must be a prime >= 2, got '-100000000000000'..."),
+    ])
+    def test_exits_1_with_one_exact_line(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"padiclds: error: {line}\n"

@@ -11,8 +11,8 @@ from padiclds.paircorr import (
     MAX_RADIUS_BITS,
     F_statistic,
     PairCorrInput,
+    _close_pairs,
     lds_pair_count,
-    pair_count,
     ppc_sweep,
     threshold_level,
 )
@@ -100,6 +100,11 @@ class TestThresholdLevel:
             threshold_level(s / 2, 10**5, Fraction(1), 2)
         with pytest.raises(ValueError, match=f"needs {3 * MAX_RADIUS_BITS} bits"):
             threshold_level(s, 10**5, Fraction(1, 3), 2)
+
+
+def pair_count(values, p, k):
+    """``_close_pairs`` at the one cell (len(values), k)."""
+    return _close_pairs(values, p, [(len(values), k)])[len(values), k]
 
 
 class TestPairCount:

@@ -342,7 +342,7 @@ class TestDivergenceScan:
         keys = [(e.poly.degree, e.poly.coeffs) for e in report.entries]
         assert keys == sorted(keys)
         with pytest.raises(ValueError, match="cap"):
-            divergence_scan(3, 20, range(0, 3), cap=1000)
+            divergence_scan(3, 20, range(0, 3))
 
     @pytest.mark.parametrize("p,max_degree,coefficients,count",
                              [(3, 5, range(-4, 2), 108), (5, 4, range(2, 7), 160)])
@@ -362,15 +362,18 @@ class TestDivergenceScan:
 
     def test_zero_only_range_scans_the_constant(self):
         # no nonzero lead: only the constant 0 is a candidate, whatever the degree
-        for p, coefficients in ((3, range(0, 1)), (7, range(7, 8))):
+        for p, coefficients in ((3, range(0, 1)), (7, range(7, 8)), (5, range(0, 10, 5))):
             report = divergence_scan(p, 10**6, coefficients)
             assert (report.candidates, report.entries) == (1, ())
 
     def test_canonicalizes_coefficient_range(self):
-        # ranges that differ only by mod-p lifts scan the same residue space
-        r1 = divergence_scan(3, 3, range(0, 3))
-        r2 = divergence_scan(3, 3, range(0, 6))
-        assert [e.poly for e in r1.entries] == [e.poly for e in r2.entries]
+        # ranges that differ only by mod-p lifts scan the same residue space;
+        # a stepped range scans only its own members' residues
+        for p, coefficients, residues in ((3, range(0, 6), range(0, 3)),
+                                          (3, range(0, 9, 3), range(0, 1)),
+                                          (5, range(9, -1, -2), range(0, 5)),
+                                          (5, range(1, 30, 5), range(1, 2))):
+            assert divergence_scan(p, 3, coefficients) == divergence_scan(p, 3, residues)
 
 
 def _image(g, m):

@@ -11,11 +11,12 @@ unsorted, long, dense and negative-valued bridge schedules, the catalog
 dump of each ``verify-tables --which`` selection, and the closed-form
 ``discrepancy`` and ``paircorr`` rows of certified low-discrepancy inputs at
 their boundaries, beside the inputs that still take the value engines, and
-paircorr's level walk on dense, power and bit-bound schedules), through
-``padiclds.cli.main`` in-process, and prints per workload the job count and
-one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  Two
-trees whose digests agree produce byte-identical CLI output on all of these
-inputs.
+paircorr's level walk on dense, power and bit-bound schedules, and primes
+too long to echo), through ``padiclds.cli.main`` in-process, and prints per
+workload the job count and one sha256 over (argv, exit code, stdout, stderr)
+of its jobs in order.  A last line digests the ``--help`` text of the top
+parser and of each subcommand, formatted 80 columns wide.  Two trees whose
+digests agree produce byte-identical CLI output on all of these inputs.
 
 Usage:
     PYTHONPATH=<tree>/src python3 tools/cli_digest.py [SEED ...]   # default 1 2 3
@@ -150,7 +151,18 @@ EXTRA = [
     *(["discrepancy", "--p", "3", "--N", N, "--", "x"]
       for N in ("1.." + "z" * 5000, "1.." + "9" * 4000, "pk:1.." + "9" * 4000)),
     ["generate", "--p", "3", "--n", "2", "--K", "1" + "0" * 4000, "--mode", "digits", "--", "x"],
+    # bounds and syntax errors no other job reaches, and primes of 4001 and
+    # 4002 characters, cut to 16 in the message
+    ["generate", "--p", "3", "--n", "0", "--", "x"],
+    ["search", "--p", "3", "--degree", "0"],
+    ["classify", "--p", "3", "--", "[1,2"],
+    ["classify", "--p", "3", "--", "3*y"],
+    ["classify", "--p", "1" + "0" * 4000, "--", "x"],
+    ["classify", "--p", "-1" + "0" * 4000, "--", "x"],
 ]
+
+HELP = [["--help"], *([command, "--help"] for command in (
+    "classify", "generate", "discrepancy", "paircorr", "verify-tables", "search", "bridge"))]
 
 
 def run(main, argv) -> tuple[int | str, str, str]:
@@ -177,11 +189,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", nargs="*", type=int, default=[1, 2, 3])
     args = parser.parse_args()
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     from padiclds import cli
 
     print(f"padiclds from {os.path.dirname(cli.__file__)}", file=sys.stderr)
     groups = {w: [j["argv"] for s in args.seeds for j in make_jobs(w, s)] for w in WORKLOADS}
     groups["extra"] = EXTRA
+    groups["help"] = HELP
     for name, argvs in groups.items():
         print(f"{name:<9} {len(argvs):>5} jobs  sha256 {digest(cli.main, argvs)}", flush=True)
     return 0
