@@ -50,8 +50,12 @@ def _quote(text: str) -> str:
 
 
 def _shown(n: int) -> int | str:
-    """n itself, or its first 16 characters as ``_quote`` shows them if it has more."""
-    return n if -10**15 < n < 10**16 else _quote(str(n))
+    """n itself, or its first 16 characters as ``_quote`` shows them if it has more,
+    or its bit count if it has more digits than the interpreter converts to text."""
+    try:
+        return n if -10**15 < n < 10**16 else _quote(str(n))
+    except ValueError:
+        return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit integer>"
 
 
 def check_prime(p: int) -> int:

@@ -8,7 +8,7 @@ gives the smallest root.  The three routes differ only in what they feed it:
 * the Noebauer criterion -- g = f, dg = f'.  f permutes Z/p^2 iff it permutes
   Z/p and f' has no root mod p, so this decides both levels from mod-p data;
 * brute force -- the Noebauer verdict checked against f's own values mod
-  p^2: a "permutes Z/p^2" verdict by an exhaustive injectivity test mod p^2,
+  p^2: a "permutes Z/p^2" verdict by f's whole image mod p^2 (``_image``),
   a "does not" verdict by one collision f(x) = f(x') mod p^2, x != x', found
   from the mod-p facts and proved by evaluating f at both points.  A check
   that fails is a broken invariant and raises ``InvariantError``.  This is
@@ -105,8 +105,7 @@ def _count_candidates(sizes, cap: int) -> int:
 
 
 def is_permutation_mod(f: IntPolynomial, m: int) -> bool:
-    """True iff f induces a bijection on Z/mZ, by exhaustive evaluation: every
-    residue is evaluated and compared, in x order, until the first repeat."""
+    """True iff f induces a bijection on Z/mZ, by ``_image`` up to the first repeat."""
     _check_enumeration(m)
     return _image(f.coeffs, m, True) is not None
 
@@ -165,8 +164,8 @@ def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
     """Ground-truth verdict: the Noebauer verdict checked on f's values mod p^2.
 
     The sequence (f(n)) is low-discrepancy exactly when f permutes Z/p and
-    Z/p^2.  A verdict that f permutes Z/p^2 is confirmed by the exhaustive
-    permutation test mod p^2; one that it does not, by a collision mod p^2
+    Z/p^2.  A verdict that f permutes Z/p^2 is confirmed by f's image mod
+    p^2 (``is_permutation_mod``); one that it does not, by a collision mod p^2
     that ``_collides_mod_p2`` evaluates, in O(p * deg f) at most.  Either
     check reads only values of f, so it is independent of the derivative
     criterion; a failed check would mean a broken invariant, so it raises

@@ -10,13 +10,12 @@ formal derivative and the degree-lowering reductions used by the classifier:
 folding exponents with the period of the unit group mod p yields a
 polynomial of degree <= p-2 that agrees with its input (f, or f') at every
 unit residue.  Its private evaluators mod m give the image of f (``_image``,
-which alone decides how to enumerate a modulus) and the roots of f mod p one
-at a time.
+which reads a square q^2 with q >= 16 off its q fibres and evaluates every x
+at any other modulus) and the roots of f mod p one at a time.
 """
 
 from __future__ import annotations
 
-import struct
 import sys
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -77,10 +76,9 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
 # exhaustive search can call them without building an IntPolynomial per
 # candidate.  Each inlines its Horner loop: one shared generator evaluator
 # made the search's per-candidate mod-p tests about 1.25x as slow.  _image
-# takes rows mod q^2 from q = 16 on: against Horner over Z/q^2 (CPython 3.11,
-# 2-core x86-64 host, min of 40 calls) they took 0.55-0.68x the time for
-# q = 16..23 at degree 1 and 0.14-0.18x at degree 30, but 1.2x at q = 8 and
-# 2.5x at q = 3 (degree 1).
+# evaluates every x, in order to the first repeat, at non-squares and at q^2
+# with q < 16: those are the brute-force tables (mod 25, and mod p^2 for
+# p <= 13) that the derivative criterion is checked against.
 
 def _roots_mod(coeffs, p: int):
     """Yield the x in [0, p) with f(x) = 0 mod p, in increasing order."""
@@ -97,20 +95,26 @@ def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:
     """The image of x -> f(x) mod m on [0, m), as m flags; with
     ``stop_at_repeat``, None as soon as some value repeats.
 
-    Values are computed and marked in x order, so a repeat stops at that x.
-    Mod a square m = q^2, f(tq + r) = f(r) + tq*f'(r) mod q^2 for every integer
-    q >= 1, composite q included: the higher Taylor terms are integers
-    f^(k)(r)/k! times (tq)^k with k >= 2.  So row t (x = tq + r, 0 <= r < q)
-    is row 0 plus t times (row 1 - row 0).  When q >= 16 and m < 2^31, Horner
-    gives rows 0 and 1 and ``_rows`` the rest; every other m takes Horner
-    throughout.
+    Mod m = q^2, f(tq + r) = a + t(b - a) with a = f(r), b = f(q + r), for
+    any q >= 1: the higher Taylor terms are integers times (tq)^k, k >= 2.
+    As q divides b - a, fibre r (x = tq + r, 0 <= t < q) takes exactly the
+    residues = a mod s, s = gcd(b - a, q^2): f is one-to-one iff every s is q
+    and no two fibres share a class mod q, and from q = 16 on each is a slice.
     """
     q = isqrt(m)
-    rows = q * q == m and q >= 16 and m < 1 << 31
     rev = coeffs[::-1]
     seen = bytearray(m)
-    head = []
-    for x in range(2 * q if rows else m):
+    if q * q == m and q >= 16:
+        for r in range(q):
+            a = b = 0
+            for c in rev:
+                a, b = (a * r + c) % m, (b * (q + r) + c) % m
+            s = gcd(b - a, m)
+            if stop_at_repeat and (s != q or seen[a % s]):
+                return None
+            seen[a % s::s] = b"\1" * (m // s)
+        return seen
+    for x in range(m):
         v = 0
         for c in rev:
             v = (v * x + c) % m
@@ -118,43 +122,7 @@ def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:
             seen[v] = 1
         elif stop_at_repeat:
             return None
-        if rows:
-            head.append(v)
-    if rows:
-        for row in _rows(head[:q], head[q:], q):
-            for v in row:
-                if not seen[v]:
-                    seen[v] = 1
-                elif stop_at_repeat:
-                    return None
     return seen
-
-
-def _rows(row0, row1, q: int):
-    """Yield rows 2, ..., q-1 mod q^2 of a map whose rows step by the constant
-    row1 - row0.
-
-    Each row is held as one int of q 32-bit lanes, lane r holding column r, so
-    one step is a few big-int operations.  Lanes stay in [0, m) for
-    m = q^2 < 2^31: the sum of two lanes is below 2m < 2^32, so no lane carries
-    into the next, and adding the bias 2^31 - m to every lane sets bit 31 of
-    exactly the lanes >= m, from which m is then subtracted; a larger q raises
-    ``ValueError`` before the first row.
-    """
-    m = q * q
-    if m >= 1 << 31:
-        raise ValueError(f"rows mod q^2 need q^2 < 2^31, got q={q}")
-    lanes = struct.Struct(f"<{q}I")
-    ones = ((1 << 32 * q) - 1) // 0xFFFFFFFF  # 1 in every lane
-    bias = ((1 << 31) - m) * ones
-    high = ones << 31
-    row = int.from_bytes(lanes.pack(*row1), "little")
-    step = int.from_bytes(lanes.pack(*((b - a) % m for a, b in zip(row0, row1))), "little")
-    size = 4 * q
-    for _ in range(2, q):
-        s = row + step
-        row = s - (((s + bias) & high) >> 31) * m
-        yield lanes.unpack(row.to_bytes(size, "little"))
 
 
 def derivative(f: IntPolynomial) -> IntPolynomial:

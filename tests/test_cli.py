@@ -78,14 +78,20 @@ class TestScheduleParsing:
         assert err.count("\n") == 1 and err.startswith("padiclds: error: --K 100000000 ")
         assert f"above the limit of {cli.MAX_DIGIT_BITS} bits" in err
 
-    @pytest.mark.parametrize("command", [["generate", "--n", "2", "--mode", "digits"],
-                                         ["bridge", "--N", "2"]])
+    @pytest.mark.parametrize("command", [
+        (["generate", "--n", "2", "--mode", "digits"], "1" + "0" * 4000,
+         "N=2 values ('4000000000000000'... bits)"),
+        (["bridge", "--N", "2"], "1" + "0" * 4000, "N=2 values ('4000000000000000'... bits)"),
+        # the bit count has more digits than the interpreter converts to text
+        (["generate", "--n", "1000", "--mode", "digits"], "9" * 4299,
+         "N=1000 values (<14292-bit integer> bits)"),
+    ])
     def test_long_K_is_cut_to_16_characters(self, capsys, command):
-        code, out, err = run_cli(capsys, *command, "--p", "3", "--K", "1" + "0" * 4000, "--", "x")
+        argv, K, bits = command
+        code, out, err = run_cli(capsys, *argv, "--p", "3", "--K", K, "--", "x")
         assert (code, out) == (1, "")
-        assert err == ("padiclds: error: --K '1000000000000000'... asks for '1000000000000000'... "
-                       "base-3 digits of N=2 values ('4000000000000000'... bits), above the limit "
-                       f"of {cli.MAX_DIGIT_BITS} bits\n")
+        assert err == (f"padiclds: error: --K {K[:16]!r}... asks for {K[:16]!r}... base-3 digits "
+                       f"of {bits}, above the limit of {cli.MAX_DIGIT_BITS} bits\n")
 
     def test_digit_budget_admits_the_limit(self, capsys):
         # K * N * bit_length(3) is the limit exactly, then one digit above it;

@@ -1,14 +1,13 @@
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
-from padiclds import polynomials
 from padiclds.permcheck import first_missing_residue
 from padiclds.polynomials import (
     IntPolynomial,
     _image,
-    _rows,
     PolyParseError,
     affine_compose,
     derivative,
@@ -132,105 +131,99 @@ def horner_table(coeffs, m):
     return table
 
 
+def counted(coeffs):
+    """(coeffs as ints that record each Horner step "v * x + c" they end, the
+    list of those steps): the list's length counts the steps."""
+    steps = []
+
+    class Counted(int):
+        def __radd__(self, other):
+            steps.append(other)
+            return int(other) + int(self)
+
+    return [Counted(c) for c in coeffs], steps
+
+
 class TestSquareRows:
-    """_image against a Horner table: by two Horner rows and a constant step
-    mod q^2, and by Horner at every other modulus."""
-
-    @pytest.fixture(autouse=True)
-    def record_rows(self, monkeypatch):
-        self.row_moduli = []
-
-        def recorded(row0, row1, q):
-            self.row_moduli.append(q)
-            return _rows(row0, row1, q)
-
-        monkeypatch.setattr(polynomials, "_rows", recorded)
+    """_image against a Horner table: by its q fibres mod q^2 for q >= 16, read
+    off 2q Horner values, and by Horner at every x at every other modulus."""
 
     def check(self, coeffs, m):
-        """Compare both modes with the oracle; return (injective, path)."""
-        calls = len(self.row_moduli)
+        """Compare both modes with the oracle and return whether f is one-to-one
+        mod m.  Each mode evaluates 2q values at q^2 with q >= 16 and m values
+        at any other m, or fewer when it stops at a repeat."""
         image = bytearray(m)
         for v in horner_table(coeffs, m):
             image[v] = 1
-        assert _image(coeffs, m, False) == image, (coeffs, m)
+        q = isqrt(m)
+        steps_in_full = (2 * q if q * q == m and q >= 16 else m) * len(coeffs)
         injective = all(image)
-        assert _image(coeffs, m, True) == (image if injective else None), (coeffs, m)
-        return injective, "rows" if len(self.row_moduli) > calls else "horner"
+        for stop_at_repeat, expected in ((False, image), (True, image if injective else None)):
+            spied, steps = counted(coeffs)
+            assert _image(spied, m, stop_at_repeat) == expected, (coeffs, m, stop_at_repeat)
+            assert len(steps) == steps_in_full or expected is None and len(steps) < steps_in_full
+        return injective
 
     def test_random_degrees_and_moduli(self):
         rng = random.Random(61)
-        answers, paths = set(), set()
+        answers = set()
         for q in (2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 16, 17, 19, 23):
             for m in (q * q, q * q + 1):
-                paths.add(self.check((), m)[1])  # the zero polynomial
+                self.check((), m)  # the zero polynomial
             m = q * q
-            # d >= q included, up to 2q where the moduli take rows
+            # d >= q included, up to 2q where the moduli take fibres
             for d in [*range(18), *([q + 1, q + 5, 2 * q] if q >= 16 else [])]:
                 for _ in range(6):
                     coeffs = [rng.randint(-3 * m, 3 * m) for _ in range(d)]
                     coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 2 * q))
                     for modulus in (m, m - 1):
-                        injective, path = self.check(coeffs, modulus)
-                        answers.add(injective)
-                        paths.add(path)
+                        answers.add(self.check(coeffs, modulus))
                     # x + q*h(x) permutes Z/q^2 and exercises the full enumeration
                     perm = [q * c for c in coeffs]
                     if d >= 1:
                         perm[1] += 1
-                        assert self.check(perm, m)[0]
+                        assert self.check(perm, m)
         assert answers == {False, True}
-        assert paths == {"rows", "horner"}
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_every_polynomial_of_degree_at_most_2(self, q):
         answers = set()
         for coeffs in itertools.product(range(q * q), repeat=3):
-            answers.add(self.check(IntPolynomial(coeffs).coeffs, q * q)[0])
+            answers.add(self.check(IntPolynomial(coeffs).coeffs, q * q))
         assert answers == {False, True}
 
     @pytest.mark.parametrize("q", [211, 509])
-    def test_packed_lanes_at_large_moduli(self, q):
+    def test_large_square_moduli(self, q):
         rng = random.Random(q)
         for _ in range(2):
             coeffs = [rng.randrange(q * q) for _ in range(rng.randint(1, 9))]
             self.check(coeffs, q * q)
-            # x + q*h(x) permutes Z/q^2: every lane of every row is compared
+            # x + q*h(x) permutes Z/q^2: every fibre is a whole class mod q
             perm = [q * rng.randrange(q) for _ in range(rng.randint(2, 9))]
             perm[1] += 1
-            assert self.check(perm, q * q) == (True, "rows")
+            assert self.check(perm, q * q)
 
-    def test_lane_bound(self):
-        # q^2 must fit a 32-bit lane with one bit to spare: 46340^2 < 2^31 < 46341^2.
-        # Two rows of a line give its third row; q^2 bytes are never needed.
-        q = 46340
-        m = q * q
-        a, b = 2**31 - 1, m - 1
-        row0, row1 = ([(a * x + b) % m for x in range(t * q, t * q + q)] for t in (0, 1))
-        row = next(_rows(row0, row1, q))
-        assert list(row) == [(a * x + b) % m for x in range(2 * q, 3 * q)]
-        with pytest.raises(ValueError, match="2\\^31"):
-            next(_rows([0], [0], 46341))
+    @pytest.mark.parametrize("q", [20, 24, 36])
+    def test_fibres_at_composite_q(self, q):
+        # 2x + 1: b - a = 2q, so s = 2q (1 < gcd(2, q) < q), half a class mod q;
+        # q*x: b - a = q^2, so s = q^2 and each fibre is one value
+        assert not self.check([1, 2], q * q)
+        assert not self.check([0, q], q * q)
 
     def test_repeat_in_a_sample_row_stops_at_that_x(self):
-        steps = []
-
-        class Counted(int):
-            def __radd__(self, other):  # the "v * x + c" of each Horner step
-                steps.append(other)
-                return int(other) + int(self)
-
-        # a constant repeats at x = 1: two Horner steps, not a row of 10^3
-        assert _image([Counted(5)], 10**6, True) is None
+        # a constant repeats at x = 1: two Horner steps, not 10^6 + 1
+        spied, steps = counted([5])
+        assert _image(spied, 10**6 + 1, True) is None
         assert len(steps) == 2
-        assert self.row_moduli == []
 
     def test_first_missing_residue_at_a_large_square(self):
         # x^3 + 7 permutes Z/1013 (1013 = 2 mod 3) but not Z/1013^2
         m = 1013 * 1013
         hit = {(pow(x, 3, m) + 7) % m for x in range(m)}
         expected = min(set(range(m)) - hit)
-        assert first_missing_residue(parse_poly("x^3 + 7"), m) == expected
-        assert self.row_moduli == [1013]
+        spied, steps = counted(parse_poly("x^3 + 7").coeffs)
+        assert first_missing_residue(IntPolynomial(spied), m) == expected
+        assert len(steps) == 2 * 1013 * 4
 
 
 class TestDerivative:

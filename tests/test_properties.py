@@ -2,8 +2,9 @@
 the real-discrepancy engine against a grid oracle, the closed forms of a
 low-discrepancy sequence against the p-adic engines, the classifier against
 enumeration mod p^2 and the discrepancy at N = p^2 + 1, and the
-pair-correlation level walk against a fresh loop per size; and ``classify``
-on arbitrary arguments, which must end in an exit code, never a traceback.
+pair-correlation level walk against a fresh loop per size; and ``classify``,
+``discrepancy``, ``paircorr``, ``generate`` and ``bridge`` on arbitrary
+arguments, which must end in an exit code, never a traceback.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -132,8 +133,8 @@ def test_closed_forms_equal_the_engines_on_low_discrepancy_input(pc):
 @st.composite
 def classify_inputs(draw):
     """(p, coefficients): a random f, or a*x + b + p*h with p not dividing a,
-    which is low-discrepancy; p reaches 17 and 19, where the enumeration mod
-    p^2 takes rows."""
+    which is low-discrepancy; p reaches 17 and 19, where the image mod p^2
+    is read off its fibres."""
     p = draw(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19)))
     coeffs = draw(st.lists(st.integers(-10**6, 10**6), max_size=12))
     if draw(st.booleans()):
@@ -176,14 +177,9 @@ classify_coefficients = st.lists(
 @example(3163, [0, 1], "json")
 def test_classify_ends_in_an_exit_code(p, coeffs, fmt):
     argv = ["classify", "--p", str(p), "--format", fmt, "--", render(IntPolynomial(coeffs))]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2), (argv, code, err.getvalue())
-    assert (code == 0) == (err.getvalue() == "") == (out.getvalue() != ""), argv
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert (code == 0) == (err == "") == (out != ""), argv
 
 
 @st.composite
@@ -256,15 +252,59 @@ def test_schedules_and_rationals_end_in_an_exit_code(command, N, alpha, s):
     argv = [command, "--p", "3", f"--N={N}", "--", "x"]
     if command == "paircorr":
         argv[4:4] = [f"--alpha={alpha}", f"--s={s}"]
+    assert_one_outcome(argv)
+
+
+# --n and --N: small counts, short schedules and numerals past the length
+# limit; --K: small digit counts and numerals of up to 4,300 digits (the most
+# the interpreter converts), whose bit budget K * N * bits(p) can pass it
+counts = st.one_of(st.integers(-2, 60).map(str),
+                   st.builds(lambda d, n: d * n, st.sampled_from("19"), st.integers(6, 4300)))
+digit_counts = st.one_of(st.integers(-2, 40).map(str),
+                         st.builds(lambda d, n: d * n, st.sampled_from("19"), st.integers(1, 4300)))
+
+
+@st.composite
+def generate_or_bridge(draw):
+    """argv of a generate or bridge call that argparse accepts, so that every
+    error is the program's own."""
+    p = draw(st.sampled_from(("2", "3", "7")))
+    K = draw(st.one_of(st.none(), digit_counts))
+    tail = [*([] if K is None else [f"--K={K}"]), "--", draw(st.sampled_from(("x", "x^3+x", "x-5")))]
+    if draw(st.booleans()):
+        mode = draw(st.sampled_from(("digits", "monna", "integers")))
+        return ["generate", "--p", p, f"--n={draw(counts)}", f"--mode={mode}", *tail]
+    N = draw(st.one_of(counts, st.builds("{}..{}".format, counts, counts),
+                       st.sampled_from(("30,7,1", "pk:0..3"))))
+    return ["bridge", "--p", p, f"--N={N}", *tail]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(generate_or_bridge())
+# bit budgets of more digits than the interpreter converts to text
+@example(["generate", "--p", "3", "--n=1000", "--mode=digits", "--K=" + "9" * 4299, "--", "x"])
+@example(["bridge", "--p", "3", "--N=1..1000", "--K=" + "9" * 4299, "--", "x"])
+def test_generate_and_bridge_end_in_an_exit_code(argv):
+    assert_one_outcome(argv)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in-process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    err = err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_outcome(argv):
+    """Exit 0 with output and no error, or 1 with one short line, or 2; never a
+    traceback, nor the interpreter's advice on its own digit limit."""
+    code, out, err = run_main(argv)
     assert code in (0, 1, 2), (argv, code, err)
-    assert "Traceback" not in err
-    assert (code == 0) == (err == "") == (out.getvalue() != ""), (argv, code, err)
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err, err
+    assert (code == 0) == (err == "") == (out != ""), (argv, code, err)
     if code == 1:
         assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) <= 300, err

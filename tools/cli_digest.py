@@ -3,7 +3,7 @@
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
 searches, error paths, rationals and integer literals too long to convert or
-quote, malformed inputs too long to echo, five large-p, three high-degree and
+quote, malformed inputs too long to echo, six large-p, three high-degree and
 two root-free non-permutation classify calls, long and dense discrepancy,
 paircorr and generate schedules, digit and digit-reversal output of negative
 values, integer ``--linear`` sequences,
@@ -56,9 +56,12 @@ EXTRA = [
     ["classify", "--p", "2003", "--", "3x+5"],
     ["classify", "--p", "1163", "--", "x^2+2x"],
     ["classify", "--p", "1013", "--", "x^3"],
-    # the largest prime under the enumeration cap (rows mod 9,840,769), and a
-    # low-discrepancy quintic enumerated in full
+    # the largest prime under the enumeration cap: a permutation of Z/3137^2
+    # (its image mod 9,840,769 read off 3137 fibres) and a permutation of
+    # Z/3137 with a level-2 witness; and a low-discrepancy quintic enumerated
+    # in full
     ["classify", "--p", "3137", "--", "5x+7"],
+    ["classify", "--p", "3137", "--", "x^3"],
     ["classify", "--p", "547", "--", "x^5+411x^3+89x"],
     # full enumerations mod p^2 at degree >= p - 6, and a permutation of Z/17
     # with a derivative root
@@ -151,6 +154,9 @@ EXTRA = [
     *(["discrepancy", "--p", "3", "--N", N, "--", "x"]
       for N in ("1.." + "z" * 5000, "1.." + "9" * 4000, "pk:1.." + "9" * 4000)),
     ["generate", "--p", "3", "--n", "2", "--K", "1" + "0" * 4000, "--mode", "digits", "--", "x"],
+    # a digit count whose bit budget has more digits than the interpreter
+    # converts to text, named by its bit count
+    ["generate", "--p", "3", "--n", "1000", "--K", "9" * 4299, "--mode", "digits", "--", "x"],
     # bounds and syntax errors no other job reaches, and primes of 4001 and
     # 4002 characters, cut to 16 in the message
     ["generate", "--p", "3", "--n", "0", "--", "x"],
