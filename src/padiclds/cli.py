@@ -71,6 +71,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int(text: str) -> int:
+    """argparse type of the integer options: argparse's own message for a
+    non-integer, with the input quoted by its first 16 characters."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
 def _frac(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
@@ -408,11 +417,11 @@ def cmd_bridge(args) -> int:
 # --------------------------------------------------------------------------
 
 def _add_common(sp, linear: bool = True, fmt_default: str = "csv") -> None:
-    sp.add_argument("--p", type=int, required=True, help="prime base")
+    sp.add_argument("--p", type=_int, required=True, help="prime base")
     sp.add_argument("poly", nargs="?", default=None,
                     help='polynomial, e.g. "x^3+x" or "[1,0,1,0]"')
     if linear:
-        sp.add_argument("--linear", nargs=2, type=int, metavar=("A", "B"),
+        sp.add_argument("--linear", nargs=2, type=_int, metavar=("A", "B"),
                         help="linear sequence n*A + B instead of a polynomial")
     sp.add_argument("--format", choices=("json", "csv"), default=fmt_default,
                     help=f"output format (default {fmt_default})")
@@ -439,8 +448,8 @@ def build_parser() -> _Parser:
                     "(mode integers).",
     )
     _add_common(sp)
-    sp.add_argument("--n", type=int, required=True, help="number of terms")
-    sp.add_argument("--K", type=int, default=None, help="digit precision")
+    sp.add_argument("--n", type=_int, required=True, help="number of terms")
+    sp.add_argument("--K", type=_int, default=None, help="digit precision")
     sp.add_argument("--mode", choices=("digits", "monna", "integers"),
                     default="integers")
     sp.set_defaults(func=cmd_generate)
@@ -474,7 +483,7 @@ def build_parser() -> _Parser:
                     "Exits 2 when any asserted row fails.",
     )
     sp.add_argument("--which", choices=("dickson", "derivatives", "lds"), required=True)
-    sp.add_argument("--p", type=int, default=None, help="restrict to one prime")
+    sp.add_argument("--p", type=_int, default=None, help="restrict to one prime")
     sp.add_argument("--dump", action="store_true", help="dump table data as JSON")
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.add_argument("--out", default=None)
@@ -486,8 +495,8 @@ def build_parser() -> _Parser:
                     "prop_family / affine / linear / unexplained). "
                     "Exits 2 when unexplained generators exist.",
     )
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--degree", type=int, required=True, help="maximum degree")
+    sp.add_argument("--p", type=_int, required=True)
+    sp.add_argument("--degree", type=_int, required=True, help="maximum degree")
     sp.add_argument("--monic", action="store_true")
     sp.add_argument("--zero-constant", dest="zero_constant", action="store_true")
     sp.add_argument("--nonzero-linear", dest="nonzero_linear", action="store_true")
@@ -502,7 +511,7 @@ def build_parser() -> _Parser:
     )
     _add_common(sp)
     sp.add_argument("--N", required=True, help="N schedule")
-    sp.add_argument("--K", type=int, default=None,
+    sp.add_argument("--K", type=_int, default=None,
                     help="truncation precision for the digit-reversal map")
     sp.set_defaults(func=cmd_bridge)
 

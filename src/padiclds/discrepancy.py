@@ -1,21 +1,23 @@
 """Exact p-adic and real discrepancy of finite point sets.
 
 The p-adic discrepancy is a supremum over balls of all radii.  It is made
-finite in three exact pieces:
+finite in two exact pieces:
 
 * levels k = 1 .. k_sep+1, where k_sep is the separation depth of the point
   set (beyond it, ball occupancy counts equal exact-value multiplicities);
-  occupied residues are found by grouping, never by enumerating p^k classes;
-* the first level with an unoccupied residue contributes p^-k, which
-  dominates every deeper empty-ball term;
+  occupied residues are found by grouping, never by enumerating p^k classes,
+  and each level's term is read off its largest and smallest count, an
+  unoccupied residue counting 0 (an empty ball's term is p^-k);
 * the tail supremum c*/N, where c* is the maximum multiplicity among exact
-  values (the k -> infinity limit of an occupied ball's term).
+  values (the k -> infinity limit of an occupied ball's term), which is the
+  largest count of level k_sep+1.
 
 One engine, ``prefix_discrepancies``, computes it for any set of prefix
 lengths in a single pass.  It ingests the values stretch by stretch, each
 stretch running from one requested length to the next: per level it keeps
-the occupancy counts and their extremes, and forms the exact supremum and its
-witness only at the requested lengths.  A long stretch is counted into every
+the occupancy counts, the largest count, and the smallest count with the
+number of residues holding it, and forms the exact supremum and its witness
+only at the requested lengths.  A long stretch is counted into every
 level by one C-level pass, a short one (a dense schedule) value by value.
 ``padic_discrepancy`` and ``discrepancy_profile`` are that engine at one
 length or at every length.  For a sequence that permutes every Z/p^k (a
@@ -41,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import mod, sub
+from operator import countOf, mod, sub
 
 from .padic import InvariantError, check_prime
 
@@ -49,11 +51,11 @@ WITNESS_TAIL = "tail"
 
 # ``prefix_discrepancies`` counts a stretch of L values into a level in bulk
 # when L > STRETCH_MIN + (occupied residues) / STRETCH_RATIO, and value by
-# value otherwise.  Per level, ``_Level.add`` costs about 0.4 us a value; a
-# bulk count about 10 us, plus 0.1 us a value, plus 0.075 us an occupied
-# residue to recount the occupancy and its histogram (CPython 3.11, 2-core
-# x86-64 host).  One decision covers the whole stretch, on the mean
-# occupancy of the levels and the multiplicities.
+# value otherwise.  Per level, ``_Level.add`` costs about 0.2 us a value; a
+# bulk count about 5 us, plus 0.13 us a value, plus 0.04 us an occupied
+# residue to copy the counts and recount their extremes (CPython 3.11.7,
+# 2-core x86-64 host).  One decision covers the whole stretch, on the mean
+# occupancy of the levels.
 STRETCH_MIN = 32
 STRETCH_RATIO = 4
 
@@ -93,13 +95,14 @@ def separation_depth(values: list[int], p: int) -> int:
 
 
 class _Level:
-    """Ball occupancy mod p^k: count per occupied residue, and how many
-    residues hold each count, so the extreme counts follow every insertion.
+    """Ball occupancy mod p^k: the count of each occupied residue, the largest
+    count, and the smallest count (0 while a residue is unoccupied) with the
+    number of residues holding it, so the extremes follow every insertion.
 
     ``values`` (repeats counted) is the initial content; ``ingest`` adds a
     stretch of values in one C-level pass, ``add`` a single value."""
 
-    __slots__ = ("pk", "counts", "hist", "maxc", "minc")
+    __slots__ = ("pk", "counts", "maxc", "minc", "nmin")
 
     def __init__(self, pk: int, values) -> None:
         self.pk = pk
@@ -107,38 +110,37 @@ class _Level:
         self.ingest(values)
 
     def ingest(self, values) -> None:
-        # Counter.update counts in C; the level keeps plain dicts, which
+        # Counter.update counts in C; the level keeps a plain dict, which
         # ``add`` reads and writes faster than a Counter
         counts = Counter(self.counts)
         counts.update(map(mod, values, repeat(self.pk)))
         self.counts = dict(counts)
-        self.hist = dict(Counter(counts.values()))  # count -> residues holding it
-        self.maxc = max(self.hist)
-        self.minc = min(self.hist)
+        self.maxc = max(counts.values())
+        self.minc = min(counts.values()) if len(counts) == self.pk else 0
+        self.nmin = countOf(counts.values(), self.minc) if self.minc else self.pk - len(counts)
 
     def add(self, v: int) -> None:
         r = v % self.pk
-        c = self.counts.get(r, 0)
-        self.counts[r] = c + 1
-        hist = self.hist
-        hist[c + 1] = hist.get(c + 1, 0) + 1
-        if c == 0:
-            self.minc = 1
-        else:
-            hist[c] -= 1
-            if c == self.minc and not hist[c]:
-                self.minc = c + 1  # the residue just incremented now holds c + 1
-        if c == self.maxc:
-            self.maxc = c + 1
+        c = self.counts.get(r, 0) + 1
+        self.counts[r] = c
+        if c > self.maxc:
+            self.maxc = c
+        if c - 1 == self.minc:
+            self.nmin -= 1
+            if not self.nmin:  # every residue now holds c or more
+                self.minc = c
+                self.nmin = countOf(self.counts.values(), c)
 
 
-def _supremum(levels: list[_Level], N: int, cstar: int) -> DiscrepancyResult:
+def _supremum(levels: list[_Level], N: int) -> DiscrepancyResult:
     """The supremum for N points from the occupancy of levels 1..k_sep+1.
 
-    Ties are broken toward smaller level, then smaller residue, with the tail
-    considered last, so the witness is deterministic.  Each level's best term
-    is |c/N - p^-k| at c = maxc or c = minc, or p^-k for an unoccupied residue
-    at the shallowest level that has one (deeper empty balls are smaller).
+    Each level's best term is |c/N - p^-k| at c = maxc or c = minc; minc = 0
+    when a residue is unoccupied, and then the term is p^-k, which no deeper
+    level's term can reach or tie.  The tail term is c*/N, with c* the
+    largest count of the deepest level, whose counts are the exact-value
+    multiplicities.  Ties are broken toward smaller level, then smaller
+    residue, with the tail considered last, so the witness is deterministic.
     The terms are compared as integer numerators over the common denominator
     N * p^K of the deepest level K, and one fraction is formed at the end.
     """
@@ -146,31 +148,23 @@ def _supremum(levels: list[_Level], N: int, cstar: int) -> DiscrepancyResult:
     best = -1
     best_level: int | str = 0
     best_term = 0
-    empty_found = False
     for k, lv in enumerate(levels, start=1):
         term = max(lv.maxc * lv.pk - N, N - lv.minc * lv.pk)
-        if not empty_found and len(lv.counts) < lv.pk:
-            empty_found = True
-            term = max(term, N)
         scaled = term * (top // lv.pk)  # term / (N * p^k) is scaled / (N * top)
         if scaled > best:
             best, best_level, best_term = scaled, k, term
-    if cstar * top > best:
-        best, best_level = cstar * top, WITNESS_TAIL
+    if levels[-1].maxc * top > best:
+        best, best_level = levels[-1].maxc * top, WITNESS_TAIL
     value = Fraction(best, N * top)
     if not top <= best <= N * top:
         raise InvariantError(f"internal error: discrepancy {value} outside [1/N, 1] for N={N}")
     residue = None
     if best_level != WITNESS_TAIL:
         lv = levels[best_level - 1]
-        term = best_term
-        targets = {c for c in (lv.maxc, lv.minc) if abs(c * lv.pk - N) == term}
+        targets = {c for c in (lv.maxc, lv.minc) if abs(c * lv.pk - N) == best_term}
         hits = [r for r, c in lv.counts.items() if c in targets]
-        if term == N and len(lv.counts) < lv.pk:  # an unoccupied residue attains it
-            missing = 0
-            while missing in lv.counts:
-                missing += 1
-            hits.append(missing)
+        if 0 in targets:  # the smallest unoccupied residue attains it too
+            hits.append(next(r for r in range(lv.pk) if r not in lv.counts))
         residue = min(hits)
     return DiscrepancyResult(
         value=value,
@@ -190,11 +184,11 @@ def prefix_discrepancies(
     the ``padic_discrepancy`` of that prefix.  The values are ingested once,
     one stretch values[prev:N] per requested N.  A stretch that is long
     against the occupied residues (``STRETCH_MIN``, ``STRETCH_RATIO``) is
-    counted into the multiplicities and every level in bulk, and the extreme
-    counts are then recounted; a short one is added value by value, with the
-    extremes kept up to date under insertion.  Levels are added, each counted
-    from the prefix at once, as the separation depth grows, and the exact
-    supremum is formed only at the requested lengths.
+    counted into every level in bulk, and the extreme counts are then
+    recounted; a short one is added value by value, with the extremes kept
+    up to date under insertion.  Levels are added, each counted from the
+    prefix at once, as the separation depth grows, and the exact supremum is
+    formed only at the requested lengths.
     """
     check_prime(p)
     if not values:
@@ -202,35 +196,29 @@ def prefix_discrepancies(
     wanted = sorted(set(range(1, len(values) + 1) if lengths is None else lengths))
     if not wanted or wanted[0] < 1 or wanted[-1] > len(values):
         raise ValueError(f"prefix lengths must lie in [1, {len(values)}]")
-    multiplicities: Counter = Counter()
-    cstar = 0
+    distinct: set[int] = set()
     levels: list[_Level] = []
     out: dict[int, DiscrepancyResult] = {}
     prev = 0
     for N in wanted:
         stretch = values[prev:N]
         prev = N
+        distinct.update(stretch)
         excess = len(stretch) - STRETCH_MIN
-        if excess > 0 and excess * STRETCH_RATIO * (len(levels) + 1) > (
-            len(multiplicities) + sum(len(lv.counts) for lv in levels)
+        if excess > 0 and excess * STRETCH_RATIO * len(levels) > sum(
+            len(lv.counts) for lv in levels
         ):
-            multiplicities.update(stretch)
-            cstar = max(multiplicities.values())
             for lv in levels:
                 lv.ingest(stretch)
-        else:
+        elif levels:
             for v in stretch:
-                m = multiplicities.get(v, 0) + 1
-                multiplicities[v] = m
-                if m > cstar:
-                    cstar = m
                 for lv in levels:
                     lv.add(v)
         # keep exactly levels 1..k_sep+1: a level is clean (separates the
         # distinct values) when it occupies one residue per distinct value
-        while len(levels) < 2 or len(levels[-2].counts) < len(multiplicities):
+        while len(levels) < 2 or len(levels[-2].counts) < len(distinct):
             levels.append(_Level(p ** (len(levels) + 1), values[:N]))
-        out[N] = _supremum(levels, N, cstar)
+        out[N] = _supremum(levels, N)
     return out
 
 

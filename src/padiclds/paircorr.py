@@ -175,22 +175,15 @@ def ppc_sweep(
 ) -> list[tuple[int, Fraction, Fraction]]:
     """Evaluate the statistic on an (N, s) grid, emitted in schedule order.
 
-    ``source`` is a full value list whose prefixes are used, a callable
-    N -> values, or None for a sequence that permutes every Z/p^k, whose close
-    pairs ``lds_pair_count`` gives with no values.  alpha and the radii are
-    validated once, each radius's levels are walked once over the sorted
-    sizes, and each distinct (N, k) is counted once: over the prefixes of the
-    value list together, or over each callable's list alone.
+    ``source`` is a full value list whose prefixes are used, or None for a
+    sequence that permutes every Z/p^k, whose close pairs ``lds_pair_count``
+    gives with no values.  alpha and the radii are validated once, each
+    radius's levels are walked once over the sorted sizes, and each distinct
+    (N, k) is counted once over the prefixes of the value list together.
     """
     if not N_schedule:
         raise ValueError("schedule must be nonempty")
     alpha, radii = _checked_parameters(p, alpha, s_list)
-    if callable(source):
-        rows = {}
-        for N in dict.fromkeys(N_schedule):
-            values = source(N)
-            rows[N] = [(N, s, F) for _, s, F in ppc_sweep(values, p, alpha, radii, [len(values)])]
-        return [row for N in N_schedule for row in rows[N]]
     for N in N_schedule:
         if source is not None and N > len(source):
             raise ValueError(f"only {len(source)} values available, N={N} requested")

@@ -272,7 +272,7 @@ def test_criterion_09_pair_correlations():
             if F != 0:
                 failures.append(("zero", N, s, F))
     rows = ppc_sweep(
-        lambda N: list(range(1, N + 1)),
+        list(range(1, 3**8 + 1)),
         3,
         Fraction(1, 2),
         [Fraction(1)],

@@ -72,6 +72,8 @@ class TestEntries:
         assert admissible_parameters("not_fourth_power", 5) == [2, 3, 4]
         assert admissible_parameters("nonzero", 3) == [1, 2]
         assert admissible_parameters("none", 7) == [0]
+        with pytest.raises(ValueError, match="unknown parameter predicate 'cube'"):
+            admissible_parameters("cube", 5)
 
     def test_prime_matching(self):
         (inv5,) = entry_by_name("x^5 + a*x^3 + 5^-1*a^2*x", 1)

@@ -698,8 +698,38 @@ class TestErrorLines:
          "(primality decided exactly), got '1000000000000000'..."),
         (["classify", "--p", "-" + LONG, "--", "x"],
          "p must be a prime >= 2, got '-100000000000000'..."),
+        (["discrepancy", "--p", "3", "--N", "5"],
+         "a polynomial expression or --linear a b is required"),
     ])
     def test_exits_1_with_one_exact_line(self, capsys, argv, line):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"padiclds: error: {line}\n"
+
+    @pytest.mark.parametrize("argv,line", [
+        (["generate", "--p", "3", "--n", "1", "--K", "1" * 5000, "--", "x"],
+         "argument --K: invalid int value: '1111111111111111'..."),
+        (["discrepancy", "--p", "3", "--N", "3", "--linear", "1", "x" * 3000],
+         "argument --linear: invalid int value: 'xxxxxxxxxxxxxxxx'..."),
+    ], ids=["long-K", "long-linear"])
+    def test_argparse_type_errors_quote_16_characters(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert err.startswith(f"usage: padiclds {argv[0]} ")
+        assert err.endswith(f"\npadiclds {argv[0]}: error: {line}\n")
+        assert len(err.splitlines()[-1].encode()) <= 300
+
+    def test_short_argparse_type_error_keeps_argparse_text(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--p", "3", "--n", "abc", "--", "x"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "usage: padiclds generate [-h] --p P [--linear A B] [--format {json,csv}]\n"
+            "                         [--out OUT] --n N [--K K]\n"
+            "                         [--mode {digits,monna,integers}]\n"
+            "                         [poly]\n"
+            "padiclds generate: error: argument --n: invalid int value: 'abc'\n"
+        )

@@ -13,6 +13,7 @@ from padiclds.discrepancy import (
     _Level,
     _supremum,
     discrepancy_profile,
+    lds_prefix_discrepancies,
     meijer_bound_check,
     padic_discrepancy,
     prefix_discrepancies,
@@ -167,11 +168,11 @@ class TestPAdicDiscrepancy:
                 assert res.value == abs(Fraction(count, N) - Fraction(1, 3**k))
 
     def test_out_of_range_value_raises_named_error(self):
-        # a top multiplicity inconsistent with the two points puts the tail
-        # term above 1; the range check must catch it even under python -O
-        levels = [_Level(3, {0: 1, 1: 1}), _Level(9, {0: 1, 1: 1})]
+        # levels holding three points, passed as two, put the tail term above
+        # 1; the range check must catch it even under python -O
+        levels = [_Level(3, [0, 0, 0]), _Level(9, [0, 0, 0])]
         with pytest.raises(InvariantError, match=r"outside \[1/N, 1\]"):
-            _supremum(levels, 2, 3)
+            _supremum(levels, 2)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -245,6 +246,9 @@ class TestPrefixDiscrepancies:
         for bad in ([0], [7], []):
             with pytest.raises(ValueError, match="prefix lengths"):
                 prefix_discrepancies(values, 3, bad)
+        for bad in ([0], []):
+            with pytest.raises(ValueError, match="prefix lengths must be >= 1"):
+                lds_prefix_discrepancies(3, bad)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_sparse_schedules_count_stretches_in_bulk_and_one_by_one(self, p, monkeypatch):
@@ -278,6 +282,33 @@ class TestPrefixDiscrepancies:
             for N, res in results.items():
                 assert res == every[N] == naive_padic_discrepancy(values[:N], p), (p, N)
         assert paths["bulk"] > 0 and paths["add"] > 0
+
+    @pytest.mark.parametrize("pk", [2, 3, 4, 9, 25])
+    def test_level_extremes_follow_adds_and_ingests(self, pk):
+        # after every add and ingest, (maxc, minc, nmin) equals a recount over
+        # all pk residues, an unoccupied one counting 0; whole rounds of
+        # consecutive values lift every residue, so minc rises as well
+        rng = random.Random(pk)
+
+        def value():
+            return rng.randrange(-3 * pk, 3 * pk)
+
+        for _ in range(20):
+            level = _Level(pk, [value() for _ in range(rng.randint(1, pk))])
+            for _ in range(rng.randint(1, 3 * pk)):
+                start = value()
+                stretch = rng.choice([[value()], range(start, start + pk),
+                                      [value() for _ in range(rng.randint(1, 2 * pk))]])
+                if rng.random() < 0.7:
+                    steps = [(level.add, v) for v in stretch]
+                else:
+                    steps = [(level.ingest, stretch)]
+                for step, arg in steps:
+                    step(arg)
+                    counts = [level.counts.get(r, 0) for r in range(pk)]
+                    assert len(level.counts) == len(counts) - counts.count(0)
+                    assert (level.maxc, level.minc, level.nmin) == (
+                        max(counts), min(counts), counts.count(min(counts)))
 
 
 class TestDiscrepancyProfile:

@@ -279,6 +279,8 @@ class TestPrimality:
             for _ in range(2):
                 with pytest.raises(ValueError, match="must be below"):
                     check_prime(n)
+        with pytest.raises(ValueError, match=r"got 3\.0$"):  # not an int at all
+            check_prime(3.0)
 
     def test_repeated_check_is_cached(self):
         _is_prime.cache_clear()

@@ -180,12 +180,14 @@ class TestFStatistic:
             PairCorrInput(values=(1,), p=3, alpha=Fraction(1), s=Fraction(0))
         with pytest.raises(ValueError, match=f"at most {MAX_RADIUS_BITS} is supported"):
             PairCorrInput(values=(1,), p=2, alpha=Fraction(1), s=Fraction(1, 2 ** MAX_RADIUS_BITS))
+        with pytest.raises(ValueError, match="need at least one value"):
+            PairCorrInput(values=(), p=3, alpha=Fraction(1), s=Fraction(1))
 
 
 class TestSweep:
     def test_identity_sequence_approaches_one(self):
         rows = ppc_sweep(
-            lambda N: list(range(1, N + 1)),
+            list(range(1, 3**8 + 1)),
             3,
             Fraction(1, 2),
             [Fraction(1)],
@@ -274,16 +276,6 @@ class TestSweep:
         assert rows == [(N, s, 0) for N in range(1, 2001)]  # no two values within 2^-9990
         assert threshold_level(s, 2000, Fraction(1), 2) == 9990 + 11
 
-    def test_callable_lists_are_counted_on_their_own(self):
-        # a callable source need not give prefixes of one list
-        lists = {4: [0, 3, 6, 9], 2: [1, 1], 5: [2, 5, 8, 11, 2]}
-        rows = ppc_sweep(lists.__getitem__, 3, Fraction(1), [Fraction(1), Fraction(1, 9)],
-                         [4, 2, 5, 4])
-        for N, s, F in rows:
-            inp = PairCorrInput(values=tuple(lists[N]), p=3, alpha=Fraction(1), s=s)
-            assert F == F_statistic(inp)
-        assert [N for N, _, _ in rows] == [4, 4, 2, 2, 5, 5, 4, 4]
-
     @pytest.mark.parametrize("p,text", [(2, "x^4+x^2+x"), (3, "x^3+x"), (7, "5x+3")])
     def test_closed_form_source_equals_the_values(self, p, text):
         # source None: a sequence that permutes every Z/p^k, counted in closed form
@@ -309,5 +301,7 @@ class TestSweep:
             ppc_sweep(values, 3, Fraction(1), [Fraction(1)], [2, 4, 5])
         with pytest.raises(ValueError, match="need at least one value"):
             ppc_sweep(values, 3, Fraction(1), [Fraction(1)], [0])
-        with pytest.raises(ValueError, match="need at least one value"):
-            ppc_sweep(lambda N: [], 3, Fraction(1), [Fraction(1)], [2])
+        with pytest.raises(ValueError, match="level k must be >= 0"):
+            lds_pair_count(5, 3, -1)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            threshold_level(Fraction(1), 0, Fraction(1), 3)

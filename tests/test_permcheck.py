@@ -54,6 +54,8 @@ class TestIsPermutationMod:
     def test_cap(self):
         with pytest.raises(ValueError, match="enumeration too large"):
             is_permutation_mod(parse_poly("x"), 10**7 + 1)
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            is_permutation_mod(parse_poly("x"), 0)
 
     def test_missing_residue_helper(self):
         f = parse_poly("x^2")  # mod 3 misses residue 2
@@ -343,6 +345,8 @@ class TestDivergenceScan:
         assert keys == sorted(keys)
         with pytest.raises(ValueError, match="cap"):
             divergence_scan(3, 20, range(0, 3))
+        with pytest.raises(ValueError, match="empty coefficient range"):
+            divergence_scan(3, 2, range(0))
 
     @pytest.mark.parametrize("p,max_degree,coefficients,count",
                              [(3, 5, range(-4, 2), 108), (5, 4, range(2, 7), 160)])

@@ -272,6 +272,8 @@ class TestAffineCompose:
             affine_compose(parse_poly("x"), (3, 0), (1, 0), 9)
         with pytest.raises(ValueError, match="affine equivalence"):
             affine_compose(parse_poly("x"), (1, 0), (6, 1), 9)
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            affine_compose(parse_poly("x"), (1, 0), (1, 0), 0)
 
 
 class TestReduceFunctional:

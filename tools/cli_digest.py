@@ -11,8 +11,9 @@ unsorted, long, dense and negative-valued bridge schedules, the catalog
 dump of each ``verify-tables --which`` selection, and the closed-form
 ``discrepancy`` and ``paircorr`` rows of certified low-discrepancy inputs at
 their boundaries, beside the inputs that still take the value engines, and
-paircorr's level walk on dense, power and bit-bound schedules, and primes
-too long to echo), through ``padiclds.cli.main`` in-process, and prints per
+paircorr's level walk on dense, power and bit-bound schedules, primes
+too long to echo, integer options too long for argparse to echo, and dense
+discrepancy and bridge schedules whose ball levels fill), through ``padiclds.cli.main`` in-process, and prints per
 workload the job count and one sha256 over (argv, exit code, stdout, stderr)
 of its jobs in order.  A last line digests the ``--help`` text of the top
 parser and of each subcommand, formatted 80 columns wide.  Two trees whose
@@ -165,6 +166,14 @@ EXTRA = [
     ["classify", "--p", "3", "--", "3*y"],
     ["classify", "--p", "1" + "0" * 4000, "--", "x"],
     ["classify", "--p", "-1" + "0" * 4000, "--", "x"],
+    # argparse's own type errors on integer options too long to echo
+    ["generate", "--p", "3", "--n", "1", "--K", "1" * 5000, "--", "x"],
+    ["discrepancy", "--p", "3", "--N", "3", "--linear", "1", "x" * 3000],
+    # dense schedules on the value engine whose levels fill: level 1 of an
+    # input that is not low-discrepancy, whose smallest count keeps rising,
+    # and every level up to 2^9 of an affine map at p = 2
+    ["discrepancy", "--p", "3", "--N", "1..3000", "--", "x^3"],
+    ["bridge", "--p", "2", "--N", "1..1000", "--", "3x+1"],
 ]
 
 HELP = [["--help"], *([command, "--help"] for command in (
