@@ -3,12 +3,16 @@
 Every verdict comes from one private helper, ``_mod_p_verdict``, which reads
 two value tables mod p: the table of a polynomial g gives the permutation
 test and the smallest missed residue, the table of a second polynomial dg
-gives the smallest root.  The three routes differ only in what they feed it:
+gives the smallest root.  Every table comes from the one value-table
+evaluator of ``polynomials`` (Horner at every x for a short table, forward
+differences past max(40, 4(d+1)) values), and the root scan stops at the
+first root.  The three routes differ only in what they feed it:
 
 * the Noebauer criterion -- g = f, dg = f'.  f permutes Z/p^2 iff it permutes
   Z/p and f' has no root mod p, so this decides both levels from mod-p data;
 * brute force -- the Noebauer verdict checked against f's own values mod
-  p^2: a "permutes Z/p^2" verdict by f's whole image mod p^2 (``_image``),
+  p^2: a "permutes Z/p^2" verdict by f's whole image mod p^2 (``_image``,
+  from p = 16 on read off one table of f over [0, 2p) by its p fibres),
   a "does not" verdict by one collision f(x) = f(x') mod p^2, x != x', found
   from the mod-p facts and proved by evaluating f at both points.  A check
   that fails is a broken invariant and raises ``InvariantError``.  This is
@@ -127,8 +131,10 @@ def _mod_p_facts(g: tuple[int, ...], dg: tuple[int, ...], p: int) -> tuple[int |
     facts depend only on (g, dg, p), so they are cached: when deg f <= p-2 the
     unit-group foldings of f and f' are f and f' mod p, and the folding route
     reads the pair the Noebauer route has just computed.  The keys keep any
-    zero lead left by the reduction, which costs at most a cache miss.
+    zero lead left by the reduction, which costs at most a cache miss; the
+    tables are read with it trimmed, at the true degree of g and dg mod p.
     """
+    dg = IntPolynomial(dg).coeffs
     return first_missing_residue(IntPolynomial(g), p), next(_roots_mod(dg, p), None)
 
 

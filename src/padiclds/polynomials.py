@@ -11,14 +11,20 @@ folding exponents with the period of the unit group mod p yields a
 polynomial of degree <= p-2 that agrees with its input (f, or f') at every
 unit residue.  Its private evaluators mod m give the image of f (``_image``,
 which reads a square q^2 with q >= 16 off its q fibres and evaluates every x
-at any other modulus) and the roots of f mod p one at a time.
+at any other modulus) and the roots of f mod p one at a time.  Each reads
+one value table, ``_values``: Horner at every x for a short table, and past
+max(40, 4(d+1)) values d+1 Horner seeds extended by forward differences in
+C-level running sums (``_extend``, which also gives ``poly_sequence`` its
+exact values).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import gcd, isqrt
+from operator import indexOf, mod, sub
 
 from .padic import _quote, check_prime
 
@@ -74,14 +80,62 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
 
 # The evaluators below take a bare little-endian coefficient sequence, so the
 # exhaustive search can call them without building an IntPolynomial per
-# candidate.  Each inlines its Horner loop: one shared generator evaluator
-# made the search's per-candidate mod-p tests about 1.25x as slow.  _image
-# evaluates every x, in order to the first repeat, at non-squares and at q^2
-# with q < 16: those are the brute-force tables (mod 25, and mod p^2 for
-# p <= 13) that the derivative criterion is checked against.
+# candidate.  A table, and each scan that stops at a first root or repeat,
+# keeps an inline Horner loop up to the crossover max(40, 4(d+1)) values: a
+# call, a closure or a shared generator there made the search's tests mod
+# p <= 13 slower.  Past it, d+1 Horner seeds and the O(d^2) difference table
+# are paid back by values that cost d C-level additions each.  _image
+# evaluates every x at non-squares and at q^2 with q < 16: those are the
+# brute-force tables (mod 25, and mod p^2 for p <= 13) that the derivative
+# criterion is checked against.
+
+def _extend(seeds, count: int, m: int | None = None):
+    """The values at ``count`` consecutive points of the polynomial of degree
+    d < len(seeds) whose first values are ``seeds``, as an iterator: d
+    chained running sums over the constant d-th forward difference, started
+    at the seeds' leading differences.  Exact without m; with m, differences
+    are reduced mod m, running sums whenever their bound passes 128 bits,
+    and the values are yielded mod m.
+    """
+    leading = []
+    while seeds:
+        leading.append(seeds[0])
+        seeds = [(b - a) % m if m else b - a for a, b in zip(seeds, seeds[1:])]
+    values = repeat(leading.pop(), count - len(leading))
+    bound = m
+    for start in reversed(leading):
+        values = accumulate(values, initial=start)
+        if m:
+            bound *= count + 1
+            if bound.bit_length() > 128:
+                values, bound = map(mod, values, repeat(m)), m
+    return map(mod, values, repeat(m)) if m else values
+
+
+def _values(coeffs, count: int, m: int):
+    """f(0), ..., f(count - 1) mod m: a list by Horner at every x, or past the
+    crossover an iterator that extends Horner at x = 0..d by differences."""
+    rev = coeffs[::-1]
+    past = count > 40 and count > 4 * len(coeffs)
+    table = []
+    for x in range(len(coeffs) or 1 if past else count):
+        v = 0
+        for c in rev:
+            v = (v * x + c) % m
+        table.append(v)
+    return _extend(table, count, m) if past else table
+
 
 def _roots_mod(coeffs, p: int):
     """Yield the x in [0, p) with f(x) = 0 mod p, in increasing order."""
+    if p > 40 and p > 4 * len(coeffs):  # the crossover of _values
+        values, x = _values(coeffs, p, p), -1
+        while True:
+            try:
+                x += 1 + indexOf(values, 0)
+            except ValueError:
+                return
+            yield x
     rev = coeffs[::-1]
     for x in range(p):
         v = 0
@@ -93,35 +147,41 @@ def _roots_mod(coeffs, p: int):
 
 def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:
     """The image of x -> f(x) mod m on [0, m), as m flags; with
-    ``stop_at_repeat``, None as soon as some value repeats.
+    ``stop_at_repeat``, None if some value repeats.
 
     Mod m = q^2, f(tq + r) = a + t(b - a) with a = f(r), b = f(q + r), for
     any q >= 1: the higher Taylor terms are integers times (tq)^k, k >= 2.
     As q divides b - a, fibre r (x = tq + r, 0 <= t < q) takes exactly the
     residues = a mod s, s = gcd(b - a, q^2): f is one-to-one iff every s is q
-    and no two fibres share a class mod q, and from q = 16 on each is a slice.
+    and no two fibres share a class mod q, and from q = 16 on each is a slice
+    of one table of f over [0, 2q).  At any other modulus every x is
+    evaluated, with ``stop_at_repeat`` in order to the first repeat.
     """
     q = isqrt(m)
-    rev = coeffs[::-1]
-    seen = bytearray(m)
     if q * q == m and q >= 16:
-        for r in range(q):
-            a = b = 0
-            for c in rev:
-                a, b = (a * r + c) % m, (b * (q + r) + c) % m
-            s = gcd(b - a, m)
-            if stop_at_repeat and (s != q or seen[a % s]):
-                return None
+        table = list(_values(coeffs, 2 * q, m))
+        A = table[:q]
+        S = list(map(gcd, map(sub, table[q:], A), repeat(m)))
+        if stop_at_repeat:
+            one_to_one = S.count(q) == q and len(set(map(mod, A, repeat(q)))) == q
+            return bytearray(b"\1") * m if one_to_one else None
+        seen = bytearray(m)
+        for a, s in zip(A, S):
             seen[a % s::s] = b"\1" * (m // s)
         return seen
+    seen = bytearray(m)
+    if not stop_at_repeat:
+        for v in _values(coeffs, m, m):
+            seen[v] = 1
+        return seen
+    rev = coeffs[::-1]
     for x in range(m):
         v = 0
         for c in rev:
             v = (v * x + c) % m
-        if not seen[v]:
-            seen[v] = 1
-        elif stop_at_repeat:
+        if seen[v]:
             return None
+        seen[v] = 1
     return seen
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -294,6 +295,18 @@ class TestExhaustiveSearch:
         ]
         found = exhaustive_search(p, max_degree, SearchConstraints(*flags))
         assert [f.coeffs for f in found] == expected
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_census_below_degree_2p(self, p):
+        # As a function mod p^2, f = A + (x^p - x)B with deg A, deg B < p, and f
+        # is low-discrepancy iff A permutes Z/p and A' - B has no root mod p.
+        # Over F_p the degree <= 2p - 1 polynomials are exactly the pairs
+        # (A, B), so p! * (p - 1)^p of them are hits: 2 at p = 2 and 48 at
+        # p = 3, and one in p of those has a zero constant term.
+        census = math.factorial(p) * (p - 1) ** p
+        assert len(exhaustive_search(p, 2 * p - 1)) == census
+        zero_constant = SearchConstraints(zero_constant=True)
+        assert len(exhaustive_search(p, 2 * p - 1, zero_constant)) == census // p
 
     def test_cap_respected(self, monkeypatch):
         monkeypatch.setattr(catalog, "DEFAULT_SEARCH_CAP", 1000)

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -8,6 +8,8 @@ from padiclds.permcheck import first_missing_residue
 from padiclds.polynomials import (
     IntPolynomial,
     _image,
+    _roots_mod,
+    _values,
     PolyParseError,
     affine_compose,
     derivative,
@@ -120,10 +122,11 @@ class TestEvalMod:
             eval_mod(IntPolynomial([1]), 0, 0)
 
 
-def horner_table(coeffs, m):
-    """[f(0) mod m, ..., f(m-1) mod m], one Horner loop per x."""
+def horner_table(coeffs, m, count=None):
+    """[f(0) mod m, ..., f(count-1) mod m] (count m by default), one Horner
+    loop per x."""
     table = []
-    for x in range(m):
+    for x in range(m if count is None else count):
         v = 0
         for c in reversed(coeffs):
             v = (v * x + c) % m
@@ -144,24 +147,35 @@ def counted(coeffs):
     return [Counted(c) for c in coeffs], steps
 
 
+def table_steps(coeffs, count):
+    """The Horner steps of a table of ``count`` values: every x up to the
+    crossover max(40, 4(d+1)), and past it the d+1 seeds of the differences."""
+    return (count if count <= max(40, 4 * len(coeffs)) else len(coeffs) or 1) * len(coeffs)
+
+
 class TestSquareRows:
     """_image against a Horner table: by its q fibres mod q^2 for q >= 16, read
-    off 2q Horner values, and by Horner at every x at every other modulus."""
+    off a table over [0, 2q), and by a table of every x at every other modulus."""
 
     def check(self, coeffs, m):
         """Compare both modes with the oracle and return whether f is one-to-one
-        mod m.  Each mode evaluates 2q values at q^2 with q >= 16 and m values
-        at any other m, or fewer when it stops at a repeat."""
+        mod m.  At q^2 with q >= 16 both modes take one table of 2q values; at
+        any other m the full image takes a table of m values, and the
+        injectivity test Horner at every x up to its first repeat."""
         image = bytearray(m)
         for v in horner_table(coeffs, m):
             image[v] = 1
         q = isqrt(m)
-        steps_in_full = (2 * q if q * q == m and q >= 16 else m) * len(coeffs)
+        fibres = q * q == m and q >= 16
         injective = all(image)
         for stop_at_repeat, expected in ((False, image), (True, image if injective else None)):
             spied, steps = counted(coeffs)
             assert _image(spied, m, stop_at_repeat) == expected, (coeffs, m, stop_at_repeat)
-            assert len(steps) == steps_in_full or expected is None and len(steps) < steps_in_full
+            if fibres or not stop_at_repeat:
+                assert len(steps) == table_steps(coeffs, 2 * q if fibres else m)
+            else:
+                full = m * len(coeffs)
+                assert len(steps) == full or expected is None and len(steps) < full
         return injective
 
     def test_random_degrees_and_moduli(self):
@@ -223,7 +237,76 @@ class TestSquareRows:
         expected = min(set(range(m)) - hit)
         spied, steps = counted(parse_poly("x^3 + 7").coeffs)
         assert first_missing_residue(IntPolynomial(spied), m) == expected
-        assert len(steps) == 2 * 1013 * 4
+        assert len(steps) == 4 * 4  # the 4 seeds of a table over [0, 2026)
+
+
+# degrees d with crossovers max(40, 4(d+1)) below, at and above every count
+# a modulus here takes; moduli 1 and 2, primes on either side of 40, two
+# composites (225 = 15^2 is read at every x) and the squares read off fibres
+TABLE_DEGREES = [*range(21), 100, 300]
+TABLE_MODULI = [1, 2, 37, 41, 91, 101, 225, *(q * q for q in (16, 17, 20, 24, 211))]
+
+
+def table_coeffs(rng, d, m):
+    """d+1 coefficients in [-3m - 3, 3m + 3] with a nonzero lead, so some are
+    negative and some >= m; the zero polynomial at d = -1."""
+    if d < 0:
+        return ()
+    lead = rng.choice([-1, 1]) * rng.randint(1, 3 * m + 3)
+    return (*(rng.randint(-3 * m - 3, 3 * m + 3) for _ in range(d)), lead)
+
+
+def unit_slope_non_permutation(q):
+    """The first c3*x^3 + c2*x^2 + x whose derivative is a unit mod q at every
+    x though it is not one-to-one mod q: mod q^2 every fibre is then a whole
+    class mod q, and two fibres share one."""
+    for c3, c2 in itertools.product(range(q), repeat=2):
+        if all(gcd(3 * c3 * x * x + 2 * c2 * x + 1, q) == 1 for x in range(q)) and len(
+                {(c3 * x ** 3 + c2 * x * x + x) % q for x in range(q)}) < q:
+            return (0, 1, c2, c3)
+
+
+class TestValueTables:
+    """``_values``, ``_roots_mod`` and both ``_image`` modes against Horner at
+    every x, on both sides of the crossover where tables turn to differences."""
+
+    @pytest.mark.parametrize("m", TABLE_MODULI)
+    def test_values(self, m):
+        rng = random.Random(m)
+        for d in [-1, *TABLE_DEGREES]:
+            coeffs = table_coeffs(rng, d, m)
+            crossover = max(40, 4 * (d + 1))
+            for count in (0, 1, crossover, crossover + 1, crossover + 41):
+                assert list(_values(coeffs, count, m)) == horner_table(coeffs, m, count), (d, count)
+        # a zero lead, as a coefficient tuple reduced mod p may keep
+        assert list(_values((3, -1, 0, 0), 50, m)) == horner_table((3, -1), m, 50)
+
+    @pytest.mark.parametrize("m", TABLE_MODULI)
+    def test_images_and_roots(self, m):
+        rng = random.Random(-m)
+        q = isqrt(m)
+        # an oracle table of m values a degree: past 10^4 only the low degrees
+        degrees = TABLE_DEGREES if m < 10**4 else [0, 1, 2, 3, 5, 20]
+        polys = [table_coeffs(rng, d, m) for d in [-1, *degrees]]
+        polys.append((m + 5, 1 - 2 * m))  # x + 5 mod m, one-to-one
+        if q * q == m and q >= 16:
+            polys.append(unit_slope_non_permutation(q))
+            polys.append((0, 1, *(q * c for c in table_coeffs(rng, 6, m)[2:])))  # x + q*h
+        answers = set()
+        for coeffs in polys:
+            table = horner_table(coeffs, m)
+            image = bytearray(m)
+            for v in table:
+                image[v] = 1
+            answers.add(all(image))
+            assert _image(coeffs, m, False) == image, coeffs
+            assert _image(coeffs, m, True) == (image if all(image) else None), coeffs
+            # the same table with a root at x = 1, and its roots
+            shift = table[1 % m]
+            rooted = (coeffs[0] - shift, *coeffs[1:]) if coeffs else ()
+            roots = [x for x, v in enumerate(table) if v == shift]
+            assert list(_roots_mod(rooted, m)) == roots, coeffs
+        assert answers == ({True} if m == 1 else {False, True})
 
 
 class TestDerivative:

@@ -3,8 +3,9 @@ the real-discrepancy engine against a grid oracle, the closed forms of a
 low-discrepancy sequence against the p-adic engines, the classifier against
 enumeration mod p^2 and the discrepancy at N = p^2 + 1, and the
 pair-correlation level walk against a fresh loop per size; and ``classify``,
-``discrepancy``, ``paircorr``, ``generate`` and ``bridge`` on arbitrary
-arguments, which must end in an exit code, never a traceback.
+``discrepancy``, ``paircorr``, ``generate``, ``bridge``, ``search`` and
+``verify-tables`` on arbitrary arguments, which must end in an exit code,
+never a traceback.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -288,6 +289,45 @@ def test_generate_and_bridge_end_in_an_exit_code(argv):
     assert_one_outcome(argv)
 
 
+# integer options that argparse accepts, so that every error is the program's
+# own: small values, numerals of up to 4,299 digits (the most the interpreter
+# converts) and, for search, the primes at and past the p^2 enumeration cap
+small_ints = st.integers(-3, 130).map(str)
+long_ints = st.builds(lambda d, n: d + "0" * n, st.sampled_from("123456789"), st.integers(3, 4299))
+
+# search: small primes at degrees that finish well within a second, beside any
+# of those integers as --p at a degree that fails or is refused before it runs
+# (a prime near 100 at degree 1 would take most of a second)
+valid_search = st.sampled_from(((2, 6), (3, 6), (5, 5), (7, 4), (11, 3), (13, 2))).flatmap(
+    lambda pd: st.tuples(st.just(str(pd[0])), st.integers(-1, pd[1]).map(str)))
+any_search = st.tuples(
+    st.one_of(small_ints, long_ints, st.sampled_from(("3137", "3163"))),
+    st.one_of(st.sampled_from(("-1", "0")), long_ints.map(lambda n: n + "0" * 27),
+              long_ints.map("-{}".format)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(often(valid_search, any_search),
+       st.lists(st.sampled_from(("--monic", "--zero-constant", "--nonzero-linear")), unique=True),
+       st.sampled_from(("csv", "json")))
+# the candidate cap at p = 2, and a prime past the enumeration cap
+@example(("2", "9" * 4299), [], "csv")
+@example(("3163", "1"), ["--monic"], "json")
+def test_search_ends_in_an_exit_code(p_degree, flags, fmt):
+    p, degree = p_degree
+    assert_one_outcome(["search", f"--p={p}", f"--degree={degree}", *flags, f"--format={fmt}"])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(st.sampled_from(("dickson", "derivatives", "lds")),
+       often(st.sampled_from((None, "2", "3", "5", "7", "11", "13", "17", "19", "23", "113")),
+             st.one_of(small_ints, long_ints, st.just("1009"))),
+       st.booleans(), st.sampled_from(("csv", "json")))
+def test_verify_tables_ends_in_an_exit_code(which, p, dump, fmt):
+    argv = ["verify-tables", f"--which={which}", f"--format={fmt}"]
+    assert_one_outcome(argv + ([] if p is None else [f"--p={p}"]) + (["--dump"] if dump else []))
+
+
 def run_main(argv):
     """(exit code, stdout, stderr) of ``cli.main(argv)`` in-process."""
     out, err = io.StringIO(), io.StringIO()
@@ -300,11 +340,12 @@ def run_main(argv):
 
 
 def assert_one_outcome(argv):
-    """Exit 0 with output and no error, or 1 with one short line, or 2; never a
+    """Exit 0, or 2 (a table claim that fails, or a search hit no row
+    explains), with output and no error, or 1 with one short line; never a
     traceback, nor the interpreter's advice on its own digit limit."""
     code, out, err = run_main(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err and "set_int_max_str_digits" not in err, err
-    assert (code == 0) == (err == "") == (out != ""), (argv, code, err)
+    assert (code != 1) == (err == "") == (out != ""), (argv, code, err)
     if code == 1:
         assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) <= 300, err

@@ -12,12 +12,14 @@ dump of each ``verify-tables --which`` selection, and the closed-form
 ``discrepancy`` and ``paircorr`` rows of certified low-discrepancy inputs at
 their boundaries, beside the inputs that still take the value engines, and
 paircorr's level walk on dense, power and bit-bound schedules, primes
-too long to echo, integer options too long for argparse to echo, and dense
-discrepancy and bridge schedules whose ball levels fill), through ``padiclds.cli.main`` in-process, and prints per
-workload the job count and one sha256 over (argv, exit code, stdout, stderr)
-of its jobs in order.  A last line digests the ``--help`` text of the top
-parser and of each subcommand, formatted 80 columns wide.  Two trees whose
-digests agree produce byte-identical CLI output on all of these inputs.
+too long to echo, integer options too long for argparse to echo, dense
+discrepancy and bridge schedules whose ball levels fill, and value tables on
+both sides of the size where they turn to finite differences), through
+``padiclds.cli.main`` in-process, and prints per workload the job count and
+one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  A
+last line digests the ``--help`` text of the top parser and of each
+subcommand, formatted 80 columns wide.  Two trees whose digests agree
+produce byte-identical CLI output on all of these inputs.
 
 Usage:
     PYTHONPATH=<tree>/src python3 tools/cli_digest.py [SEED ...]   # default 1 2 3
@@ -169,6 +171,19 @@ EXTRA = [
     # argparse's own type errors on integer options too long to echo
     ["generate", "--p", "3", "--n", "1", "--K", "1" * 5000, "--", "x"],
     ["discrepancy", "--p", "3", "--N", "3", "--linear", "1", "x" * 3000],
+    # value tables on both sides of the crossover max(40, 4(d+1)) past which
+    # they are extended by differences: tables mod p at p = 37 and 41..47 at
+    # degrees 2..9 (x^d permutes Z/p when gcd(d, p - 1) = 1), fibre tables over
+    # [0, 2p) at p = 17, 19 (2p < 40) and 23 (2p > 40), a degree-300 classify
+    # at p = 1009 (every x mod p, differences over [0, 2p)), and generate
+    # around d + 1 = 13 values, where the exact sequence turns to differences
+    *(["classify", "--p", str(p), "--", f] for p in (37, 41, 43, 47) for d in range(2, 10)
+      for f in (f"x^{d}", f"x^{d}+2x+1")),
+    *(["classify", "--p", str(p), "--", f] for p in (17, 19, 23)
+      for f in ("5x+7", f"{p}x^4+x", f"{p}x^9+{p}x^2+x", "x^3")),
+    *(["classify", "--p", "1009", "--", f] for f in ("1009x^300+x", "x^300+x+1", "x^300+5x^2")),
+    *(["generate", "--p", "3", "--n", str(n), "--mode", "integers", "--", "x^12+5x^3-7"]
+      for n in (12, 13, 14, 40, 41)),
     # dense schedules on the value engine whose levels fill: level 1 of an
     # input that is not low-discrepancy, whose smallest count keeps rising,
     # and every level up to 2^9 of an affine map at p = 2
