@@ -5,7 +5,7 @@ two value tables mod p: the table of a polynomial g gives the permutation
 test and the smallest missed residue, the table of a second polynomial dg
 gives the smallest root.  Every table comes from the one value-table
 evaluator of ``polynomials`` (Horner at every x for a short table, forward
-differences past max(40, 4(d+1)) values), and the root scan stops at the
+differences past max(40, 5(d+1)) values), and the root scan stops at the
 first root.  The three routes differ only in what they feed it:
 
 * the Noebauer criterion -- g = f, dg = f'.  f permutes Z/p^2 iff it permutes

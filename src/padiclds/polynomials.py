@@ -13,7 +13,7 @@ unit residue.  Its private evaluators mod m give the image of f (``_image``,
 which reads a square q^2 with q >= 16 off its q fibres and evaluates every x
 at any other modulus) and the roots of f mod p one at a time.  Each reads
 one value table, ``_values``: Horner at every x for a short table, and past
-max(40, 4(d+1)) values d+1 Horner seeds extended by forward differences in
+max(40, 5(d+1)) values d+1 Horner seeds extended by forward differences in
 C-level running sums (``_extend``, which also gives ``poly_sequence`` its
 exact values).
 """
@@ -80,14 +80,23 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
 
 # The evaluators below take a bare little-endian coefficient sequence, so the
 # exhaustive search can call them without building an IntPolynomial per
-# candidate.  A table, and each scan that stops at a first root or repeat,
-# keeps an inline Horner loop up to the crossover max(40, 4(d+1)) values: a
-# call, a closure or a shared generator there made the search's tests mod
-# p <= 13 slower.  Past it, d+1 Horner seeds and the O(d^2) difference table
-# are paid back by values that cost d C-level additions each.  _image
-# evaluates every x at non-squares and at q^2 with q < 16: those are the
-# brute-force tables (mod 25, and mod p^2 for p <= 13) that the derivative
+# candidate.  Every table is lazy, so a scan for a first root stops there.
+# Up to _crossover's count it is Horner at every x; past it, d+1 Horner seeds
+# and the O(d^2) difference table are paid back by values that cost d C-level
+# additions each.  _image evaluates every x at non-squares and at q^2 with
+# q < 16, with ``stop_at_repeat`` in its own inline loop that ends at the
+# first repeat: a call, a closure or a shared generator there made the
+# search's per-candidate tests mod p <= 13 slower.  Those tables are also the
+# brute-force ones (mod 25, and mod p^2 for p <= 13) that the derivative
 # criterion is checked against.
+
+def _crossover(n: int) -> int:
+    """The longest table of a polynomial with n coefficients that ``_values``
+    builds by Horner at every x.  Timed on a 2-core x86-64 host under
+    CPython 3.11 (m = 101, 1009, 1009^2, 3137^2), differences overtook Horner
+    at 32-48 values for d = 1..10 and at 4-5(d+1) values for d = 10..300."""
+    return max(40, 5 * n)
+
 
 def _extend(seeds, count: int, m: int | None = None):
     """The values at ``count`` consecutive points of the polynomial of degree
@@ -112,37 +121,34 @@ def _extend(seeds, count: int, m: int | None = None):
     return map(mod, values, repeat(m)) if m else values
 
 
-def _values(coeffs, count: int, m: int):
-    """f(0), ..., f(count - 1) mod m: a list by Horner at every x, or past the
-    crossover an iterator that extends Horner at x = 0..d by differences."""
+def _horner(coeffs, count: int, m: int):
+    """Yield f(0), ..., f(count - 1) mod m, by Horner at every x."""
     rev = coeffs[::-1]
-    past = count > 40 and count > 4 * len(coeffs)
-    table = []
-    for x in range(len(coeffs) or 1 if past else count):
+    for x in range(count):
         v = 0
         for c in rev:
             v = (v * x + c) % m
-        table.append(v)
-    return _extend(table, count, m) if past else table
+        yield v
+
+
+def _values(coeffs, count: int, m: int):
+    """f(0), ..., f(count - 1) mod m as an iterator: Horner at every x, or
+    past the crossover Horner at x = 0..d extended by differences."""
+    if count > _crossover(len(coeffs)):
+        return _extend(list(_horner(coeffs, len(coeffs) or 1, m)), count, m)
+    return _horner(coeffs, count, m)
 
 
 def _roots_mod(coeffs, p: int):
-    """Yield the x in [0, p) with f(x) = 0 mod p, in increasing order."""
-    if p > 40 and p > 4 * len(coeffs):  # the crossover of _values
-        values, x = _values(coeffs, p, p), -1
-        while True:
-            try:
-                x += 1 + indexOf(values, 0)
-            except ValueError:
-                return
-            yield x
-    rev = coeffs[::-1]
-    for x in range(p):
-        v = 0
-        for c in rev:
-            v = (v * x + c) % p
-        if not v:
-            yield x
+    """Yield the x in [0, p) with f(x) = 0 mod p, in increasing order, each
+    found by ``indexOf`` over the lazy table of f mod p."""
+    values, x = iter(_values(coeffs, p, p)), -1
+    while True:
+        try:
+            x += 1 + indexOf(values, 0)
+        except ValueError:
+            return
+        yield x
 
 
 def _image(coeffs, m: int, stop_at_repeat: bool) -> bytearray | None:

@@ -232,18 +232,15 @@ class TestSharedModPFacts:
                 steps.append(other)
                 return int(other) + int(self)
 
-        # dg = x - 3: at p = 37, below the crossover max(40, 4(d+1)), evaluated
-        # at x = 0, 1, 2, 3, not at all p residues; at p = 101, past it, by
-        # Horner only at the seeds x = 0, 1, and by differences up to the root
-        for p, evaluated in ((37, 4), (101, 2)):
+        # dg = (x - 3)(x - 5): at p = 37, below the crossover, Horner at x = 0,
+        # 1, 2, 3, not at all p residues; at p = 101, past it, Horner only at
+        # the seeds x = 0, 1, 2.  The scan resumes after the first root.
+        for p, evaluated in ((37, 4), (101, 3)):
             steps.clear()
-            dg = (Counted(p - 3), 1)
+            dg = (Counted(15), p - 8, 1)
             assert permcheck._mod_p_facts.__wrapped__((0, 1), dg, p) == (None, 3)
             assert len(steps) == evaluated
-            roots = polynomials._roots_mod((p - 3, 1), p)
-            assert next(roots) == 3
-            if p > 40:  # the lazy tail still holds the values at x = 4, ..., p - 1
-                assert len(list(roots.gi_frame.f_locals["values"])) == p - 4
+            assert list(polynomials._roots_mod((15, p - 8, 1), p)) == [3, 5]
 
     def test_folding_route_reads_the_noebauer_pair(self):
         # deg f <= p-2: the foldings are f and f' mod p, so no new tables

@@ -7,6 +7,7 @@ import pytest
 from padiclds.permcheck import first_missing_residue
 from padiclds.polynomials import (
     IntPolynomial,
+    _crossover,
     _image,
     _roots_mod,
     _values,
@@ -149,8 +150,8 @@ def counted(coeffs):
 
 def table_steps(coeffs, count):
     """The Horner steps of a table of ``count`` values: every x up to the
-    crossover max(40, 4(d+1)), and past it the d+1 seeds of the differences."""
-    return (count if count <= max(40, 4 * len(coeffs)) else len(coeffs) or 1) * len(coeffs)
+    crossover, and past it the d+1 seeds of the differences."""
+    return (count if count <= _crossover(len(coeffs)) else len(coeffs) or 1) * len(coeffs)
 
 
 class TestSquareRows:
@@ -240,9 +241,9 @@ class TestSquareRows:
         assert len(steps) == 4 * 4  # the 4 seeds of a table over [0, 2026)
 
 
-# degrees d with crossovers max(40, 4(d+1)) below, at and above every count
-# a modulus here takes; moduli 1 and 2, primes on either side of 40, two
-# composites (225 = 15^2 is read at every x) and the squares read off fibres
+# degrees d with crossovers below, at and above every count a modulus here
+# takes; moduli 1 and 2, primes on either side of 40, two composites
+# (225 = 15^2 is read at every x) and the squares read off fibres
 TABLE_DEGREES = [*range(21), 100, 300]
 TABLE_MODULI = [1, 2, 37, 41, 91, 101, 225, *(q * q for q in (16, 17, 20, 24, 211))]
 
@@ -267,15 +268,16 @@ def unit_slope_non_permutation(q):
 
 
 class TestValueTables:
-    """``_values``, ``_roots_mod`` and both ``_image`` modes against Horner at
-    every x, on both sides of the crossover where tables turn to differences."""
+    """``_values`` and ``_roots_mod`` against Horner at every x, and both
+    ``_image`` modes through ``TestSquareRows.check``, on both sides of the
+    crossover where tables turn to differences."""
 
     @pytest.mark.parametrize("m", TABLE_MODULI)
     def test_values(self, m):
         rng = random.Random(m)
         for d in [-1, *TABLE_DEGREES]:
             coeffs = table_coeffs(rng, d, m)
-            crossover = max(40, 4 * (d + 1))
+            crossover = _crossover(d + 1)
             for count in (0, 1, crossover, crossover + 1, crossover + 41):
                 assert list(_values(coeffs, count, m)) == horner_table(coeffs, m, count), (d, count)
         # a zero lead, as a coefficient tuple reduced mod p may keep
@@ -294,14 +296,9 @@ class TestValueTables:
             polys.append((0, 1, *(q * c for c in table_coeffs(rng, 6, m)[2:])))  # x + q*h
         answers = set()
         for coeffs in polys:
-            table = horner_table(coeffs, m)
-            image = bytearray(m)
-            for v in table:
-                image[v] = 1
-            answers.add(all(image))
-            assert _image(coeffs, m, False) == image, coeffs
-            assert _image(coeffs, m, True) == (image if all(image) else None), coeffs
+            answers.add(TestSquareRows().check(coeffs, m))
             # the same table with a root at x = 1, and its roots
+            table = horner_table(coeffs, m)
             shift = table[1 % m]
             rooted = (coeffs[0] - shift, *coeffs[1:]) if coeffs else ()
             roots = [x for x, v in enumerate(table) if v == shift]

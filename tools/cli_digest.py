@@ -171,7 +171,7 @@ EXTRA = [
     # argparse's own type errors on integer options too long to echo
     ["generate", "--p", "3", "--n", "1", "--K", "1" * 5000, "--", "x"],
     ["discrepancy", "--p", "3", "--N", "3", "--linear", "1", "x" * 3000],
-    # value tables on both sides of the crossover max(40, 4(d+1)) past which
+    # value tables on both sides of the crossover max(40, 5(d+1)) past which
     # they are extended by differences: tables mod p at p = 37 and 41..47 at
     # degrees 2..9 (x^d permutes Z/p when gcd(d, p - 1) = 1), fibre tables over
     # [0, 2p) at p = 17, 19 (2p < 40) and 23 (2p > 40), a degree-300 classify
