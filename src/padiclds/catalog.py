@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .padic import InvariantError, check_prime
 from .permcheck import (_check_enumeration, _count_candidates, classify_low_discrepancy,
@@ -39,8 +38,7 @@ PRIME_FAMILY_5M2 = "5m+-2"
 FAMILY_5M2_SAMPLE_PRIMES = (2, 3, 7, 13, 17, 23)
 
 
-@dataclass(frozen=True)
-class DicksonEntry:
+class DicksonEntry(NamedTuple):
     """One expanded catalog row.
 
     ``build(a, p)`` instantiates the family at parameter a (ignored when the
@@ -65,7 +63,7 @@ class DicksonEntry:
         return p != 5 and p % 5 in (2, 3)
 
     def as_dict(self) -> dict:
-        out = {k: v for k, v in vars(self).items() if k != "build"}
+        out = {k: v for k, v in self._asdict().items() if k != "build"}
         if self.expected_derivative_roots is not None:
             out["expected_derivative_roots"] = sorted(self.expected_derivative_roots)
         return out
@@ -220,15 +218,14 @@ def dickson_entries() -> tuple[DicksonEntry, ...]:
     """All expanded catalog rows (both source tables)."""
     table2 = _entries_table2()
     by_name = {e.name: e for e in table2}
-    return tuple(table2 + [replace(by_name[n], source_table=1) for n in _TABLE1_NAMES])
+    return tuple(table2 + [by_name[n]._replace(source_table=1) for n in _TABLE1_NAMES])
 
 
 # --------------------------------------------------------------------------
 # Verification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParameterResult:
+class ParameterResult(NamedTuple):
     a: int
     poly: IntPolynomial
     is_perm: bool
@@ -236,8 +233,7 @@ class ParameterResult:
     low_discrepancy: bool | None = None
 
 
-@dataclass(frozen=True)
-class EntryVerification:
+class EntryVerification(NamedTuple):
     results: tuple[ParameterResult, ...]
     failures: tuple[str, ...]
     notes: tuple[str, ...]
@@ -302,8 +298,7 @@ def verification_primes(entry: DicksonEntry) -> tuple[int, ...]:
 DEFAULT_SEARCH_CAP = 100_000_000
 
 
-@dataclass(frozen=True)
-class SearchConstraints:
+class SearchConstraints(NamedTuple):
     monic: bool = False
     zero_constant: bool = False
     nonzero_linear: bool = False
@@ -385,8 +380,7 @@ def exhaustive_search(
 _CATEGORIES = ("table1", "prop_family", "affine", "linear", "unexplained")
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     """Partition of search hits by what explains them.
 
     ``prop_family`` holds the monic hits x^p + a*x + b with a and a+1 units;

@@ -34,7 +34,8 @@ from .discrepancy import (
 )
 from .padic import InvariantError, _quote, _shown, check_prime, digit_expansions, digit_reversals
 from .paircorr import MAX_RADIUS_BITS, ppc_sweep
-from .permcheck import classify_low_discrepancy, classify_via_reduction, noebauer_mod_p2
+from .permcheck import (_check_enumeration, classify_low_discrepancy, classify_via_reduction,
+                        noebauer_mod_p2)
 from .polynomials import IntPolynomial, derivative, parse_poly, render, unit_value_poly
 from .sequence import poly_sequence
 
@@ -346,6 +347,8 @@ def cmd_verify_tables(args) -> int:
         _emit_json(args, "verify-tables", {"dump": [e.as_dict() for e in entries]})
         return EXIT_OK
 
+    if args.p is not None:  # refused before any row, at classify's cap
+        _check_enumeration(args.p * args.p, "p^2")
     failures: list[str] = []
     report_rows: list[list] = []
     for entry in entries:

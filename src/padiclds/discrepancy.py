@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import countOf, mod, sub
+from typing import NamedTuple
 
 from .padic import InvariantError, check_prime
 
@@ -64,8 +64,7 @@ STRETCH_RATIO = 4
 MEIJER_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class DiscrepancyResult:
+class DiscrepancyResult(NamedTuple):
     """Exact discrepancy value with the ball (or tail) attaining it.
 
     ``witness_level`` is the ball depth k, or the string "tail" when the

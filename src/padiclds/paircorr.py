@@ -19,10 +19,10 @@ and ``lds_pair_count`` gives the pairs in closed form.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mod, mul
+from typing import NamedTuple
 
 from .padic import check_prime
 
@@ -34,26 +34,29 @@ from .padic import check_prime
 MAX_RADIUS_BITS = 10_000
 
 
-@dataclass(frozen=True)
-class PairCorrInput:
+class _PairCorrFields(NamedTuple):
+    values: tuple
+    p: int
+    alpha: Fraction
+    s: Fraction
+
+
+class PairCorrInput(_PairCorrFields):
     """Inputs of one statistic evaluation.
 
     alpha is restricted to a rational so the radius comparison stays exact;
     s = 0 is rejected because the normalizing ball measure vanishes.
     """
 
-    values: tuple
-    p: int
-    alpha: Fraction
-    s: Fraction
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else _replace skips __new__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        alpha, (s,) = _checked_parameters(self.p, self.alpha, [self.s])
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "s", s)
-        if not self.values:
+    def __new__(cls, values, p, alpha, s):
+        values = tuple(values)
+        alpha, (s,) = _checked_parameters(p, alpha, [s])
+        if not values:
             raise ValueError("need at least one value")
+        return super().__new__(cls, values, p, alpha, s)
 
 
 def _checked_parameters(p: int, alpha, s_list) -> tuple[Fraction, list[Fraction]]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .padic import InvariantError, check_prime
 from .polynomials import (
@@ -57,8 +57,16 @@ METHOD_NOEBAUER = "noebauer"
 METHOD_UNIT_REDUCTION = "unit_reduction"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
+    low_discrepancy: bool
+    perm_mod_p: bool
+    perm_mod_p2: bool
+    derivative_root: int | None
+    missing_residue: tuple[int, int] | None
+    method: str
+
+
+class Verdict(_VerdictFields):
     """Classification outcome for a polynomial at a prime.
 
     ``missing_residue`` is a (level, residue) pair with level in {1, 2}
@@ -67,27 +75,24 @@ class Verdict:
     the fields describe the folded polynomials rather than f itself.
     """
 
-    low_discrepancy: bool
-    perm_mod_p: bool
-    perm_mod_p2: bool
-    derivative_root: int | None
-    missing_residue: tuple[int, int] | None
-    method: str
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else _replace skips __new__
 
-    def __post_init__(self) -> None:
-        if self.method in (METHOD_BRUTE_FORCE, METHOD_NOEBAUER):
-            if self.low_discrepancy != (self.perm_mod_p and self.perm_mod_p2):
+    def __new__(cls, low_discrepancy, perm_mod_p, perm_mod_p2, derivative_root,
+                missing_residue, method):
+        if method in (METHOD_BRUTE_FORCE, METHOD_NOEBAUER):
+            if low_discrepancy != (perm_mod_p and perm_mod_p2):
                 raise ValueError("inconsistent verdict: low_discrepancy must equal the conjunction")
-            if self.perm_mod_p and not self.perm_mod_p2 and self.derivative_root is None:
+            if perm_mod_p and not perm_mod_p2 and derivative_root is None:
                 raise ValueError("inconsistent verdict: missing derivative-root certificate")
-            if not self.perm_mod_p and (
-                self.missing_residue is None or self.missing_residue[0] != 1
-            ):
+            if not perm_mod_p and (missing_residue is None or missing_residue[0] != 1):
                 raise ValueError("inconsistent verdict: missing level-1 witness")
+        return super().__new__(cls, low_discrepancy, perm_mod_p, perm_mod_p2, derivative_root,
+                               missing_residue, method)
 
     def as_dict(self) -> dict:
         missing = self.missing_residue
-        return {**vars(self), "missing_residue": list(missing) if missing else None}
+        return {**self._asdict(), "missing_residue": list(missing) if missing else None}
 
 
 def _check_enumeration(m: int, name: str = "m") -> None:
@@ -190,7 +195,7 @@ def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
             f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
         )
     if verdict.perm_mod_p and not verdict.perm_mod_p2:
-        return replace(verdict, missing_residue=(2, _fibre_witness(f, p)))
+        return verdict._replace(missing_residue=(2, _fibre_witness(f, p)))
     return verdict
 
 
@@ -252,8 +257,7 @@ def classify_via_reduction(f: IntPolynomial, p: int) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class DivergenceEntry:
+class DivergenceEntry(NamedTuple):
     """One polynomial where the folding formula contradicts ground truth."""
 
     poly: IntPolynomial
@@ -261,8 +265,7 @@ class DivergenceEntry:
     formula: Verdict
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     candidates: int
     entries: tuple[DivergenceEntry, ...]
 

@@ -21,7 +21,6 @@ exact values).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import gcd, isqrt
 from operator import indexOf, mod, sub
@@ -29,16 +28,15 @@ from operator import indexOf, mod, sub
 from .padic import _quote, check_prime
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Polynomial with arbitrary-precision integer coefficients.
 
     ``coeffs[i]`` is the coefficient of x^i.  The representation is canonical:
     no trailing zeros, zero polynomial == empty tuple, degree of the zero
-    polynomial is -1.
+    polynomial is -1.  Immutable, and equal and hashed by ``coeffs``.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()) -> None:
         cs = list(coeffs)
@@ -48,6 +46,16 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:

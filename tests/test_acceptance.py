@@ -200,10 +200,7 @@ def test_criterion_06_derivative_table_reproduction():
         if recomputed != roots or not ver.ok:
             problems.append((name, sorted(recomputed)))
     # a deviation must be reported as a failure (drives the CLI's exit code 2)
-    import dataclasses
-
-    doctored = dataclasses.replace(
-        next(e for e in dickson_entries() if e.name == "x^4 + 3*x"),
+    doctored = next(e for e in dickson_entries() if e.name == "x^4 + 3*x")._replace(
         expected_derivative_roots=frozenset({0}),
     )
     deviation_detected = not verify_entry(doctored, 7).ok

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -168,16 +167,12 @@ class TestVerifyEntry:
 
     def test_doctored_derivative_claims_fail(self):
         (sextic,) = entry_by_name("x^6 + 2*x", 2)
-        doctored = dataclasses.replace(
-            sextic, expected_derivative_roots=None, derivative_root_exists=True
-        )
+        doctored = sextic._replace(expected_derivative_roots=None, derivative_root_exists=True)
         assert verify_entry(doctored, 11).failures == (
             "x^6 + 2*x @ p=11, a=0: expected a derivative root, found none",
         )
         (quartic,) = entry_by_name("x^4 + 3*x", 2)
-        doctored = dataclasses.replace(
-            quartic, expected_derivative_roots=None, derivative_root_exists=False
-        )
+        doctored = quartic._replace(expected_derivative_roots=None, derivative_root_exists=False)
         assert verify_entry(doctored, 7).failures == (
             "x^4 + 3*x @ p=7, a=0: expected no derivative roots, found [1, 2, 4]",
         )
@@ -185,7 +180,7 @@ class TestVerifyEntry:
     def test_doctored_low_discrepancy_claim_fails(self):
         # x^4 + 3x permutes Z/7 but f' has roots there, so a table-1 claim fails
         (quartic,) = entry_by_name("x^4 + 3*x", 2)
-        ver = verify_entry(dataclasses.replace(quartic, source_table=1), 7)
+        ver = verify_entry(quartic._replace(source_table=1), 7)
         assert ver.failures == ("x^4 + 3*x @ p=7, a=0: not classified low-discrepancy",)
         assert ver.results[0].low_discrepancy is False
 

@@ -516,6 +516,16 @@ class TestVerifyTablesCommand:
         names = {e["name"] for e in doc["dump"]}
         assert "x^3 - a*x" in names
 
+    @pytest.mark.parametrize("which", ["dickson", "derivatives", "lds"])
+    def test_refused_past_the_cap_at_once(self, capsys, which):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify-tables", "--which", which, "--p", "9973")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == "padiclds: error: enumeration too large: p^2=99460729 exceeds cap 10000000\n"
+        # the catalog dump verifies nothing and is not refused
+        assert run_cli(capsys, "verify-tables", "--which", which, "--p", "9973", "--dump")[0] == 0
+
     def test_full_verification_green(self, capsys):
         for which in ("dickson", "derivatives", "lds"):
             code, _, _ = run_cli(capsys, "verify-tables", "--which", which)
@@ -655,6 +665,15 @@ class TestOutputPlumbing:
         assert doc["schema_version"] == 1
         assert doc["rows"][0]["D_N"] == "1/2"
 
+    def test_startup_imports_no_dataclasses_or_inspect(self):
+        # the result records are NamedTuples: starting the CLI loads neither
+        # dataclasses nor inspect, ast, dis and tokenize behind it
+        code = ("import sys, padiclds.cli; padiclds.cli.build_parser(); "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "padiclds.cli", "classify", "--p", "3", "x^3+x"],
@@ -700,6 +719,12 @@ class TestErrorLines:
          "p must be a prime >= 2, got '-100000000000000'..."),
         (["discrepancy", "--p", "3", "--N", "5"],
          "a polynomial expression or --linear a b is required"),
+        # verify-tables refuses p^2 past classify's enumeration cap for every
+        # selection, before any row is verified
+        (["verify-tables", "--which", "dickson", "--p", "3163"],
+         "enumeration too large: p^2=10004569 exceeds cap 10000000"),
+        (["verify-tables", "--which", "derivatives", "--p", "9973"],
+         "enumeration too large: p^2=99460729 exceeds cap 10000000"),
     ])
     def test_exits_1_with_one_exact_line(self, capsys, argv, line):
         code, out, err = run_cli(capsys, *argv)

@@ -323,6 +323,10 @@ def test_search_ends_in_an_exit_code(p_degree, flags, fmt):
        often(st.sampled_from((None, "2", "3", "5", "7", "11", "13", "17", "19", "23", "113")),
              st.one_of(small_ints, long_ints, st.just("1009"))),
        st.booleans(), st.sampled_from(("csv", "json")))
+# a prime past the enumeration cap, refused before any row is verified
+@example("dickson", "3163", False, "csv")
+@example("derivatives", "3163", False, "json")
+@example("lds", "3163", False, "csv")
 def test_verify_tables_ends_in_an_exit_code(which, p, dump, fmt):
     argv = ["verify-tables", f"--which={which}", f"--format={fmt}"]
     assert_one_outcome(argv + ([] if p is None else [f"--p={p}"]) + (["--dump"] if dump else []))

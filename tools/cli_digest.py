@@ -8,7 +8,9 @@ two root-free non-permutation classify calls, long and dense discrepancy,
 paircorr and generate schedules, digit and digit-reversal output of negative
 values, integer ``--linear`` sequences,
 unsorted, long, dense and negative-valued bridge schedules, the catalog
-dump of each ``verify-tables --which`` selection, and the closed-form
+dump of each ``verify-tables --which`` selection, two ``verify-tables``
+calls refused at classify's enumeration cap (``--which dickson --p 3163``
+and ``--which derivatives --p 9973``), and the closed-form
 ``discrepancy`` and ``paircorr`` rows of certified low-discrepancy inputs at
 their boundaries, beside the inputs that still take the value engines, and
 paircorr's level walk on dense, power and bit-bound schedules, primes
@@ -107,6 +109,9 @@ EXTRA = [
     # every catalog field of each table selection (the search workload runs
     # verify-tables without --dump)
     *(["verify-tables", "--which", which, "--dump"] for which in ("dickson", "derivatives", "lds")),
+    # primes whose p^2 passes the enumeration cap, refused before any row
+    ["verify-tables", "--which", "dickson", "--p", "3163"],
+    ["verify-tables", "--which", "derivatives", "--p", "9973"],
     # certified low-discrepancy inputs answered in closed form: N = 1, p^2 - 1,
     # p^2, p^2 + 1 and p^k +- 1, an integer --linear sequence, a power
     # schedule at alpha 1/3, JSON, and an unsorted schedule with repeats
