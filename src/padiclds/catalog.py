@@ -11,19 +11,23 @@ disambiguate the coupling).
 
 The module also provides the exhaustive small-degree search that reproduces
 the table contents from scratch, and the diff that partitions search hits
-into explained/unexplained.
+into explained/unexplained.  The search builds each hit as
+A + (x^p - x)B + (x^p - x)^2 C over F_p: A a permutation of Z/p of degree
+< p, B avoiding A' at every residue, C free.  It walks orbit representatives
+of A only below degree p.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from operator import ne
 from typing import Callable, NamedTuple
 
 from .padic import InvariantError, check_prime
 from .permcheck import (_check_enumeration, _count_candidates, classify_low_discrepancy,
                         is_permutation_mod)
-from .polynomials import IntPolynomial, _image, _roots_mod, derivative
+from .polynomials import IntPolynomial, _image, _roots_mod, _values, derivative
 
 PRED_NONSQUARE = "nonsquare"
 PRED_NOT_FOURTH_POWER = "not_fourth_power"
@@ -314,6 +318,16 @@ def _taylor_shift(coeffs, c: int, p: int) -> list[int]:
     return a
 
 
+def _times_xp_minus_x(q, p: int) -> tuple[int, ...]:
+    """Coefficients of (x^p - x) * q(x) mod p, trailing zeros trimmed."""
+    if not any(q):
+        return ()
+    out = [0, *(-c % p for c in q), *[0] * (p - 1)]
+    for k, c in enumerate(q):
+        out[k + p] = (out[k + p] + c) % p
+    return IntPolynomial(out).coeffs
+
+
 def exhaustive_search(
     p: int,
     max_degree: int,
@@ -325,15 +339,26 @@ def exhaustive_search(
     Verdicts depend only on coefficient residues mod p (the permutation test
     mod p^2 reduces to mod-p data via the derivative criterion), so [0, p) is
     the complete search space; more than ``DEFAULT_SEARCH_CAP`` candidates
-    are refused before any is tested.  The verdict is also
-    invariant under f -> u*f(x + c) + v (u a unit), so only monic zero-constant
-    representatives g take the mod-p test, with a_{d-1} = 0 as well when
-    d >= 2 and p does not divide d: the x^{d-1} coefficient of g(x + c) is
-    a_{d-1} + d*c, so a shift reaches every other a_{d-1}.  Each generator
-    expands to its images u*(g(x + c) - g(c)) + v that meet the flags; an
-    image's a_1 = u*g'(c) is never 0, so nonzero_linear filters nothing.
-    Every image is confirmed by brute force mod p^2.  Output is in (degree,
-    coefficient tuple) order.
+    are refused before any is tested.
+
+    The hits are built, not searched for.  Dividing twice by P = x^p - x
+    over F_p writes each candidate once as f = A + P*B + P^2*C with deg A < p
+    and deg B < p.  At every integer x, P = 0 and P' = -1 mod p, so f is a hit
+    iff A permutes Z/p and f' = A' - B has no root mod p, and C is free: from
+    degree d = 2p - 1 on there are p! * (p - 1)^p * p^(d + 1 - 2p) hits.
+
+    The verdict is invariant under f -> u*f(x + c) + v (u a unit), and over
+    F_p P(x + c) = P(x), so only monic zero-constant representatives g of
+    degree n < p take the mod-p test, with a_{n-1} = 0 as well when n >= 2:
+    the x^{n-1} coefficient of g(x + c) is a_{n-1} + n*c, so a shift reaches
+    every other a_{n-1}.  For each shift c of a generator, every B of degree
+    <= min(d - p, p - 1) whose values mod p avoid those of g'(x + c) (B = 0
+    passes iff g' has no root) and every C of degree <= d - 2p give
+    h = g(x + c) - g(c) + P*B + P^2*C, which expands to its images u*h + v
+    that meet the flags.  monic fixes u to the inverse of h's lead;
+    nonzero_linear filters nothing, since a_1 = f'(0) = A_1 - B_0 is never 0
+    in a hit.  Every image is confirmed by brute force mod p^2.  Output is in
+    (degree, coefficient tuple) order.
     """
     check_prime(p)
     _check_enumeration(p * p, "p^2")
@@ -347,22 +372,33 @@ def exhaustive_search(
         DEFAULT_SEARCH_CAP,
     )
 
-    units = (1,) if constraints.monic else range(1, p)
+    # (values mod p, P*B) of each B and P^2*C of each C: just B = 0 and C = 0 when d < p
+    bs = [(bytes(_values(b, p, p)), _times_xp_minus_x(b, p)) for b in itertools.product(
+        range(p), repeat=max(0, min(max_degree - p + 1, p)))]
+    cs = [_times_xp_minus_x(_times_xp_minus_x(c, p), p) for c in itertools.product(
+        range(p), repeat=max(0, max_degree - 2 * p + 1))]
     consts = (0,) if constraints.zero_constant else range(p)
     hits = []
-    for d in range(1, max_degree + 1):
-        shift = d > 1 and d % p != 0
-        for mids in itertools.product(range(p), repeat=d - 2 if shift else d - 1):
-            g = (0, *mids, 0, 1) if shift else (0, *mids, 1)
-            # permutation mod p and g' root-free mod p (the Noebauer criterion)
-            dg = [i * c for i, c in enumerate(g)][1:]
-            if _image(g, p, True) is None or next(_roots_mod(dg, p), None) is not None:
+    for n in range(1, min(max_degree, p - 1) + 1):
+        for mids in itertools.product(range(p), repeat=max(n - 2, 0)):
+            g = (0, *mids, 0, 1) if n > 1 else (0, 1)
+            if _image(g, p, True) is None:
                 continue
-            for c in range(p) if shift else (0,):
+            dg = bytes(_values([i * c for i, c in enumerate(g)][1:], p, p))
+            for c in range(p) if n > 1 else (0,):
+                dh = dg[c:] + dg[:c]  # the values of h'(x) = g'(x + c)
+                pbs = [pb for vb, pb in bs if all(map(ne, vb, dh))]
+                if not pbs:
+                    continue
                 h = _taylor_shift(g, c, p)
-                for u in units:
-                    body = tuple(u * b % p for b in h[1:])
-                    hits.extend((v, *body) for v in consts)
+                h[0] = 0
+                for pb in pbs:
+                    for pc in cs:
+                        # f's lead is the top term of P^2*C, else of P*B, else of h
+                        t = [sum(a) % p for a in itertools.zip_longest(h, pb, pc, fillvalue=0)]
+                        for u in (pow(t[-1], -1, p),) if constraints.monic else range(1, p):
+                            body = tuple(u * b % p for b in t[1:])
+                            hits.extend((v, *body) for v in consts)
     hits.sort(key=lambda t: (len(t), t))
     found = [IntPolynomial(t) for t in hits]
     for f in found:

@@ -51,6 +51,10 @@ class IntPolynomial:
         raise AttributeError(f"cannot assign to field {name!r}")
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # copy and pickle would restore the slot by setattr, which is refused
+        return type(self), (self.coeffs,)
+
     def __eq__(self, other):
         return self.coeffs == other.coeffs if type(other) is type(self) else NotImplemented
 

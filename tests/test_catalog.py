@@ -277,11 +277,11 @@ class TestExhaustiveSearch:
 
     @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)),
                              ids=lambda flags: "flags" + "".join(str(int(b)) for b in flags))
-    @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 5), (7, 4)])
+    @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 5), (7, 4), (3, 7), (2, 9)])
     def test_every_hit_and_no_miss(self, p, max_degree, flags):
         # the search output is exactly the brute-force filter over the space,
         # in order, by direct enumeration independent of the search internals;
-        # the degrees divisible by p (no a_{d-1} normalization) are covered too
+        # degrees p and up, built with (x^p - x)B and (x^p - x)^2 C, are covered too
         monic, zero_constant, nonzero_linear = flags
         expected = [
             t for t in low_discrepancy_space(p, max_degree)
@@ -302,6 +302,32 @@ class TestExhaustiveSearch:
         assert len(exhaustive_search(p, 2 * p - 1)) == census
         zero_constant = SearchConstraints(zero_constant=True)
         assert len(exhaustive_search(p, 2 * p - 1, zero_constant)) == census // p
+
+    @pytest.mark.parametrize("p,max_degree,flags,hits", [
+        (2, 9, (), 128), (3, 7, (), 432),
+        (5, 9, ("zero_constant",), 24_576), (5, 9, ("monic", "zero_constant"), 6_144)],
+        ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+    def test_census_past_degree_2p(self, p, max_degree, flags, hits):
+        # From degree 2p - 1 on, B is any function of Z/p avoiding A' and
+        # f = A + (x^p - x)B + (x^p - x)^2 C has a free C of degree <= d - 2p:
+        # p! * (p - 1)^p * p^(d + 1 - 2p) hits, one in p of them with a zero
+        # constant term and one in p - 1 of those monic
+        census = math.factorial(p) * (p - 1) ** p * p ** (max_degree + 1 - 2 * p)
+        found = exhaustive_search(p, max_degree, SearchConstraints(**dict.fromkeys(flags, True)))
+        assert len(found) == hits
+        assert hits == census // (p if "zero_constant" in flags else 1) // (
+            p - 1 if "monic" in flags else 1)
+
+    def test_tests_one_representative_below_degree_p(self, monkeypatch):
+        # the mod-p test runs once per monic zero-constant representative of
+        # degree <= 4 with a_{n-1} = 0 (1 + 1 + 5 + 25); hits of degree 5..9
+        # are built from them, not walked
+        calls = []
+        image = catalog._image
+        monkeypatch.setattr(catalog, "_image", lambda *args: calls.append(args) or image(*args))
+        assert len(exhaustive_search(5, 9, SearchConstraints(monic=True, zero_constant=True))) == 6_144
+        assert len(calls) == 32
+        assert all(len(coeffs) <= 5 for coeffs, _, _ in calls)
 
     def test_cap_respected(self, monkeypatch):
         monkeypatch.setattr(catalog, "DEFAULT_SEARCH_CAP", 1000)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from math import gcd, isqrt
 
@@ -33,6 +35,13 @@ class TestIntPolynomial:
         assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
         assert IntPolynomial([0, 0]).coeffs == ()
         assert IntPolynomial().degree == -1
+
+    def test_copy_and_pickle_round_trip(self):
+        f = IntPolynomial([1, 2])
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(g) is IntPolynomial and g == f and hash(g) == hash(f)
+            with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+                g.coeffs = (3,)
 
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):

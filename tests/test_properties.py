@@ -1,11 +1,11 @@
 """Property tests: the modular image against a set oracle, the text round trip,
 the real-discrepancy engine against a grid oracle, the closed forms of a
 low-discrepancy sequence against the p-adic engines, the classifier against
-enumeration mod p^2 and the discrepancy at N = p^2 + 1, and the
-pair-correlation level walk against a fresh loop per size; and ``classify``,
-``discrepancy``, ``paircorr``, ``generate``, ``bridge``, ``search`` and
-``verify-tables`` on arbitrary arguments, which must end in an exit code,
-never a traceback.
+enumeration mod p^2, the discrepancy at N = p^2 + 1 and the normal-form rule
+for A + (x^p - x)B, and the pair-correlation level walk against a fresh
+loop per size; and ``classify``, ``discrepancy``, ``paircorr``,
+``generate``, ``bridge``, ``search`` and ``verify-tables`` on arbitrary
+arguments, which must end in an exit code, never a traceback.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -16,6 +16,7 @@ import io
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -31,7 +32,7 @@ from padiclds.discrepancy import (  # noqa: E402
 )
 from padiclds.paircorr import MAX_RADIUS_BITS, _close_pairs, _levels, lds_pair_count  # noqa: E402
 from padiclds.permcheck import classify_low_discrepancy  # noqa: E402
-from padiclds.polynomials import IntPolynomial, _image, parse_poly, render  # noqa: E402
+from padiclds.polynomials import IntPolynomial, _image, derivative, parse_poly, render  # noqa: E402
 from padiclds.sequence import poly_sequence  # noqa: E402
 from test_paircorr import level_oracle  # noqa: E402
 
@@ -157,6 +158,50 @@ def test_verdict_equals_enumeration_and_the_discrepancy_at_p_squared_plus_one(pc
         N = p * p + 1
         D = prefix_discrepancies(poly_sequence(f, N), p, [N])[N].value
         assert verdict.low_discrepancy == (D == Fraction(1, N))
+
+
+def divide_by_xp_minus_x(coeffs, p):
+    """(quotient, remainder) of f by x^p - x over F_p: c*x^k = c*x^(k-p)*(x^p - x)
+    + c*x^(k-p+1), from the top down."""
+    r = [c % p for c in coeffs]
+    q = [0] * max(len(r) - p, 0)
+    for k in range(len(r) - 1, p - 1, -1):
+        q[k - p], r[k - p + 1], r[k] = r[k], (r[k - p + 1] + r[k]) % p, 0
+    return q, r[:p]
+
+
+@st.composite
+def normal_form_inputs(draw):
+    """(p, coefficients) of degree <= 3p: random, or a permutation a*x^k + b of
+    Z/p (gcd(k, p - 1) = 1) plus (x^p - x)*Q for a random Q, so that about a
+    quarter of all draws are low-discrepancy."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    coeffs = draw(st.lists(st.integers(-50, 50), max_size=3 * p + 1))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([k for k in range(1, p) if gcd(k, p - 1) == 1]))
+        q = coeffs[:2 * p + 1]
+        coeffs = [0, *(-c for c in q), *[0] * (p - 1)]
+        for i, c in enumerate(q):
+            coeffs[i + p] += c
+        coeffs[0] += draw(st.integers(0, p - 1))
+        coeffs[k] += draw(st.integers(1, p - 1))
+    return p, coeffs
+
+
+@fixed
+@given(normal_form_inputs())
+# x^3 = x + (x^3 - x)*1 at p = 3: A' - B = 0 has a root, and A' + B = 2 has none
+@example((3, [0, 0, 0, 1]))
+def test_verdict_is_the_normal_form_rule(pc):
+    # f = A + (x^p - x)B + (x^p - x)^2 C over F_p with deg A, deg B < p, and
+    # f is low-discrepancy iff A permutes Z/p and A' - B has no root mod p
+    p, coeffs = pc
+    q, A = divide_by_xp_minus_x(coeffs, p)
+    B = IntPolynomial(divide_by_xp_minus_x(q, p)[1])
+    A, dA = IntPolynomial(A), derivative(IntPolynomial(A))
+    rule = (len({A(x) % p for x in range(p)}) == p
+            and all((dA(x) - B(x)) % p for x in range(p)))
+    assert classify_low_discrepancy(IntPolynomial(coeffs), p).low_discrepancy == rule
 
 
 # primes, non-primes, 0, 1, negatives, and the largest prime under the p^2

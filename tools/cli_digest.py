@@ -2,17 +2,19 @@
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
-searches, error paths, rationals and integer literals too long to convert or
-quote, malformed inputs too long to echo, six large-p, three high-degree and
-two root-free non-permutation classify calls, long and dense discrepancy,
-paircorr and generate schedules, digit and digit-reversal output of negative
-values, integer ``--linear`` sequences,
-unsorted, long, dense and negative-valued bridge schedules, the catalog
-dump of each ``verify-tables --which`` selection, two ``verify-tables``
-calls refused at classify's enumeration cap (``--which dickson --p 3163``
-and ``--which derivatives --p 9973``), and the closed-form
-``discrepancy`` and ``paircorr`` rows of certified low-discrepancy inputs at
-their boundaries, beside the inputs that still take the value engines, and
+searches, three past degree 2p - 2 whose hits have a nonzero (x^p - x)B or
+(x^p - x)^2 C part (``search --p 5 --degree 9 --monic --zero-constant``,
+``search --p 3 --degree 8`` and ``search --p 2 --degree 9
+--nonzero-linear``), error paths, rationals and integer literals too long
+to convert or quote, malformed inputs too long to echo, six large-p, three
+high-degree and two root-free non-permutation classify calls, long and dense
+discrepancy, paircorr and generate schedules, digit and digit-reversal output
+of negative values, integer ``--linear`` sequences, unsorted, long, dense
+and negative-valued bridge schedules, the catalog dump of each
+``verify-tables --which`` selection, two ``verify-tables`` calls refused at
+classify's enumeration cap (``--which dickson --p 3163`` and ``--which
+derivatives --p 9973``), and the closed-form ``discrepancy`` and
+``paircorr`` rows of certified low-discrepancy inputs at their boundaries, beside the inputs that still take the value engines, and
 paircorr's level walk on dense, power and bit-bound schedules, primes
 too long to echo, integer options too long for argparse to echo, dense
 discrepancy and bridge schedules whose ball levels fill, and value tables on
@@ -50,6 +52,11 @@ EXTRA = [
     ["search", "--p", "17", "--degree", "6", "--monic", "--zero-constant"],
     ["search", "--p", "3", "--degree", "6", "--nonzero-linear"],
     ["search", "--p", "2", "--degree", "6"],
+    # hits built as A + (x^p - x)B + (x^p - x)^2 C: B reaching degree p - 1
+    # (its top term meets x^p's), and C != 0
+    ["search", "--p", "5", "--degree", "9", "--monic", "--zero-constant"],
+    ["search", "--p", "3", "--degree", "8"],
+    ["search", "--p", "2", "--degree", "9", "--nonzero-linear"],
     ["generate", "--p", "3", "--n", "4", "--K", "0", "--mode", "digits", "--", "x"],
     ["bridge", "--p", "3", "--N", "5", "--K", "0", "--", "x"],
     ["discrepancy", "--p", "1048577", "--N", "3", "--", "x"],
