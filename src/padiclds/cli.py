@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .catalog import (
     SearchConstraints,
@@ -27,10 +28,10 @@ from .catalog import (
     verify_entry,
 )
 from .discrepancy import (
+    _meijer,
     lds_prefix_discrepancies,
-    meijer_bound_check,
-    prefix_discrepancies,
-    prefix_real_discrepancies,
+    prefix_discrepancy_rows,
+    prefix_real_discrepancy_rows,
 )
 from .padic import InvariantError, _quote, _shown, check_prime, digit_expansions, digit_reversals
 from .paircorr import MAX_RADIUS_BITS, ppc_sweep
@@ -83,6 +84,11 @@ def _int(text: str) -> int:
 
 def _frac(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -306,20 +312,17 @@ def cmd_discrepancy(args) -> int:
     header = ["N", "D_N", "N_times_D_N", "witness_level", "witness_residue",
               "separation_depth", "D_N_approx"]
     if _certified(f, args.p, schedule):
-        results = lds_prefix_discrepancies(args.p, schedule)
+        results = [(N, r.value.numerator, r.value.denominator, *r[1:])
+                   for N, r in lds_prefix_discrepancies(args.p, schedule).items()]
     else:
-        results = prefix_discrepancies(poly_sequence(f, max(schedule)), args.p, schedule)
-    rows = []
-    for N in schedule:
-        res = results[N]
-        rows.append([
-            N, _frac(res.value), _frac(res.value * N),
-            res.witness_level,
-            "" if res.witness_residue is None else res.witness_residue,
-            res.separation_depth,
-            float(res.value),
-        ])
-    _emit_rows(args, header, rows, "discrepancy")
+        results = prefix_discrepancy_rows(poly_sequence(f, max(schedule)), args.p, schedule)
+    rows = {}
+    for N, num, den, level, residue, depth in results:
+        a, b = _reduced(num, den)
+        h = gcd(N, b)
+        rows[N] = [N, f"{a}/{b}", f"{N // h * a}/{b // h}", level,
+                   "" if residue is None else residue, depth, a / b]
+    _emit_rows(args, header, [rows[N] for N in schedule], "discrepancy")
     return EXIT_OK
 
 
@@ -398,17 +401,17 @@ def cmd_bridge(args) -> int:
     images = digit_reversals(values, p, K)
     # every denominator is a power of p, so the largest is a common one
     Q = max(den for _, den in images)
-    reals = prefix_real_discrepancies([num * (Q // den) for num, den in images], Q, schedule)
-    _check_printable((reals[N].denominator for N in schedule), "d_N", K)  # each d_N <= 1
-    deltas = prefix_discrepancies(values, p, schedule)
+    scaled = [num * (Q // den) for num, den in images]
+    reals = {N: _reduced(n, d) for N, n, d in prefix_real_discrepancy_rows(scaled, Q, schedule)}
+    _check_printable((reals[N][1] for N in schedule), "d_N", K)  # each d_N <= 1
+    deltas = {N: _reduced(n, d) for N, n, d, *_ in prefix_discrepancy_rows(values, p, schedule)}
     header = ["N", "delta_N", "d_N", "upper", "holds"]
     rows = []
     for N in schedule:
-        delta = deltas[N].value
-        d = reals[N]
-        holds, upper = meijer_bound_check(delta, d, p)
+        (a, b), (c, e) = deltas[N], reals[N]
+        holds, upper = _meijer(a, b, c, e, p)
         rows.append([
-            N, _frac(delta), _frac(d), repr(upper),
+            N, f"{a}/{b}", f"{c}/{e}", repr(upper),
             "indeterminate" if holds is None else str(holds).lower(),
         ])
     _emit_rows(args, header, rows, "bridge")

@@ -12,28 +12,29 @@ finite in two exact pieces:
   values (the k -> infinity limit of an occupied ball's term), which is the
   largest count of level k_sep+1.
 
-One engine, ``prefix_discrepancies``, computes it for any set of prefix
+One engine, ``prefix_discrepancy_rows``, computes it for any set of prefix
 lengths in a single pass.  It ingests the values stretch by stretch, each
 stretch running from one requested length to the next: per level it keeps
 the occupancy counts, the largest count, and the smallest count with the
-number of residues holding it, and forms the exact supremum and its witness
-only at the requested lengths.  A long stretch is counted into every
-level by one C-level pass, a short one (a dense schedule) value by value.
-``padic_discrepancy`` and ``discrepancy_profile`` are that engine at one
-length or at every length.  For a sequence that permutes every Z/p^k (a
-certified low-discrepancy sequence) ``lds_prefix_discrepancies`` gives the
-same results in closed form, with no values.
+number of residues holding it, and forms the exact supremum and its witness,
+as an integer row, only at the requested lengths.  A long stretch is counted
+into every level by one C-level pass, a short one (a dense schedule) value
+by value.  ``prefix_discrepancies``, ``padic_discrepancy`` and
+``discrepancy_profile`` view its rows; only such public views form Fractions.
+For a sequence that permutes every Z/p^k (a certified low-discrepancy
+sequence) ``lds_prefix_discrepancies`` gives the same results in closed form.
 
 The real extreme discrepancy on [0,1) has its own prefix engine,
-``prefix_real_discrepancies``: the points are integer numerators over one
+``prefix_real_discrepancy_rows``: the points are integer numerators over one
 common denominator, each is merged once into a sorted list, and at each
-requested length two integer max passes give the exact value.
-``real_extreme_discrepancy`` is that engine at one length.
+requested length two integer max passes give the exact value as an integer row.
+``prefix_real_discrepancies`` and ``real_extreme_discrepancy`` view its rows.
 
 Everything is computed in exact rational arithmetic.  The only floating point
 in the whole package is the transcendental upper bound of the p-adic-to-real
-discrepancy transfer inequality, quarantined in ``meijer_bound_check`` behind
-a declared tolerance and a three-valued answer.
+discrepancy transfer inequality, quarantined in ``_meijer``, the integer core
+of ``meijer_bound_check``, behind a declared tolerance and a three-valued
+answer.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, filterfalse, repeat
 from operator import countOf, mod, sub
 from typing import NamedTuple
 
@@ -49,7 +50,7 @@ from .padic import InvariantError, check_prime
 
 WITNESS_TAIL = "tail"
 
-# ``prefix_discrepancies`` counts a stretch of L values into a level in bulk
+# ``prefix_discrepancy_rows`` counts a stretch of L values into a level in bulk
 # when L > STRETCH_MIN + (occupied residues) / STRETCH_RATIO, and value by
 # value otherwise.  Per level, ``_Level.add`` costs about 0.2 us a value; a
 # bulk count about 5 us, plus 0.13 us a value, plus 0.04 us an occupied
@@ -131,7 +132,7 @@ class _Level:
                 self.nmin = countOf(self.counts.values(), c)
 
 
-def _supremum(levels: list[_Level], N: int) -> DiscrepancyResult:
+def _supremum(levels: list[_Level], N: int) -> tuple:
     """The supremum for N points from the occupancy of levels 1..k_sep+1.
 
     Each level's best term is |c/N - p^-k| at c = maxc or c = minc; minc = 0
@@ -140,47 +141,47 @@ def _supremum(levels: list[_Level], N: int) -> DiscrepancyResult:
     largest count of the deepest level, whose counts are the exact-value
     multiplicities.  Ties are broken toward smaller level, then smaller
     residue, with the tail considered last, so the witness is deterministic.
-    The terms are compared as integer numerators over the common denominator
-    N * p^K of the deepest level K, and one fraction is formed at the end.
+    The terms are compared, and returned in a ``prefix_discrepancy_rows`` row,
+    as integer numerators over the common denominator N * p^K, K the deepest.
     """
     top = levels[-1].pk
     best = -1
     best_level: int | str = 0
     best_term = 0
     for k, lv in enumerate(levels, start=1):
-        term = max(lv.maxc * lv.pk - N, N - lv.minc * lv.pk)
-        scaled = term * (top // lv.pk)  # term / (N * p^k) is scaled / (N * top)
+        pk = lv.pk
+        term, low = lv.maxc * pk - N, N - lv.minc * pk
+        if low > term:
+            term = low
+        scaled = term * (top // pk)  # term / (N * p^k) is scaled / (N * top)
         if scaled > best:
             best, best_level, best_term = scaled, k, term
     if levels[-1].maxc * top > best:
         best, best_level = levels[-1].maxc * top, WITNESS_TAIL
-    value = Fraction(best, N * top)
     if not top <= best <= N * top:
-        raise InvariantError(f"internal error: discrepancy {value} outside [1/N, 1] for N={N}")
+        raise InvariantError(f"internal error: discrepancy {Fraction(best, N * top)} outside "
+                             f"[1/N, 1] for N={N}")
     residue = None
     if best_level != WITNESS_TAIL:
         lv = levels[best_level - 1]
-        targets = {c for c in (lv.maxc, lv.minc) if abs(c * lv.pk - N) == best_term}
-        hits = [r for r, c in lv.counts.items() if c in targets]
-        if 0 in targets:  # the smallest unoccupied residue attains it too
-            hits.append(next(r for r in range(lv.pk) if r not in lv.counts))
-        residue = min(hits)
-    return DiscrepancyResult(
-        value=value,
-        witness_level=best_level,
-        witness_residue=residue,
-        separation_depth=len(levels) - 1,
-    )
+        residue = lv.pk
+        for c in lv.maxc, lv.minc:  # the one or two counts attaining the term
+            if abs(c * lv.pk - N) == best_term:  # c = 0: the smallest unoccupied residue
+                r = (min(compress(lv.counts, map(c.__eq__, lv.counts.values()))) if c
+                     else next(filterfalse(lv.counts.__contains__, range(lv.pk))))
+                residue = min(residue, r)
+    return N, best, N * top, best_level, residue, len(levels) - 1
 
 
-def prefix_discrepancies(
+def prefix_discrepancy_rows(
     values: list[int], p: int, lengths: list[int] | None = None
-) -> dict[int, DiscrepancyResult]:
+) -> list[tuple]:
     """Exact discrepancy, with its witness, of each prefix values[:N].
 
     ``lengths`` lists the requested N (default: every N from 1 to
-    len(values)); the answer maps each distinct N, in increasing order, to
-    the ``padic_discrepancy`` of that prefix.  The values are ingested once,
+    len(values)); the answer has one row per distinct N, in increasing
+    order: (N, numerator, N * p^K, witness level, witness residue, separation
+    depth), with K = separation depth + 1.  The values are ingested once,
     one stretch values[prev:N] per requested N.  A stretch that is long
     against the occupied residues (``STRETCH_MIN``, ``STRETCH_RATIO``) is
     counted into every level in bulk, and the extreme counts are then
@@ -197,7 +198,7 @@ def prefix_discrepancies(
         raise ValueError(f"prefix lengths must lie in [1, {len(values)}]")
     distinct: set[int] = set()
     levels: list[_Level] = []
-    out: dict[int, DiscrepancyResult] = {}
+    rows = []
     prev = 0
     for N in wanted:
         stretch = values[prev:N]
@@ -217,8 +218,16 @@ def prefix_discrepancies(
         # distinct values) when it occupies one residue per distinct value
         while len(levels) < 2 or len(levels[-2].counts) < len(distinct):
             levels.append(_Level(p ** (len(levels) + 1), values[:N]))
-        out[N] = _supremum(levels, N)
-    return out
+        rows.append(_supremum(levels, N))
+    return rows
+
+
+def prefix_discrepancies(
+    values: list[int], p: int, lengths: list[int] | None = None
+) -> dict[int, DiscrepancyResult]:
+    """``prefix_discrepancy_rows`` as {N: the ``padic_discrepancy`` of values[:N]}."""
+    return {N: DiscrepancyResult(Fraction(num, den), level, residue, depth)
+            for N, num, den, level, residue, depth in prefix_discrepancy_rows(values, p, lengths)}
 
 
 def lds_prefix_discrepancies(p: int, lengths: list[int]) -> dict[int, DiscrepancyResult]:
@@ -272,27 +281,26 @@ def discrepancy_profile(values: list[int], p: int) -> list[Fraction]:
 # Real (extreme) discrepancy on [0,1)
 # --------------------------------------------------------------------------
 
-def prefix_real_discrepancies(
+def prefix_real_discrepancy_rows(
     numerators: list[int], Q: int, lengths: list[int] | None = None
-) -> dict[int, Fraction]:
+) -> list[tuple[int, int, int]]:
     """Exact extreme discrepancy of each prefix of the points a_i / Q in [0,1).
 
-    ``lengths`` follows ``prefix_discrepancies``: the requested N (default
+    ``lengths`` follows ``prefix_discrepancy_rows``: the requested N (default
     every N from 1 to len(numerators)), duplicates and any order allowed;
-    the answer maps each distinct N, in increasing order, to the value for
-    the first N points.  With the prefix's numerators sorted, a_(1) <= ...
-    <= a_(N), and x_(i) = a_(i) / Q, the supremum over half-open
-    subintervals splits into the largest positive and largest negative
-    deviation of the empirical counting function, evaluated at the points
-    themselves:
+    the answer has one row (N, numerator, N * Q) per distinct N, in
+    increasing order, for the first N points.  With the prefix's numerators
+    sorted, a_(1) <= ... <= a_(N), and x_(i) = a_(i) / Q, the supremum over
+    half-open subintervals splits into the largest positive and largest
+    negative deviation of the empirical counting function, evaluated at the
+    points themselves:
 
         D_N = max_i(i/N - x_(i)) + max_i(x_(i) - (i-1)/N)
 
     Neither term is negative (i = N in the first, i = 1 in the second).
     The numerators are kept in one sorted list: each stretch between
     requested lengths is appended and merged in, so every point is placed
-    once.  At each requested N both maxima are integer passes over N*Q, and
-    one fraction is formed.
+    once.  At each requested N both maxima are integer passes over N*Q.
     """
     if not numerators:
         raise ValueError("need at least one point")
@@ -306,7 +314,7 @@ def prefix_real_discrepancies(
         bad = lo if lo < 0 else min(a for a in numerators if a >= Q)
         raise ValueError(f"point {Fraction(bad, Q)} outside [0,1)")
     ordered: list[int] = []
-    out: dict[int, Fraction] = {}
+    rows = []
     prev = 0
     for N in wanted:
         ordered += numerators[prev:N]
@@ -315,8 +323,16 @@ def prefix_real_discrepancies(
         scaled = list(map(N.__mul__, ordered))  # a_(i) * N
         over = max(map(sub, range(Q, (N + 1) * Q, Q), scaled))  # i*Q - a_(i)*N
         under = max(map(sub, scaled, range(0, N * Q, Q)))  # a_(i)*N - (i-1)*Q
-        out[N] = Fraction(over + under, N * Q)
-    return out
+        rows.append((N, over + under, N * Q))
+    return rows
+
+
+def prefix_real_discrepancies(
+    numerators: list[int], Q: int, lengths: list[int] | None = None
+) -> dict[int, Fraction]:
+    """``prefix_real_discrepancy_rows`` as {N: the value for the first N points}."""
+    return {N: Fraction(num, den)
+            for N, num, den in prefix_real_discrepancy_rows(numerators, Q, lengths)}
 
 
 def real_extreme_discrepancy(points: list[Fraction]) -> Fraction:
@@ -343,16 +359,25 @@ def meijer_bound_check(delta: Fraction, d: Fraction, p: int) -> tuple[bool | Non
     """
     check_prime(p)
     delta, d = Fraction(delta), Fraction(d)
-    # compared as numerators and denominators (both positive denominators)
     a, b = delta.numerator, delta.denominator
     c, e = d.numerator, d.denominator
     if not 0 < a <= b:
         raise ValueError("delta must lie in (0, 1]")
     if not 0 < c <= e:
         raise ValueError("d must lie in (0, 1]")
-    deltaf = a / b  # float(Fraction) is numerator / denominator
-    upper = deltaf * (2.0 + (2.0 * (p - 1) / math.log(p)) * math.log(1.0 / deltaf))
-    if not a * e < c * b:  # not delta < d
+    return _meijer(a, b, c, e, p)
+
+
+def _meijer(a: int, b: int, c: int, e: int, p: int) -> tuple[bool | None, float]:
+    """``meijer_bound_check`` of delta = a/b and d = c/e, where 0 < a <= b and
+    0 < c <= e, in lowest terms or not: integer true division is correctly
+    rounded.  A delta whose float underflows to 0.0 gets upper = 0.0, as the
+    product would."""
+    deltaf = a / b
+    upper = 0.0
+    if deltaf:
+        upper = deltaf * (2.0 + (2.0 * (p - 1) / math.log(p)) * math.log(1.0 / deltaf))
+    if not a * e < c * b:  # not delta < d, compared as integers
         return False, upper
     df = c / e
     if abs(df - upper) <= MEIJER_TOLERANCE:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from padiclds import cli, paircorr
-from padiclds.cli import main, parse_fraction, parse_schedule
+from padiclds.cli import _frac, main, parse_fraction, parse_schedule
+from padiclds.discrepancy import (lds_prefix_discrepancies, meijer_bound_check,
+                                  prefix_discrepancies, real_extreme_discrepancy)
 from padiclds.padic import InvariantError, digit_expansions, monna_of_int
 from padiclds.polynomials import parse_poly
 from padiclds.sequence import poly_sequence
@@ -313,6 +316,54 @@ class TestDiscrepancyCommand:
             assert err.count("\n") == 1 and err.startswith("padiclds: error: p must be")
 
 
+class TestRowText:
+    """discrepancy and bridge rows print the Fraction views: D_N and N * D_N in
+    lowest terms and float(D_N); delta_N, d_N and meijer_bound_check's answer."""
+
+    @staticmethod
+    def polys(p):
+        rng = random.Random(p)
+        drawn = [[rng.randint(0, 2 * p) for _ in range(rng.randint(2, 5))] for _ in range(3)]
+        # certified at every p (x) or at some, beside ones that are not
+        return ["x", "x^3+x", "x^4+x^2+x", "x^2+1", *(str(cs) for cs in drawn)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_discrepancy_rows(self, capsys, p):
+        for poly in self.polys(p):
+            f = parse_poly(poly)
+            for text in ("1..40", "9,4,9,1,10", f"{p * p},3,{p * p + 1},3", "pk:0..3"):
+                schedule = parse_schedule(text, p)
+                if cli._certified(f, p, schedule):
+                    results = lds_prefix_discrepancies(p, schedule)
+                else:
+                    results = prefix_discrepancies(poly_sequence(f, max(schedule)), p, schedule)
+                expected = []
+                for N in schedule:
+                    v, level, residue, depth = results[N]
+                    fields = [N, _frac(v), _frac(v * N), level,
+                              "" if residue is None else residue, depth, float(v)]
+                    expected.append(",".join(map(str, fields)))
+                code, out, _ = run_cli(capsys, "discrepancy", "--p", str(p), "--N", text,
+                                       "--", poly)
+                assert code == 0 and out.splitlines()[1:] == expected, (p, poly, text)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_bridge_rows(self, capsys, p):
+        for poly in self.polys(p):
+            values = poly_sequence(parse_poly(poly), 30)
+            deltas = prefix_discrepancies(values, p)
+            images = [monna_of_int(v, p) for v in values]
+            for text in ("1..30", "9,4,9,1,10"):
+                expected = []
+                for N in parse_schedule(text, p):
+                    delta, d = deltas[N].value, real_extreme_discrepancy(images[:N])
+                    holds, upper = meijer_bound_check(delta, d, p)
+                    holds = "indeterminate" if holds is None else str(holds).lower()
+                    expected.append(f"{N},{_frac(delta)},{_frac(d)},{upper!r},{holds}")
+                code, out, _ = run_cli(capsys, "bridge", "--p", str(p), "--N", text, "--", poly)
+                assert code == 0 and out.splitlines()[1:] == expected, (p, poly, text)
+
+
 class TestListSchedules:
     """Rows follow the given schedule, repeats included, each equal to N run alone."""
 
@@ -462,7 +513,7 @@ class TestCertifiedRoute:
             engine = run_cli(capsys, *argv)
         assert engine[0] == 0
         monkeypatch.setattr(cli, "poly_sequence", self.refuse)
-        monkeypatch.setattr(cli, "prefix_discrepancies", self.refuse)
+        monkeypatch.setattr(cli, "prefix_discrepancy_rows", self.refuse)
         monkeypatch.setattr(paircorr, "_close_pairs", self.refuse)
         assert run_cli(capsys, *argv) == engine  # the same bytes
 
@@ -474,7 +525,7 @@ class TestCertifiedRoute:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(cli, "prefix_discrepancies", reached)
+        monkeypatch.setattr(cli, "prefix_discrepancy_rows", reached)
         monkeypatch.setattr(paircorr, "_close_pairs", reached)
         with pytest.raises(Reached):
             main(argv)

@@ -11,13 +11,16 @@ from padiclds.discrepancy import (
     WITNESS_TAIL,
     DiscrepancyResult,
     _Level,
+    _meijer,
     _supremum,
     discrepancy_profile,
     lds_prefix_discrepancies,
     meijer_bound_check,
     padic_discrepancy,
     prefix_discrepancies,
+    prefix_discrepancy_rows,
     prefix_real_discrepancies,
+    prefix_real_discrepancy_rows,
     real_extreme_discrepancy,
     separation_depth,
 )
@@ -311,6 +314,49 @@ class TestPrefixDiscrepancies:
                         max(counts), min(counts), counts.count(min(counts)))
 
 
+class TestIntegerRows:
+    """The engines' integer rows reduce exactly to the Fraction views."""
+
+    @staticmethod
+    def schedules(rng, n):
+        # dense (None), sparse, unsorted with repeats, and long-stretch ones
+        sparse = sorted(rng.sample(range(1, n + 1), min(n, 4)))
+        unsorted = [rng.randint(1, n) for _ in range(6)] + [n, 1]
+        return [None, sparse, unsorted + unsorted[:3], [n], [1, n - 1 or 1, n]]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_padic_rows_reduce_to_the_views_and_the_oracle(self, p):
+        rng = random.Random(211 + p)
+        certified = [poly_sequence(parse_poly(f), 60)  # f permutes every Z/p^k
+                     for f, ok in (("x", True), ("5x+3", p != 5), ("x^3+x", p == 3)) if ok]
+        samples = certified + [[rng.randint(-span, span) for _ in range(rng.randint(1, 60))]
+                               for span in (3, 12, 60, 400) for _ in range(2)]
+        for values in samples:
+            for lengths in self.schedules(rng, len(values)):
+                rows = prefix_discrepancy_rows(values, p, lengths)
+                views = prefix_discrepancies(values, p, lengths)
+                assert isinstance(rows, list) and [row[0] for row in rows] == list(views)
+                for N, num, den, level, residue, depth in rows:
+                    assert den == N * p ** (depth + 1)
+                    res = DiscrepancyResult(Fraction(num, den), level, residue, depth)
+                    assert res == views[N] == naive_padic_discrepancy(values[:N], p), (p, N)
+        for values in certified:
+            assert prefix_discrepancies(values, p) == lds_prefix_discrepancies(p, range(1, 61))
+
+    @pytest.mark.parametrize("Q", [1, 9, 64, 3**5])
+    def test_real_rows_reduce_to_the_views_and_the_oracle(self, Q):
+        rng = random.Random(223 + Q)
+        numerators = [rng.randrange(Q) for _ in range(30)]
+        for lengths in self.schedules(rng, len(numerators)):
+            rows = prefix_real_discrepancy_rows(numerators, Q, lengths)
+            views = prefix_real_discrepancies(numerators, Q, lengths)
+            assert isinstance(rows, list) and [row[0] for row in rows] == list(views)
+            for N, num, den in rows:
+                assert den == N * Q
+                pts = [Fraction(a, Q) for a in numerators[:N]]
+                assert Fraction(num, den) == views[N] == naive_real_discrepancy(pts), (Q, N)
+
+
 class TestDiscrepancyProfile:
     def test_equals_pointwise_computation(self):
         rng = random.Random(109)
@@ -429,6 +475,35 @@ class TestMeijerBound:
         assert delta < d < 1
         holds, _ = meijer_bound_check(delta, d, 3)
         assert holds is None
+
+    def test_underflowing_delta(self):
+        # a/b underflows to 0.0, where 1.0 / 0.0 used to raise; the upper
+        # bound is then 0.0 and the tolerance decides
+        tiny = Fraction(1, 10**400)
+        for d, holds in ((Fraction(1, 2), False), (2 * tiny, None)):
+            got = meijer_bound_check(tiny, d, 3)
+            assert got == (holds, 0.0) and repr(got[1]) == "0.0"
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_integer_helper_on_reduced_and_unreduced_pairs(self, p):
+        # the integer core gives meijer_bound_check's (holds, upper) bit for
+        # bit, whether or not each pair is in lowest terms
+        rng = random.Random(229 + p)
+        tiny = Fraction(1, 10**9)
+        band = Fraction(meijer_bound_check(tiny, Fraction(1, 2), 3)[1])
+        assert meijer_bound_check(tiny, band, 3)[0] is None  # test_indeterminate_band's input
+        pairs = [(tiny, Fraction(1, 2)), (tiny, band), (Fraction(1, 10**400), Fraction(1, 2))]
+        for k in (1, 2, 6, 30):
+            for _ in range(8):
+                a, b = sorted(rng.randint(1, 10**k) for _ in range(2))
+                c, e = sorted(rng.randint(1, 99) for _ in range(2))
+                pairs.append((Fraction(a, b), Fraction(c, e)))
+        for delta, d in pairs:
+            holds, upper = meijer_bound_check(delta, d, p)
+            for s, t in ((1, 1), (rng.randint(2, 10**6), 1), (3**40, 2**70)):
+                got = _meijer(delta.numerator * s, delta.denominator * s,
+                              d.numerator * t, d.denominator * t, p)
+                assert (got[0], repr(got[1])) == (holds, repr(upper)), (delta, d, p, s, t)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
