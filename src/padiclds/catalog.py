@@ -357,7 +357,8 @@ def exhaustive_search(
     h = g(x + c) - g(c) + P*B + P^2*C, which expands to its images u*h + v
     that meet the flags.  monic fixes u to the inverse of h's lead;
     nonzero_linear filters nothing, since a_1 = f'(0) = A_1 - B_0 is never 0
-    in a hit.  Every image is confirmed by brute force mod p^2.  Output is in
+    in a hit, so it does not shrink the count checked against the cap
+    either.  Every image is confirmed by brute force mod p^2.  Output is in
     (degree, coefficient tuple) order.
     """
     check_prime(p)
@@ -366,9 +367,8 @@ def exhaustive_search(
         raise ValueError("max_degree must be >= 1")
     n_lead = 1 if constraints.monic else p - 1
     n_a0 = 1 if constraints.zero_constant else p
-    n_a1 = p - 1 if constraints.nonzero_linear else p
     _count_candidates(
-        (n_lead * n_a0 * (n_a1 * p ** (d - 2) if d > 1 else 1) for d in range(1, max_degree + 1)),
+        (n_lead * n_a0 * p ** (d - 1) for d in range(1, max_degree + 1)),
         DEFAULT_SEARCH_CAP,
     )
 

@@ -17,6 +17,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .catalog import (
@@ -208,9 +210,46 @@ def _out_stream(args):
         yield sys.stdout
 
 
+# json.dumps serves indent=2 only with its pure-Python encoder; the C encoder,
+# called without indent, writes the same scalar tokens.  Items are parted by
+# "\x00", which ensure_ascii escapes inside every string.
+_ENCODE = json.JSONEncoder(separators=("\x00", ": "), check_circular=False).encode
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, ``pad`` being the newline
+    and indent of the line obj starts on."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _ENCODE(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items, brackets = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                           for k, v in obj.items()], "{}"
+    else:
+        items, brackets = [_json(v, inner) for v in obj], "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def _emit_rows(args, header: list[str] | tuple[str, ...], rows: list[list], command: str) -> None:
     if args.format == "json":
-        _emit_json(args, command, {"rows": [dict(zip(header, row)) for row in rows]})
+        text = "[]"
+        if rows:
+            # every cell in one encoder call, laid into one template per row
+            cells = _ENCODE(list(chain.from_iterable(rows)))[1:-1].split("\x00")
+            row = "{" + ",".join("\n      " + encode_basestring_ascii(key).replace("%", "%%")
+                                 + ": %s" for key in header) + "\n    }"
+            text = "[\n    " + (",\n    ".join(repeat(row, len(rows))) % tuple(cells)) + "\n  ]"
+        _emit_json(args, command, {"rows": text})
         return
     with _out_stream(args) as stream:
         writer = csv.writer(stream, lineterminator="\n")
@@ -218,10 +257,13 @@ def _emit_rows(args, header: list[str] | tuple[str, ...], rows: list[list], comm
         writer.writerows(rows)
 
 
-def _emit_json(args, command: str, body: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, "command": command, **body}
+def _emit_json(args, command: str, body: dict[str, str]) -> None:
+    """Write {"schema_version", "command", **body} as json.dumps(..., indent=2)
+    does; body's values come encoded, as by ``_json(value, "\\n  ")``."""
+    fields = {"schema_version": _json(SCHEMA_VERSION), "command": _json(command), **body}
+    text = ",".join(f"\n  {encode_basestring_ascii(key)}: {value}" for key, value in fields.items())
     with _out_stream(args) as stream:
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write("{" + text + "\n}\n")
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +303,7 @@ def cmd_classify(args) -> int:
         ]
         _emit_rows(args, CLASSIFY_COLUMNS, [row], "classify")
     else:
-        _emit_json(args, "classify", payload)
+        _emit_json(args, "classify", {key: _json(value, "\n  ") for key, value in payload.items()})
     return EXIT_OK
 
 
@@ -347,7 +389,7 @@ def cmd_verify_tables(args) -> int:
                     or e.derivative_root_exists is not None)]
 
     if args.dump:
-        _emit_json(args, "verify-tables", {"dump": [e.as_dict() for e in entries]})
+        _emit_json(args, "verify-tables", {"dump": _json([e.as_dict() for e in entries], "\n  ")})
         return EXIT_OK
 
     if args.p is not None:  # refused before any row, at classify's cap

@@ -372,11 +372,14 @@ def _meijer(a: int, b: int, c: int, e: int, p: int) -> tuple[bool | None, float]
     """``meijer_bound_check`` of delta = a/b and d = c/e, where 0 < a <= b and
     0 < c <= e, in lowest terms or not: integer true division is correctly
     rounded.  A delta whose float underflows to 0.0 gets upper = 0.0, as the
-    product would."""
+    product would; one whose reciprocal overflows takes log(1/delta) from the
+    integers."""
     deltaf = a / b
     upper = 0.0
     if deltaf:
-        upper = deltaf * (2.0 + (2.0 * (p - 1) / math.log(p)) * math.log(1.0 / deltaf))
+        inverse = 1.0 / deltaf
+        log_inverse = math.log(b) - math.log(a) if inverse == math.inf else math.log(inverse)
+        upper = deltaf * (2.0 + (2.0 * (p - 1) / math.log(p)) * log_inverse)
     if not a * e < c * b:  # not delta < d, compared as integers
         return False, upper
     df = c / e

@@ -334,6 +334,15 @@ class TestExhaustiveSearch:
         with pytest.raises(ValueError, match="cap"):
             exhaustive_search(13, 6, SearchConstraints())
 
+    def test_nonzero_linear_counts_as_many_candidates(self, monkeypatch):
+        # the flag filters nothing, so it cannot carry a search past the cap:
+        # p = 3, degree 4 counts 6 + 18 + 54 + 162 = 240 candidates either way
+        monkeypatch.setattr(catalog, "DEFAULT_SEARCH_CAP", 200)
+        for nonzero_linear in (False, True):
+            with pytest.raises(ValueError) as exc:
+                exhaustive_search(3, 4, SearchConstraints(nonzero_linear=nonzero_linear))
+            assert str(exc.value) == "search space of at least 240 candidates exceeds cap 200"
+
     def test_ordering(self):
         found = exhaustive_search(5, 5, SearchConstraints(monic=True, zero_constant=True))
         keys = [(f.degree, f.coeffs) for f in found]

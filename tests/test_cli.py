@@ -716,6 +716,25 @@ class TestOutputPlumbing:
         assert doc["schema_version"] == 1
         assert doc["rows"][0]["D_N"] == "1/2"
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--p", "5", "x^3+x"],
+        ["classify", "--p", "2", "x^2+x"],
+        ["generate", "--p", "3", "--n", "5", "--mode", "integers", "--", "x^3-10"],
+        ["generate", "--p", "3", "--n", "5", "--K", "3", "--mode", "digits", "x^2"],
+        ["generate", "--p", "5", "--n", "5", "--K", "2", "--mode", "monna", "--", "x^2-7"],
+        ["discrepancy", "--p", "3", "--N", "1..9", "x^3+x"],
+        ["paircorr", "--p", "3", "--N", "1..9", "--alpha", "1/2", "--s", "1,1/3", "x^3"],
+        ["verify-tables", "--which", "derivatives", "--p", "7"],
+        ["verify-tables", "--which", "derivatives", "--p", "3"],  # no rows
+        ["verify-tables", "--which", "lds", "--dump"],
+        ["search", "--p", "3", "--degree", "6"],
+        ["bridge", "--p", "3", "--N", "1..9", "x^3+x"],
+    ])
+    def test_json_output_is_json_dumps_indent_2(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv[0], "--format", "json", *argv[1:])
+        assert code in (0, 2) and out
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
     def test_startup_imports_no_dataclasses_or_inspect(self):
         # the result records are NamedTuples: starting the CLI loads neither
         # dataclasses nor inspect, ast, dis and tokenize behind it

@@ -484,6 +484,14 @@ class TestMeijerBound:
             got = meijer_bound_check(tiny, d, 3)
             assert got == (holds, 0.0) and repr(got[1]) == "0.0"
 
+    def test_subnormal_delta(self):
+        # a/b is subnormal, so 1.0 / (a/b) overflows; log(1/delta) comes from
+        # the integers and the bound, about 2.7e-317, stays finite and below d
+        holds, upper = meijer_bound_check(Fraction(1, 10**320), Fraction(1, 2), 3)
+        exact = 2 + 4 / math.log(3) * 320 * math.log(10)  # the bound times 10^320
+        assert holds is False and math.isfinite(upper)
+        assert float(Fraction(upper) * 10**320) == pytest.approx(exact, rel=0.01)
+
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_integer_helper_on_reduced_and_unreduced_pairs(self, p):
         # the integer core gives meijer_bound_check's (holds, upper) bit for

@@ -5,15 +5,18 @@ enumeration mod p^2, the discrepancy at N = p^2 + 1 and the normal-form rule
 for A + (x^p - x)B, and the pair-correlation level walk against a fresh
 loop per size; and ``classify``, ``discrepancy``, ``paircorr``,
 ``generate``, ``bridge``, ``search`` and ``verify-tables`` on arbitrary
-arguments, which must end in an exit code, never a traceback.
+arguments, which must end in an exit code, never a traceback; and the JSON
+writer against ``json.dumps(..., indent=2)``.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
+import argparse
 import contextlib
 import functools
 import io
 import itertools
+import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
@@ -398,3 +401,63 @@ def assert_one_outcome(argv):
     assert (code != 1) == (err == "") == (out != ""), (argv, code, err)
     if code == 1:
         assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) <= 300, err
+
+
+# JSON cells: strings with NUL (the writer's token separator), "%" (its
+# template's), quotes, backslashes, newlines, non-ASCII characters and lone
+# surrogates; ints of up to 4,000 digits beside bools; floats with NaN, the
+# infinities, -0.0 and a subnormal; and None
+json_strings = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.sampled_from(("", "\x00", "%", "%s", "%%", "%(a)s", '"', "\\", "\n", "é", "\ud800",
+                     "\udfff", "\U0001d53d", 'a\x00b%s"\\\n')))
+json_scalars = st.one_of(
+    json_strings,
+    st.integers(-10**6, 10**6), st.integers(1 - 10**4000, 10**4000 - 1), st.booleans(),
+    st.floats(), st.sampled_from((float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)),
+    st.none())
+
+
+def emitted(emit, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(argparse.Namespace(format="json", out=None), *args)
+    return out.getvalue()
+
+
+@st.composite
+def row_sets(draw):
+    header = draw(st.lists(json_strings, min_size=1, max_size=6, unique=True))
+    width = len(header)
+    rows = draw(st.lists(st.lists(json_scalars, min_size=width, max_size=width), max_size=5))
+    return header, rows, draw(json_strings)
+
+
+@fixed
+@given(row_sets())
+@example((["N", "%s", "a%b"], [[1, "%s", 0.5], [True, "\x00", None]], "search"))
+@example((["N"], [], "discrepancy"))
+def test_json_rows_are_json_dumps_indent_2(case):
+    header, rows, command = case
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": command,
+           "rows": [dict(zip(header, row)) for row in rows]}
+    assert emitted(cli._emit_rows, header, rows, command) == json.dumps(doc, indent=2) + "\n"
+
+
+# documents shaped like classify's: nested dicts and lists of any depth,
+# empty ones included, under string keys
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=20)
+
+
+@fixed
+@given(st.dictionaries(json_strings, json_values, max_size=6), json_strings)
+@example({"p": 2, "coefficients": [0, 1], "brute_force": {"missing_residue": [1, 0]},
+          "unit_reduction": None, "empty": {}, "none": []}, "classify")
+def test_json_documents_are_json_dumps_indent_2(body, command):
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": command, **body}
+    encoded = {key: cli._json(value, "\n  ") for key, value in body.items()}
+    assert emitted(cli._emit_json, command, encoded) == json.dumps(doc, indent=2) + "\n"

@@ -17,8 +17,11 @@ derivatives --p 9973``), and the closed-form ``discrepancy`` and
 ``paircorr`` rows of certified low-discrepancy inputs at their boundaries, beside the inputs that still take the value engines, and
 paircorr's level walk on dense, power and bit-bound schedules, primes
 too long to echo, integer options too long for argparse to echo, dense
-discrepancy and bridge schedules whose ball levels fill, and value tables on
-both sides of the size where they turn to finite differences), through
+discrepancy and bridge schedules whose ball levels fill, value tables on
+both sides of the size where they turn to finite differences, and JSON
+output the workloads miss: ``bridge`` at a fixed ``--K``, negative
+``generate`` values, ``classify --p 2`` (null ``unit_reduction``),
+``search`` past degree 2p - 1 and a document written with ``--out -``), through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  A
 last line digests the ``--help`` text of the top parser and of each
@@ -201,6 +204,15 @@ EXTRA = [
     # and every level up to 2^9 of an affine map at p = 2
     ["discrepancy", "--p", "3", "--N", "1..3000", "--", "x^3"],
     ["bridge", "--p", "2", "--N", "1..1000", "--", "3x+1"],
+    # JSON documents the workloads do not write: bridge rows at a fixed K,
+    # negative integer values, classify at p = 2 (unit_reduction is null),
+    # search hits past degree 2p - 1, and a document written through --out -
+    ["bridge", "--p", "3", "--N", "1..40", "--K", "2", "--format", "json", "--", "x^3+x"],
+    ["generate", "--p", "3", "--n", "30", "--mode", "integers", "--format", "json", "--",
+     "x^3-500"],
+    ["classify", "--p", "2", "--format", "json", "--", "x^2+x"],
+    ["search", "--p", "3", "--degree", "7", "--monic", "--format", "json"],
+    ["discrepancy", "--p", "5", "--N", "1..25", "--format", "json", "--out", "-", "--", "x^2+x"],
 ]
 
 HELP = [["--help"], *([command, "--help"] for command in (
