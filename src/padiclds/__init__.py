@@ -41,7 +41,6 @@ from .sequence import poly_sequence
 from .discrepancy import (
     DiscrepancyResult,
     discrepancy_profile,
-    lds_prefix_discrepancies,
     meijer_bound_check,
     padic_discrepancy,
     prefix_discrepancies,
@@ -51,7 +50,6 @@ from .discrepancy import (
 )
 from .paircorr import (
     F_statistic,
-    PairCorrInput,
     lds_pair_count,
     ppc_sweep,
     threshold_level,

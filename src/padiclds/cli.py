@@ -29,12 +29,7 @@ from .catalog import (
     verification_primes,
     verify_entry,
 )
-from .discrepancy import (
-    _meijer,
-    lds_prefix_discrepancies,
-    prefix_discrepancy_rows,
-    prefix_real_discrepancy_rows,
-)
+from .discrepancy import _meijer, prefix_discrepancy_rows, prefix_real_discrepancy_rows
 from .padic import InvariantError, _quote, _shown, check_prime, digit_expansions, digit_reversals
 from .paircorr import MAX_RADIUS_BITS, ppc_sweep
 from .permcheck import (_check_enumeration, classify_low_discrepancy, classify_via_reduction,
@@ -353,13 +348,9 @@ def cmd_discrepancy(args) -> int:
     schedule = parse_schedule(args.N, args.p)
     header = ["N", "D_N", "N_times_D_N", "witness_level", "witness_residue",
               "separation_depth", "D_N_approx"]
-    if _certified(f, args.p, schedule):
-        results = [(N, r.value.numerator, r.value.denominator, *r[1:])
-                   for N, r in lds_prefix_discrepancies(args.p, schedule).items()]
-    else:
-        results = prefix_discrepancy_rows(poly_sequence(f, max(schedule)), args.p, schedule)
+    values = None if _certified(f, args.p, schedule) else poly_sequence(f, max(schedule))
     rows = {}
-    for N, num, den, level, residue, depth in results:
+    for N, num, den, level, residue, depth in prefix_discrepancy_rows(values, args.p, schedule):
         a, b = _reduced(num, den)
         h = gcd(N, b)
         rows[N] = [N, f"{a}/{b}", f"{N // h * a}/{b // h}", level,
@@ -389,6 +380,8 @@ def cmd_verify_tables(args) -> int:
                     or e.derivative_root_exists is not None)]
 
     if args.dump:
+        if args.format == "csv":
+            raise ValueError("--dump writes JSON only; --format csv does not apply")
         _emit_json(args, "verify-tables", {"dump": _json([e.as_dict() for e in entries], "\n  ")})
         return EXIT_OK
 
@@ -533,7 +526,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--which", choices=("dickson", "derivatives", "lds"), required=True)
     sp.add_argument("--p", type=_int, default=None, help="restrict to one prime")
     sp.add_argument("--dump", action="store_true", help="dump table data as JSON")
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
+    sp.add_argument("--format", choices=("json", "csv"))  # None: CSV, or JSON under --dump
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify_tables)
 

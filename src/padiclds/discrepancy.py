@@ -21,8 +21,8 @@ as an integer row, only at the requested lengths.  A long stretch is counted
 into every level by one C-level pass, a short one (a dense schedule) value
 by value.  ``prefix_discrepancies``, ``padic_discrepancy`` and
 ``discrepancy_profile`` view its rows; only such public views form Fractions.
-For a sequence that permutes every Z/p^k (a certified low-discrepancy
-sequence) ``lds_prefix_discrepancies`` gives the same results in closed form.
+Given None for the values, it answers for a sequence that permutes every
+Z/p^k (a certified low-discrepancy sequence) in closed form, with no values.
 
 The real extreme discrepancy on [0,1) has its own prefix engine,
 ``prefix_real_discrepancy_rows``: the points are integer numerators over one
@@ -174,7 +174,7 @@ def _supremum(levels: list[_Level], N: int) -> tuple:
 
 
 def prefix_discrepancy_rows(
-    values: list[int], p: int, lengths: list[int] | None = None
+    values: list[int] | None, p: int, lengths: list[int] | None = None
 ) -> list[tuple]:
     """Exact discrepancy, with its witness, of each prefix values[:N].
 
@@ -189,8 +189,30 @@ def prefix_discrepancy_rows(
     up to date under insertion.  Levels are added, each counted from the
     prefix at once, as the separation depth grows, and the exact supremum is
     formed only at the requested lengths.
+
+    ``values`` None stands for f(1), f(2), ... of an f that permutes every
+    Z/p^k, and ``lengths`` must then be given.  Such an f fills the balls mod
+    p^k exactly as n -> n does: with N = q*p^k + s and 0 <= s < p^k, s
+    residues hold q + 1 of the first N values and the rest q.  The values are
+    distinct, so the tail term is 1/N, and every level's term is below it:
+    |c/N - p^-k| is (p^k - s)/(N*p^k) for c = q + 1 (held only when s > 0)
+    and s/(N*p^k) for c = q, and an unoccupied residue (q = 0, so N < p^k)
+    gives p^-k.  So each row is (N, 1, N, "tail", None, k), D_N = 1/N, with
+    separation depth k the least k >= 1 with p^k >= N.
     """
     check_prime(p)
+    if values is None:
+        if lengths is None:
+            raise ValueError("values None (an f permuting every Z/p^k) needs the prefix lengths")
+        wanted = sorted(set(lengths))
+        if not wanted or wanted[0] < 1:
+            raise ValueError("prefix lengths must be >= 1")
+        rows, k, pk = [], 1, p
+        for N in wanted:
+            while pk < N:
+                k, pk = k + 1, pk * p
+            rows.append((N, 1, N, WITNESS_TAIL, None, k))
+        return rows
     if not values:
         raise ValueError("need at least one value")
     wanted = sorted(set(range(1, len(values) + 1) if lengths is None else lengths))
@@ -223,41 +245,12 @@ def prefix_discrepancy_rows(
 
 
 def prefix_discrepancies(
-    values: list[int], p: int, lengths: list[int] | None = None
+    values: list[int] | None, p: int, lengths: list[int] | None = None
 ) -> dict[int, DiscrepancyResult]:
-    """``prefix_discrepancy_rows`` as {N: the ``padic_discrepancy`` of values[:N]}."""
+    """``prefix_discrepancy_rows`` as {N: the ``padic_discrepancy`` of values[:N]},
+    in closed form for values None."""
     return {N: DiscrepancyResult(Fraction(num, den), level, residue, depth)
             for N, num, den, level, residue, depth in prefix_discrepancy_rows(values, p, lengths)}
-
-
-def lds_prefix_discrepancies(p: int, lengths: list[int]) -> dict[int, DiscrepancyResult]:
-    """``prefix_discrepancies`` of f(1), f(2), ... for an f that permutes every
-    Z/p^k, from the closed form alone.
-
-    Such an f fills the balls mod p^k exactly as n -> n does: with
-    N = q*p^k + s and 0 <= s < p^k, s residues hold q + 1 of the first N
-    values and the rest q.  The values are distinct, so the tail term is 1/N,
-    and every level's term is below it: |c/N - p^-k| is (p^k - s)/(N*p^k)
-    for c = q + 1 (held only when s > 0) and s/(N*p^k) for c = q, and an
-    unoccupied residue (q = 0, so N < p^k) gives p^-k.  So D_N = 1/N with
-    witness "tail", and the separation depth is the least k >= 1 with
-    p^k >= N.  ``lengths`` follows ``prefix_discrepancies``: duplicates and any
-    order allowed, each distinct N answered in increasing order.
-    """
-    check_prime(p)
-    wanted = sorted(set(lengths))
-    if not wanted or wanted[0] < 1:
-        raise ValueError("prefix lengths must be >= 1")
-    out: dict[int, DiscrepancyResult] = {}
-    k, pk = 1, p
-    for N in wanted:
-        while pk < N:
-            k, pk = k + 1, pk * p
-        out[N] = DiscrepancyResult(
-            value=Fraction(1, N), witness_level=WITNESS_TAIL, witness_residue=None,
-            separation_depth=k,
-        )
-    return out
 
 
 def padic_discrepancy(values: list[int], p: int) -> DiscrepancyResult:

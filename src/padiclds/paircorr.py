@@ -22,7 +22,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from operator import mod, mul
-from typing import NamedTuple
 
 from .padic import check_prime
 
@@ -32,31 +31,6 @@ from .padic import check_prime
 # at the limit it climbs 10^4 levels: 5 ms for one size, 0.11 s over the sizes
 # 1..10^5 (CPython 3.11, 2-core x86-64 host).
 MAX_RADIUS_BITS = 10_000
-
-
-class _PairCorrFields(NamedTuple):
-    values: tuple
-    p: int
-    alpha: Fraction
-    s: Fraction
-
-
-class PairCorrInput(_PairCorrFields):
-    """Inputs of one statistic evaluation.
-
-    alpha is restricted to a rational so the radius comparison stays exact;
-    s = 0 is rejected because the normalizing ball measure vanishes.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # else _replace skips __new__
-
-    def __new__(cls, values, p, alpha, s):
-        values = tuple(values)
-        alpha, (s,) = _checked_parameters(p, alpha, [s])
-        if not values:
-            raise ValueError("need at least one value")
-        return super().__new__(cls, values, p, alpha, s)
 
 
 def _checked_parameters(p: int, alpha, s_list) -> tuple[Fraction, list[Fraction]]:
@@ -164,9 +138,15 @@ def lds_pair_count(N: int, p: int, k: int) -> int:
     return q * ((q - 1) * pk + 2 * s)
 
 
-def F_statistic(inp: PairCorrInput) -> Fraction:
-    """The normalized pair count (p^k / N^2) * #{close ordered pairs}."""
-    return ppc_sweep(inp.values, inp.p, inp.alpha, [inp.s], [len(inp.values)])[0][2]
+def F_statistic(values, p: int, alpha: Fraction, s: Fraction) -> Fraction:
+    """The normalized pair count (p^k / N^2) * #{close ordered pairs} of all
+    N values (a list or tuple), k the ``threshold_level`` of s at N.
+
+    One cell of ``ppc_sweep``, which checks p, alpha and s, then that there
+    is at least one value.  alpha is a rational so the radius comparison
+    stays exact; s = 0 is refused because the normalizing measure vanishes.
+    """
+    return ppc_sweep(values, p, alpha, [s], [len(values)])[0][2]
 
 
 def ppc_sweep(

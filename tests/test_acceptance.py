@@ -30,7 +30,7 @@ from padiclds.discrepancy import (
     separation_depth,
 )
 from padiclds.padic import monna_of_int
-from padiclds.paircorr import F_statistic, PairCorrInput, ppc_sweep
+from padiclds.paircorr import F_statistic, ppc_sweep
 from padiclds.permcheck import (
     classify_low_discrepancy,
     divergence_scan,
@@ -263,9 +263,7 @@ def test_criterion_09_pair_correlations():
     values = poly_sequence(parse_poly("x^3 + x"), 243)
     for N in (27, 81, 243):
         for s in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
-            F = F_statistic(
-                PairCorrInput(values=tuple(values[:N]), p=3, alpha=Fraction(1), s=s)
-            )
+            F = F_statistic(values[:N], 3, Fraction(1), s)
             if F != 0:
                 failures.append(("zero", N, s, F))
     rows = ppc_sweep(

@@ -9,10 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from padiclds import cli, paircorr
+from padiclds import cli, discrepancy, paircorr
 from padiclds.cli import _frac, main, parse_fraction, parse_schedule
-from padiclds.discrepancy import (lds_prefix_discrepancies, meijer_bound_check,
-                                  prefix_discrepancies, real_extreme_discrepancy)
+from padiclds.discrepancy import meijer_bound_check, prefix_discrepancies, real_extreme_discrepancy
 from padiclds.padic import InvariantError, digit_expansions, monna_of_int
 from padiclds.polynomials import parse_poly
 from padiclds.sequence import poly_sequence
@@ -333,10 +332,8 @@ class TestRowText:
             f = parse_poly(poly)
             for text in ("1..40", "9,4,9,1,10", f"{p * p},3,{p * p + 1},3", "pk:0..3"):
                 schedule = parse_schedule(text, p)
-                if cli._certified(f, p, schedule):
-                    results = lds_prefix_discrepancies(p, schedule)
-                else:
-                    results = prefix_discrepancies(poly_sequence(f, max(schedule)), p, schedule)
+                values = None if cli._certified(f, p, schedule) else poly_sequence(f, max(schedule))
+                results = prefix_discrepancies(values, p, schedule)
                 expected = []
                 for N in schedule:
                     v, level, residue, depth = results[N]
@@ -480,7 +477,8 @@ class TestPaircorrCommand:
 class TestCertifiedRoute:
     """discrepancy and paircorr answer an input that classify certifies as
     low-discrepancy, with p^2 <= max N, from closed forms with no values, and
-    every other input from the value engines."""
+    every other input from the value engines, which count values in
+    ``discrepancy._Level`` and ``paircorr._close_pairs``."""
 
     CERTIFIED = [
         ["discrepancy", "--p", "3", "--N", "9,4,9,1,10", "--", "x^3+x"],
@@ -513,7 +511,7 @@ class TestCertifiedRoute:
             engine = run_cli(capsys, *argv)
         assert engine[0] == 0
         monkeypatch.setattr(cli, "poly_sequence", self.refuse)
-        monkeypatch.setattr(cli, "prefix_discrepancy_rows", self.refuse)
+        monkeypatch.setattr(discrepancy, "_Level", self.refuse)
         monkeypatch.setattr(paircorr, "_close_pairs", self.refuse)
         assert run_cli(capsys, *argv) == engine  # the same bytes
 
@@ -525,7 +523,7 @@ class TestCertifiedRoute:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(cli, "prefix_discrepancy_rows", reached)
+        monkeypatch.setattr(discrepancy, "_Level", reached)
         monkeypatch.setattr(paircorr, "_close_pairs", reached)
         with pytest.raises(Reached):
             main(argv)
@@ -566,6 +564,13 @@ class TestVerifyTablesCommand:
         assert code == 0
         names = {e["name"] for e in doc["dump"]}
         assert "x^3 - a*x" in names
+
+    def test_dump_refuses_csv(self, capsys):
+        dump = ["verify-tables", "--which", "lds", "--dump"]
+        assert run_cli(capsys, *dump, "--format", "csv") == (
+            1, "", "padiclds: error: --dump writes JSON only; --format csv does not apply\n")
+        # the dump is JSON with no --format and with --format json alike
+        assert run_cli(capsys, *dump, "--format", "json") == run_cli(capsys, *dump)
 
     @pytest.mark.parametrize("which", ["dickson", "derivatives", "lds"])
     def test_refused_past_the_cap_at_once(self, capsys, which):

@@ -14,7 +14,6 @@ from padiclds.discrepancy import (
     _meijer,
     _supremum,
     discrepancy_profile,
-    lds_prefix_discrepancies,
     meijer_bound_check,
     padic_discrepancy,
     prefix_discrepancies,
@@ -251,7 +250,16 @@ class TestPrefixDiscrepancies:
                 prefix_discrepancies(values, 3, bad)
         for bad in ([0], []):
             with pytest.raises(ValueError, match="prefix lengths must be >= 1"):
-                lds_prefix_discrepancies(3, bad)
+                prefix_discrepancies(None, 3, bad)
+
+    def test_closed_form_needs_lengths_of_at_least_1(self):
+        # values None: one-line ValueErrors, never a TypeError from len(None)
+        for bad in (None, [5, -2]):
+            with pytest.raises(ValueError) as info:
+                prefix_discrepancy_rows(None, 3, bad)
+            assert "\n" not in str(info.value)
+        assert prefix_discrepancy_rows(None, 3, [10, 1, 9, 3, 10]) == [
+            (N, 1, N, WITNESS_TAIL, None, k) for N, k in ((1, 1), (3, 1), (9, 2), (10, 3))]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_sparse_schedules_count_stretches_in_bulk_and_one_by_one(self, p, monkeypatch):
@@ -341,7 +349,7 @@ class TestIntegerRows:
                     res = DiscrepancyResult(Fraction(num, den), level, residue, depth)
                     assert res == views[N] == naive_padic_discrepancy(values[:N], p), (p, N)
         for values in certified:
-            assert prefix_discrepancies(values, p) == lds_prefix_discrepancies(p, range(1, 61))
+            assert prefix_discrepancies(values, p) == prefix_discrepancies(None, p, range(1, 61))
 
     @pytest.mark.parametrize("Q", [1, 9, 64, 3**5])
     def test_real_rows_reduce_to_the_views_and_the_oracle(self, Q):

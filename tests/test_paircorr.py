@@ -10,7 +10,6 @@ from padiclds.padic import valuation
 from padiclds.paircorr import (
     MAX_RADIUS_BITS,
     F_statistic,
-    PairCorrInput,
     _close_pairs,
     lds_pair_count,
     ppc_sweep,
@@ -133,15 +132,11 @@ class TestPairCount:
 class TestFStatistic:
     def test_identity_sequence_closed_form(self):
         N = 3**8
-        inp = PairCorrInput(
-            values=tuple(range(1, N + 1)), p=3, alpha=Fraction(1, 2), s=Fraction(1)
-        )
-        assert F_statistic(inp) == Fraction(80, 81)
+        assert F_statistic(range(1, N + 1), 3, Fraction(1, 2), Fraction(1)) == Fraction(80, 81)
 
     def test_permutation_polynomial_has_no_close_pairs(self):
         values = poly_sequence(parse_poly("x^3 + x"), 27)
-        inp = PairCorrInput(values=tuple(values), p=3, alpha=Fraction(1), s=Fraction(1, 2))
-        assert F_statistic(inp) == 0
+        assert F_statistic(values, 3, Fraction(1), Fraction(1, 2)) == 0
 
     def test_other_confirmed_generators_share_the_zero(self):
         # s < 1 at alpha = 1 and N = p^k gives exactly zero close pairs for
@@ -150,38 +145,29 @@ class TestFStatistic:
             values = poly_sequence(parse_poly(text), max(Ns))
             for N in Ns:
                 for s in (Fraction(1, 2), Fraction(9, 10)):
-                    inp = PairCorrInput(
-                        values=tuple(values[:N]), p=p, alpha=Fraction(1), s=s
-                    )
-                    assert F_statistic(inp) == 0, (text, N, s)
+                    assert F_statistic(values[:N], p, Fraction(1), s) == 0, (text, N, s)
 
     def test_whole_ring_level_counts_all_pairs(self):
-        inp = PairCorrInput(
-            values=(0, 1, 2, 3, 4), p=3, alpha=Fraction(1), s=Fraction(9)
-        )
-        assert F_statistic(inp) == Fraction(4, 5)  # (N^2 - N) / N^2
+        assert F_statistic((0, 1, 2, 3, 4), 3, Fraction(1), Fraction(9)) == Fraction(4, 5)
 
     def test_nonnegative(self):
         rng = random.Random(139)
         for _ in range(100):
             N = rng.randint(1, 60)
-            inp = PairCorrInput(
-                values=tuple(rng.randint(0, 100) for _ in range(N)),
-                p=3,
-                alpha=Fraction(rng.randint(1, 2), 2),
-                s=Fraction(rng.randint(1, 9), rng.randint(1, 9)),
-            )
-            assert F_statistic(inp) >= 0
+            values = [rng.randint(0, 100) for _ in range(N)]
+            alpha = Fraction(rng.randint(1, 2), 2)
+            s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            assert F_statistic(values, 3, alpha, s) >= 0
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            PairCorrInput(values=(1,), p=3, alpha=Fraction(3, 2), s=Fraction(1))
+            F_statistic((1,), 3, Fraction(3, 2), Fraction(1))
         with pytest.raises(ValueError, match="measure vanishes"):
-            PairCorrInput(values=(1,), p=3, alpha=Fraction(1), s=Fraction(0))
+            F_statistic((1,), 3, Fraction(1), Fraction(0))
         with pytest.raises(ValueError, match=f"at most {MAX_RADIUS_BITS} is supported"):
-            PairCorrInput(values=(1,), p=2, alpha=Fraction(1), s=Fraction(1, 2 ** MAX_RADIUS_BITS))
+            F_statistic((1,), 2, Fraction(1), Fraction(1, 2 ** MAX_RADIUS_BITS))
         with pytest.raises(ValueError, match="need at least one value"):
-            PairCorrInput(values=(), p=3, alpha=Fraction(1), s=Fraction(1))
+            F_statistic((), 3, Fraction(1), Fraction(1))
 
 
 class TestSweep:
@@ -243,11 +229,10 @@ class TestSweep:
             rows = ppc_sweep(values, p, alpha, radii, schedule)
             assert [(N, s) for N, s, _ in rows] == [(N, s) for N in schedule for s in radii]
             for N, s, F in rows:
-                inp = PairCorrInput(values=tuple(values[:N]), p=p, alpha=alpha, s=s)
                 k = level_oracle(s, N, alpha, p)
                 assert threshold_level(s, N, alpha, p) == k
                 reached.add("whole ring" if k == 0 else "past k_sep+1" if k > depth + 1 else "ball")
-                assert F == F_statistic(inp), (p, N, s)
+                assert F == F_statistic(values[:N], p, alpha, s), (p, N, s)
                 assert F == Fraction(p ** k * pair_count_oracle(values[:N], p, k), N * N)
         assert reached == {"whole ring", "ball", "past k_sep+1"}
 

@@ -28,7 +28,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from padiclds import cli  # noqa: E402
 from padiclds.discrepancy import (  # noqa: E402
-    lds_prefix_discrepancies,
     prefix_discrepancies,
     prefix_real_discrepancies,
     real_extreme_discrepancy,
@@ -128,7 +127,7 @@ def test_closed_forms_equal_the_engines_on_low_discrepancy_input(pc):
     f = IntPolynomial(coeffs)
     assert classify_low_discrepancy(f, p).low_discrepancy
     values = poly_sequence(f, 300)
-    assert lds_prefix_discrepancies(p, range(300, 0, -1)) == prefix_discrepancies(values, p)
+    assert prefix_discrepancies(None, p, range(300, 0, -1)) == prefix_discrepancies(values, p)
     for N in {1, 2, p, p * p + 1, 97, 300}:
         requests = [(N, k) for k in range(7)]
         assert _close_pairs(values, p, requests) == {

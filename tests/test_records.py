@@ -1,13 +1,10 @@
 """The result records: immutable values, equal and hashed by their fields."""
 
-from fractions import Fraction
-
 import pytest
 
 from padiclds.catalog import (EntryVerification, MatchReport, ParameterResult, SearchConstraints,
                               dickson_entries)
 from padiclds.discrepancy import padic_discrepancy
-from padiclds.paircorr import PairCorrInput
 from padiclds.permcheck import (METHOD_BRUTE_FORCE, DivergenceEntry, DivergenceReport, Verdict,
                                 classify_low_discrepancy, classify_via_reduction)
 from padiclds.polynomials import IntPolynomial
@@ -24,7 +21,6 @@ def _records():
         entry,
         DivergenceReport(candidates=7, entries=(entry,)),
         padic_discrepancy([0, 1, 4], 3),
-        PairCorrInput(values=[0, 1, 4], p=3, alpha=1, s="1/2"),
         dickson_entries()[0],
         result,
         EntryVerification((result,), ("a failure",), ()),
@@ -80,19 +76,6 @@ def test_verdict_checks_on_construction_and_replace():
     assert lds._replace() == lds
     with pytest.raises(TypeError):
         Verdict(True, True, True, None, None)
-
-
-def test_pair_corr_input_normalises_on_construction_and_replace():
-    inp = PairCorrInput(values=[0, 1, 4], p=3, alpha=1, s="1/2")
-    assert inp.values == (0, 1, 4) and type(inp.values) is tuple
-    assert inp.alpha == 1 and type(inp.alpha) is Fraction
-    assert inp.s == Fraction(1, 2) and type(inp.s) is Fraction
-    assert type(inp._replace(values=[2]).values) is tuple
-    assert type(inp._replace(s=2).s) is Fraction
-    with pytest.raises(ValueError, match="at least one value"):
-        inp._replace(values=[])
-    with pytest.raises(ValueError, match="alpha"):
-        inp._replace(alpha=2)
 
 
 def test_dickson_entry_as_dict_keeps_its_key_order():

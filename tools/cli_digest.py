@@ -11,7 +11,8 @@ high-degree and two root-free non-permutation classify calls, long and dense
 discrepancy, paircorr and generate schedules, digit and digit-reversal output
 of negative values, integer ``--linear`` sequences, unsorted, long, dense
 and negative-valued bridge schedules, the catalog dump of each
-``verify-tables --which`` selection, two ``verify-tables`` calls refused at
+``verify-tables --which`` selection (and of ``lds`` under ``--format json``
+and ``--format csv``, which is refused), two ``verify-tables`` calls refused at
 classify's enumeration cap (``--which dickson --p 3163`` and ``--which
 derivatives --p 9973``), and the closed-form ``discrepancy`` and
 ``paircorr`` rows of certified low-discrepancy inputs at their boundaries, beside the inputs that still take the value engines, and
@@ -119,6 +120,8 @@ EXTRA = [
     # every catalog field of each table selection (the search workload runs
     # verify-tables without --dump)
     *(["verify-tables", "--which", which, "--dump"] for which in ("dickson", "derivatives", "lds")),
+    # --dump writes JSON: with --format json too, and refused with --format csv
+    *(["verify-tables", "--which", "lds", "--dump", "--format", fmt] for fmt in ("csv", "json")),
     # primes whose p^2 passes the enumeration cap, refused before any row
     ["verify-tables", "--which", "dickson", "--p", "3163"],
     ["verify-tables", "--which", "derivatives", "--p", "9973"],
