@@ -9,20 +9,19 @@ finite in two exact pieces:
   and each level's term is read off its largest and smallest count, an
   unoccupied residue counting 0 (an empty ball's term is p^-k);
 * the tail supremum c*/N, where c* is the maximum multiplicity among exact
-  values (the k -> infinity limit of an occupied ball's term), which is the
-  largest count of level k_sep+1.
+  values (the k -> infinity limit of an occupied ball's term).
 
 One engine, ``prefix_discrepancy_rows``, computes it for any set of prefix
-lengths in a single pass.  It ingests the values stretch by stretch, each
-stretch running from one requested length to the next: per level it keeps
-the occupancy counts, the largest count, and the smallest count with the
-number of residues holding it, and forms the exact supremum and its witness,
-as an integer row, only at the requested lengths.  A long stretch is counted
-into every level by one C-level pass, a short one (a dense schedule) value
-by value.  ``prefix_discrepancies``, ``padic_discrepancy`` and
-``discrepancy_profile`` view its rows; only such public views form Fractions.
-Given None for the values, it answers for a sequence that permutes every
-Z/p^k (a certified low-discrepancy sequence) in closed form, with no values.
+lengths in a single pass over the values, stretch by stretch between
+requested lengths.  c* comes from a multiplicity count of the exact values,
+k_sep from their residues mod p^k_sep.  The levels are scanned from k = 1
+and only as deep as the supremum needs; each is counted from the prefix when
+a scan first reaches it and then grown by every stretch, a long one in one
+C-level pass, a short one (a dense schedule) value by value.  Its rows are
+integers; only its views ``prefix_discrepancies``, ``padic_discrepancy`` and
+``discrepancy_profile`` form Fractions.  Given None for the values, it
+answers for a sequence that permutes every Z/p^k (a certified
+low-discrepancy sequence) in closed form, with no values.
 
 The real extreme discrepancy on [0,1) has its own prefix engine,
 ``prefix_real_discrepancy_rows``: the points are integer numerators over one
@@ -56,7 +55,10 @@ WITNESS_TAIL = "tail"
 # bulk count about 5 us, plus 0.13 us a value, plus 0.04 us an occupied
 # residue to copy the counts and recount their extremes (CPython 3.11.7,
 # 2-core x86-64 host).  One decision covers the whole stretch, on the mean
-# occupancy of the levels.
+# occupancy of the built levels; c* and the separation depth follow a stretch
+# longer than STRETCH_MIN in bulk too.  ``paircorr._close_pairs`` sums m^2 over
+# a level's classes (0.02 us each) unless they outnumber the stretch more
+# than STRETCH_RATIO to 1, and then over the classes it reaches (0.1 us each).
 STRETCH_MIN = 32
 STRETCH_RATIO = 4
 
@@ -87,11 +89,25 @@ def separation_depth(values: list[int], p: int) -> int:
     exact-value multiplicities.
     """
     check_prime(p)
-    distinct = set(values)
-    k = 1
-    while len({v % p**k for v in distinct}) < len(distinct):
-        k += 1
-    return k
+    return _separation(set(values), p, 1)[0]
+
+
+def _separation(distinct, p: int, k: int) -> tuple[int, set[int]]:
+    """The separation depth, known to be at least k, of the distinct values
+    (a set or a dict's keys), with their residues mod p^depth.  The scan
+    starts at the pigeonhole level, and each deeper level counts only the
+    values that still share a class."""
+    pk = p**k
+    while pk < len(distinct):
+        k, pk = k + 1, pk * p
+    group = distinct
+    counts = Counter(map(mod, group, repeat(pk)))
+    while len(counts) < len(group):
+        if countOf(counts.values(), 1):  # some values are alone in their class
+            group = [v for v in group if counts[v % pk] > 1]
+        k, pk = k + 1, pk * p
+        counts = Counter(map(mod, group, repeat(pk)))
+    return k, set(counts) if group is distinct else set(map(mod, distinct, repeat(pk)))
 
 
 class _Level:
@@ -132,23 +148,27 @@ class _Level:
                 self.nmin = countOf(self.counts.values(), c)
 
 
-def _supremum(levels: list[_Level], N: int) -> tuple:
-    """The supremum for N points from the occupancy of levels 1..k_sep+1.
+def _supremum(levels: list[_Level], values, p: int, N: int, depth: int, cstar: int) -> tuple:
+    """The supremum for the first N values, of separation depth ``depth`` and
+    largest multiplicity ``cstar``, from the ball levels k = 1, 2, ...
 
-    Each level's best term is |c/N - p^-k| at c = maxc or c = minc; minc = 0
-    when a residue is unoccupied, and then the term is p^-k, which no deeper
-    level's term can reach or tie.  The tail term is c*/N, with c* the
-    largest count of the deepest level, whose counts are the exact-value
-    multiplicities.  Ties are broken toward smaller level, then smaller
-    residue, with the tail considered last, so the witness is deterministic.
-    The terms are compared, and returned in a ``prefix_discrepancy_rows`` row,
-    as integer numerators over the common denominator N * p^K, K the deepest.
+    Level k's best term is |c/N - p^-k| at c = maxc or c = minc; minc = 0
+    when a residue is unoccupied, and then the term is p^-k.  The tail term
+    is c*/N.  Ties are broken toward smaller level, then smaller residue,
+    with the tail considered last, so a level wins only if it reaches the
+    tail.  The terms are compared, and returned in a ``prefix_discrepancy_rows``
+    row, as integer numerators over the common denominator N * p^K, K = depth + 1.
+    The scan stops once no deeper level can win: classes refine, so every
+    deeper term is at most max(maxc/N - p^-K, p^-(k+1)) = maxc/N - p^-K, as
+    maxc >= N/p^k.  A level first reached is counted from values[:N].
     """
-    top = levels[-1].pk
-    best = -1
-    best_level: int | str = 0
-    best_term = 0
-    for k, lv in enumerate(levels, start=1):
+    top = p ** (depth + 1)
+    tail = cstar * top
+    best, best_level, best_term = tail - 1, WITNESS_TAIL, 0
+    for k in range(1, depth + 2):
+        if k > len(levels):
+            levels.append(_Level(p**k, values[:N]))
+        lv = levels[k - 1]
         pk = lv.pk
         term, low = lv.maxc * pk - N, N - lv.minc * pk
         if low > term:
@@ -156,8 +176,9 @@ def _supremum(levels: list[_Level], N: int) -> tuple:
         scaled = term * (top // pk)  # term / (N * p^k) is scaled / (N * top)
         if scaled > best:
             best, best_level, best_term = scaled, k, term
-    if levels[-1].maxc * top > best:
-        best, best_level = levels[-1].maxc * top, WITNESS_TAIL
+        if lv.maxc * top - N <= best:
+            break
+    best = max(best, tail)  # tail - 1 while no level has reached the tail
     if not top <= best <= N * top:
         raise InvariantError(f"internal error: discrepancy {Fraction(best, N * top)} outside "
                              f"[1/N, 1] for N={N}")
@@ -170,7 +191,7 @@ def _supremum(levels: list[_Level], N: int) -> tuple:
                 r = (min(compress(lv.counts, map(c.__eq__, lv.counts.values()))) if c
                      else next(filterfalse(lv.counts.__contains__, range(lv.pk))))
                 residue = min(residue, r)
-    return N, best, N * top, best_level, residue, len(levels) - 1
+    return N, best, N * top, best_level, residue, depth
 
 
 def prefix_discrepancy_rows(
@@ -182,13 +203,13 @@ def prefix_discrepancy_rows(
     len(values)); the answer has one row per distinct N, in increasing
     order: (N, numerator, N * p^K, witness level, witness residue, separation
     depth), with K = separation depth + 1.  The values are ingested once,
-    one stretch values[prev:N] per requested N.  A stretch that is long
-    against the occupied residues (``STRETCH_MIN``, ``STRETCH_RATIO``) is
-    counted into every level in bulk, and the extreme counts are then
-    recounted; a short one is added value by value, with the extremes kept
-    up to date under insertion.  Levels are added, each counted from the
-    prefix at once, as the separation depth grows, and the exact supremum is
-    formed only at the requested lengths.
+    one stretch values[prev:N] per requested N, into the exact-value
+    multiplicities (for c*), the distinct values' residues mod p^depth (the
+    depth is recomputed when two of them coincide) and the levels
+    ``_supremum`` has reached.  A stretch that is long against the occupied
+    residues (``STRETCH_MIN``, ``STRETCH_RATIO``) is counted into the levels
+    in bulk, and their extreme counts are then recounted; a short one is
+    added value by value, with the extremes kept up to date under insertion.
 
     ``values`` None stands for f(1), f(2), ... of an f that permutes every
     Z/p^k, and ``lengths`` must then be given.  Such an f fills the balls mod
@@ -218,15 +239,28 @@ def prefix_discrepancy_rows(
     wanted = sorted(set(range(1, len(values) + 1) if lengths is None else lengths))
     if not wanted or wanted[0] < 1 or wanted[-1] > len(values):
         raise ValueError(f"prefix lengths must lie in [1, {len(values)}]")
-    distinct: set[int] = set()
+    mult: Counter[int] = Counter()  # exact-value multiplicities, the largest is cstar
+    cstar, depth, pd, residues = 1, 1, p, set()  # the distinct values mod pd = p^depth
     levels: list[_Level] = []
     rows = []
     prev = 0
     for N in wanted:
         stretch = values[prev:N]
         prev = N
-        distinct.update(stretch)
         excess = len(stretch) - STRETCH_MIN
+        if excess > 0:
+            mult.update(stretch)
+            cstar = max(cstar, max(map(mult.__getitem__, stretch)))
+            residues.update(map(mod, stretch, repeat(pd)))
+        else:
+            for v in stretch:
+                c = mult[v] = mult.get(v, 0) + 1
+                if c > cstar:
+                    cstar = c
+                residues.add(v % pd)
+        if len(residues) < len(mult):  # distinct values share a residue mod p^depth
+            depth, residues = _separation(mult, p, depth + 1)
+            pd = p**depth
         if excess > 0 and excess * STRETCH_RATIO * len(levels) > sum(
             len(lv.counts) for lv in levels
         ):
@@ -236,11 +270,7 @@ def prefix_discrepancy_rows(
             for v in stretch:
                 for lv in levels:
                     lv.add(v)
-        # keep exactly levels 1..k_sep+1: a level is clean (separates the
-        # distinct values) when it occupies one residue per distinct value
-        while len(levels) < 2 or len(levels[-2].counts) < len(distinct):
-            levels.append(_Level(p ** (len(levels) + 1), values[:N]))
-        rows.append(_supremum(levels, N))
+        rows.append(_supremum(levels, values, p, N, depth, cstar))
     return rows
 
 

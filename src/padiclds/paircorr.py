@@ -8,12 +8,14 @@ comparisons and class counting.  The values are plain integers, read mod p^k
 at level k.
 
 A sweep over an (N, s) grid counts each distinct (N, k) once.  Per level k it
-keeps one running count of residue classes, grown by the stretch of values
-between consecutive N in one C-level pass, and the sum of the squared class
-sizes, from which the ordered pairs follow; level 0 holds all N(N-1) pairs
-and is not counted at all.  A sequence that permutes every Z/p^k (a certified
-low-discrepancy sequence) needs no values: its classes are those of n -> n,
-and ``lds_pair_count`` gives the pairs in closed form.
+keeps one running count of residue classes, into which the stretch of values
+between consecutive N is counted once, in one C-level pass, and the sum of
+the squared class sizes, from which the ordered pairs follow: summed over the
+level's classes, or over the classes a stretch reaches when it is short
+against them.  Level 0 holds all N(N-1) pairs and is not counted at all.  A
+sequence that permutes every Z/p^k (a certified low-discrepancy sequence)
+needs no values: its classes are those of n -> n, and ``lds_pair_count``
+gives the pairs in closed form.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mod, mul
 
+from .discrepancy import STRETCH_RATIO
 from .padic import check_prime
 
 # A radius s = su/sv at alpha = u/v is refused when v times the bits of su and
@@ -99,8 +102,10 @@ def _close_pairs(values, p: int, requests) -> dict[tuple[int, int], int]:
 
     The pairs are the sum of m*(m-1) over class sizes m, that is the sum of
     m^2 minus N.  Per level one residue count grows by the stretch
-    values[upto:N] as N increases, and the sum of squares by
-    2*m*d + d^2 for each class that gains d values.  Level 0 is N(N-1).
+    values[upto:N] as N increases, counted once in one C-level pass; the sum
+    of m^2 is then taken over the level's classes, or over the classes the
+    stretch reaches if they outnumber it more than ``STRETCH_RATIO`` to 1.
+    Level 0 is N(N-1).
     """
     running: dict[int, tuple[Counter, int, int]] = {}  # k -> (counts, upto, sum m^2)
     out = {}
@@ -110,11 +115,16 @@ def _close_pairs(values, p: int, requests) -> dict[tuple[int, int], int]:
             continue
         counts, upto, squares = running.get(k, (Counter(), 0, 0))
         residues = list(map(mod, values[upto:N], repeat(p ** k)))
-        gained = Counter(residues)
-        sizes = gained.values()
-        squares += sum(map(mul, sizes, sizes))
-        squares += 2 * sum(map(mul, map(counts.get, gained, repeat(0)), sizes))
-        counts.update(residues)
+        if len(counts) > STRETCH_RATIO * len(residues):
+            reached = set(residues)
+            before = list(map(counts.get, reached, repeat(0)))
+            counts.update(residues)
+            after = list(map(counts.__getitem__, reached))
+            squares += sum(map(mul, after, after)) - sum(map(mul, before, before))
+        else:
+            counts.update(residues)
+            sizes = counts.values()
+            squares = sum(map(mul, sizes, sizes))
         running[k] = counts, N, squares
         out[N, k] = squares - N
     return out

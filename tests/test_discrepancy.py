@@ -170,11 +170,11 @@ class TestPAdicDiscrepancy:
                 assert res.value == abs(Fraction(count, N) - Fraction(1, 3**k))
 
     def test_out_of_range_value_raises_named_error(self):
-        # levels holding three points, passed as two, put the tail term above
-        # 1; the range check must catch it even under python -O
+        # levels and a multiplicity of three points, passed as two, put the
+        # tail term above 1; the range check must catch it even under python -O
         levels = [_Level(3, [0, 0, 0]), _Level(9, [0, 0, 0])]
         with pytest.raises(InvariantError, match=r"outside \[1/N, 1\]"):
-            _supremum(levels, 2)
+            _supremum(levels, [0, 0], 3, 2, 1, 3)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -320,6 +320,61 @@ class TestPrefixDiscrepancies:
                     assert len(level.counts) == len(counts) - counts.count(0)
                     assert (level.maxc, level.minc, level.nmin) == (
                         max(counts), min(counts), counts.count(min(counts)))
+
+
+class TestBoundedLevelScan:
+    """The ball levels are scanned from k = 1 only as deep as the supremum
+    needs; the scan stops once the deeper terms are bounded by the best one."""
+
+    @staticmethod
+    def samples(p, rng, n=400):
+        yield [p * m + 1 for m in range(1, n + 1)]  # a*n + b with p | a
+        yield [2 * p * m - 7 for m in range(1, n + 1)]  # p | a, negative at first
+        yield [-3 * p * m + 5 for m in range(1, n + 1)]  # negative values
+        yield [m * m - 5 * m for m in range(1, n + 1)]  # x^2 - 5x: f(m) = f(5 - m) repeats
+        yield [rng.randint(-40, 40) for _ in range(n)]  # many repeats: the tail wins
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rows_on_the_bound_match_the_naive_oracle(self, p):
+        # dense, sparse (odd and even N), unsorted with repeats and
+        # long-stretch schedules, up to N = 400
+        rng = random.Random(307 + p)
+        witnesses = set()
+        for values in self.samples(p, rng):
+            n = len(values)
+            naive = {}
+            runs = [(values[:48], None), (values, [n // 2 - 1, n // 2, n - 1, n]),
+                    (values, [n, 37, n // 2, 37, 1, n - 1]), (values, [1, n])]
+            for prefix, lengths in runs:
+                rows = prefix_discrepancy_rows(prefix, p, lengths)
+                for N, num, den, level, residue, depth in rows:
+                    if N not in naive:
+                        naive[N] = naive_padic_discrepancy(values[:N], p)
+                    assert den == N * p ** (depth + 1)
+                    res = DiscrepancyResult(Fraction(num, den), level, residue, depth)
+                    assert res == naive[N], (p, N, values[:3])
+                    witnesses.add(level == WITNESS_TAIL)
+        assert witnesses == {False, True}
+
+    def test_a_decided_level_stops_the_scan(self, monkeypatch):
+        # 2n+1 at p = 2: every value is odd, so level 1's term 1/2 is the
+        # supremum, and at N = 1500 level 2's counts already bound every deeper
+        # term by it (at odd N, level 3's); levels 1 .. k_sep + 1 would be 13
+        built = []
+        init = _Level.__init__
+
+        def counted_init(self, pk, values):
+            built.append(pk)
+            init(self, pk, values)
+
+        monkeypatch.setattr(_Level, "__init__", counted_init)
+        values = [2 * n + 1 for n in range(1, 1501)]
+        for lengths in ([1500], [1499, 1500], None):
+            built.clear()
+            rows = prefix_discrepancy_rows(values, 2, lengths)
+            assert rows[-1] == (1500, 1500 * 2**12, 1500 * 2**13, 1, 0, 12)
+            assert len(built) <= 3, (lengths, built)
+        assert naive_padic_discrepancy(values, 2) == DiscrepancyResult(Fraction(1, 2), 1, 0, 12)
 
 
 class TestIntegerRows:

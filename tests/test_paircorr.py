@@ -128,6 +128,19 @@ class TestPairCount:
             k = rng.randint(0, 4)
             assert pair_count(values, p, k) == pair_count_oracle(values, p, k)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_levels_serving_several_sizes_match_the_double_loop(self, p):
+        # one running count per level serves every size: long stretches (m^2
+        # summed over all classes) and single values into a level with many
+        # classes (summed over the classes they reach), with repeats, level 0
+        # and repeated requests
+        rng = random.Random(149 + p)
+        values = [rng.randint(-60, 60) for _ in range(150)]
+        sizes = [1, 2, 3, 40, 41, 42, 43, 90, 149, 150]
+        requests = [(N, k) for N in sizes for k in range(5)]
+        assert _close_pairs(values, p, requests + requests[::7]) == {
+            (N, k): pair_count_oracle(values[:N], p, k) for N, k in requests}
+
 
 class TestFStatistic:
     def test_identity_sequence_closed_form(self):

@@ -22,7 +22,9 @@ discrepancy and bridge schedules whose ball levels fill, value tables on
 both sides of the size where they turn to finite differences, and JSON
 output the workloads miss: ``bridge`` at a fixed ``--K``, negative
 ``generate`` values, ``classify --p 2`` (null ``unit_reduction``),
-``search`` past degree 2p - 1 and a document written with ``--out -``), through
+``search`` past degree 2p - 1 and a document written with ``--out -``), inputs
+on the bound of the discrepancy engine's level scan (a*n + b with p | a, and
+values that repeat) and a paircorr schedule whose radii share levels, through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  A
 last line digests the ``--help`` text of the top parser and of each
@@ -216,6 +218,16 @@ EXTRA = [
     ["classify", "--p", "2", "--format", "json", "--", "x^2+x"],
     ["search", "--p", "3", "--degree", "7", "--monic", "--format", "json"],
     ["discrepancy", "--p", "5", "--N", "1..25", "--format", "json", "--out", "-", "--", "x^2+x"],
+    # inputs on the bound where the discrepancy engine stops its level scan:
+    # a*n + b with p | a at odd and even N and on a dense schedule, and a
+    # sparse schedule over x^2 - 5x, whose values repeat, so the tail wins at
+    # small N; and a paircorr schedule whose radii share levels, consecutive
+    # sizes adding one value to a level with many classes
+    ["discrepancy", "--p", "2", "--linear", "2", "1", "--N", "1499,1500"],
+    ["discrepancy", "--p", "3", "--linear", "3", "1", "--N", "1..200"],
+    ["discrepancy", "--p", "5", "--N", "4,2,600,4,1500", "--", "x^2-5*x"],
+    ["paircorr", "--p", "2", "--N", "4,5,300,301,302,1200", "--alpha", "1", "--s", "1,3/2,2,1/3",
+     "--", "x^2-5*x"],
 ]
 
 HELP = [["--help"], *([command, "--help"] for command in (
