@@ -18,7 +18,6 @@ from .padic import (
 from .polynomials import (
     IntPolynomial,
     PolyParseError,
-    affine_compose,
     derivative,
     eval_mod,
     parse_poly,

@@ -1,13 +1,14 @@
 """Machine-readable catalog of the small-degree permutation-polynomial tables.
 
-Each catalog row is a parametrized family together with the prime (or prime
-congruence class) where it applies, the admissibility predicate on the
-parameter, and the expected derivative-root behavior.  Rows written with a
-``+-`` in source notation are expanded into explicit sign variants; for rows
-carrying two signs the variants where both signs agree are the asserted ones
-(the crossed variants are generated and verified anyway, and their outcomes
-are reported rather than suppressed, since the source notation does not
-disambiguate the coupling).
+Each catalog row is a parametrized family, written once as its formula in x
+and a, together with the prime (or prime congruence class) where it applies,
+the admissibility predicate on the parameter, and the expected derivative-root
+behavior.  Rows written with a ``+-`` where the source has a sign choice are
+expanded into explicit sign variants; for rows carrying two signs the
+variants where both signs agree are the asserted ones (the crossed variants
+are generated and verified anyway, and their outcomes are reported rather
+than suppressed, since the source notation does not disambiguate the
+coupling).
 
 The module also provides the exhaustive small-degree search that reproduces
 the table contents from scratch, and the diff that partitions search hits
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import ne
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .padic import InvariantError, check_prime
 from .permcheck import (_check_enumeration, _count_candidates, classify_low_discrepancy,
@@ -35,8 +36,6 @@ PRED_NONZERO = "nonzero"
 PRED_SQUARE = "square"
 PRED_NONE = "none"
 
-PRIME_FAMILY_5M2 = "5m+-2"
-
 # Finite sample of the "p congruent to +-2 mod 5" prime class used wherever a
 # concrete prime list is needed; exhausting the class is impossible.
 FAMILY_5M2_SAMPLE_PRIMES = (2, 3, 7, 13, 17, 23)
@@ -45,32 +44,74 @@ FAMILY_5M2_SAMPLE_PRIMES = (2, 3, 7, 13, 17, 23)
 class DicksonEntry(NamedTuple):
     """One expanded catalog row.
 
-    ``build(a, p)`` instantiates the family at parameter a (ignored when the
-    predicate is "none") with coefficients reduced mod p.  ``asserted`` is
-    False for the crossed sign variants of two-sign rows: they are verified
-    and reported but the catalog makes no claim about them.
+    ``name`` is the row's formula in x and a, and ``build(a, p)`` instantiates
+    it at parameter a (ignored when the predicate is "none") with coefficients
+    reduced mod p.  ``asserted`` is False for the crossed sign variants of
+    two-sign rows: they are verified and reported but the catalog makes no
+    claim about them.
     """
 
     name: str
     source_table: int
     prime_spec: int | str
     parameter_predicate: str
-    build: Callable[[int, int], IntPolynomial]
     expected_derivative_roots: frozenset[int] | None = None
     derivative_root_exists: bool | None = None
     sign_variant: str | None = None
     asserted: bool = True
 
     def matches_prime(self, p: int) -> bool:
-        if isinstance(self.prime_spec, int):
-            return p == self.prime_spec
-        return p != 5 and p % 5 in (2, 3)
+        return p == self.prime_spec if isinstance(self.prime_spec, int) else p % 5 in (2, 3)
+
+    def build(self, a: int, p: int) -> IntPolynomial:
+        if not self.matches_prime(p):
+            raise ValueError(f"prime {p} incompatible with entry {self.name!r}")
+        terms = _terms_mod(self.name, p)
+        coeffs = [0] * (terms[0][0] + 1)
+        for e, c, k in terms:
+            coeffs[e] = c * a ** k % p
+        return IntPolynomial(coeffs)
 
     def as_dict(self) -> dict:
-        out = {k: v for k, v in self._asdict().items() if k != "build"}
+        out = self._asdict()
         if self.expected_derivative_roots is not None:
             out["expected_derivative_roots"] = sorted(self.expected_derivative_roots)
         return out
+
+
+@functools.cache
+def _terms(formula: str) -> tuple:
+    """(e, c, d, k) for each term c/d * a^k * x^e of a formula such as
+    ``x^5 + a*x^3 + 5^-1*a^2*x``.
+
+    Terms are apart by " + " or " - ", in falling powers of x, each a product
+    of integers, a and x, each to an optional integer power.  Anything else,
+    such as a negative power of a or x, raises ValueError.
+    """
+    terms = []
+    for term in formula.replace(" - ", " + -1*").split(" + "):
+        c, d, power = 1, 1, {"a": 0, "x": 0}
+        for factor in term.split("*"):
+            base, _, n = factor.partition("^")
+            n = int(n or 1)
+            if base in power:
+                power[base] += n
+            elif n < 0:
+                d *= int(base) ** -n
+            else:
+                c *= int(base) ** n
+        k, e = power.values()
+        if min(k, e) < 0 or terms and e >= terms[-1][0]:
+            raise ValueError(f"unreadable catalog formula {formula!r}")
+        terms.append((e, c, d, k))
+    return tuple(terms)
+
+
+@functools.cache
+def _terms_mod(formula: str, p: int) -> tuple:
+    """(e, c/d mod p, k) for each term c/d * a^k * x^e of a formula: one
+    reduction per prime, so that a build is a multiplication per term."""
+    return tuple((e, c * pow(d, -1, p) % p, k) for e, c, d, k in _terms(formula))
 
 
 def admissible_parameters(predicate: str, p: int) -> list[int]:
@@ -92,137 +133,40 @@ def admissible_parameters(predicate: str, p: int) -> list[int]:
     raise ValueError(f"unknown parameter predicate {predicate!r}")
 
 
-def _sgn(s: int) -> str:
-    return "+" if s > 0 else "-"
-
-
-def _entries_table2() -> list[DicksonEntry]:
-    row = functools.partial(DicksonEntry, source_table=2)
-    rows: list[DicksonEntry] = []
-    rows.append(
-        row(
-            name="x^3 - a*x",
-            prime_spec=3,
-            parameter_predicate=PRED_NONSQUARE,
-            build=lambda a, p: IntPolynomial([0, -a % p, 0, 1]),
-        )
-    )
-    for s in (1, -1):
-        rows.append(
-            row(
-                name=f"x^4 {_sgn(s)} 3*x",
-                prime_spec=7,
-                parameter_predicate=PRED_NONE,
-                build=lambda a, p, s=s: IntPolynomial([0, s * 3 % p, 0, 0, 1]),
-                expected_derivative_roots=frozenset({1, 2, 4} if s > 0 else {3, 5, 6}),
-                sign_variant=_sgn(s),
-            )
-        )
-    rows.append(
-        row(
-            name="x^5 - a*x",
-            prime_spec=5,
-            parameter_predicate=PRED_NOT_FOURTH_POWER,
-            build=lambda a, p: IntPolynomial([0, -a % p, 0, 0, 0, 1]),
-        )
-    )
-    for s in (1, -1):
-        rows.append(
-            row(
-                name=f"x^5 + a*x^3 {_sgn(s)} x^2 + 3*a^2*x",
-                prime_spec=7,
-                parameter_predicate=PRED_NONSQUARE,
-                build=lambda a, p, s=s: IntPolynomial(
-                    [0, 3 * a * a % p, s % p, a % p, 0, 1]
-                ),
-                derivative_root_exists=True,
-                sign_variant=_sgn(s),
-            )
-        )
-
-    def build_inverse5(a: int, p: int) -> IntPolynomial:
-        if p == 5 or p % 5 not in (2, 3):
-            raise ValueError(f"prime {p} incompatible with the 5m+-2 family")
-        inv5 = pow(5, -1, p)
-        return IntPolynomial([0, inv5 * a * a % p, 0, a % p, 0, 1])
-
-    rows.append(
-        row(
-            name="x^5 + a*x^3 + 5^-1*a^2*x",
-            prime_spec=PRIME_FAMILY_5M2,
-            parameter_predicate=PRED_NONZERO,
-            build=build_inverse5,
-        )
-    )
-    rows.append(
-        row(
-            name="x^5 + a*x^3 + 3*a^2*x",
-            prime_spec=13,
-            parameter_predicate=PRED_NONSQUARE,
-            build=lambda a, p: IntPolynomial([0, 3 * a * a % p, 0, a % p, 0, 1]),
-            derivative_root_exists=True,
-        )
-    )
-    rows.append(
-        row(
-            name="x^5 + 2*a*x^3 + a^2*x",
-            prime_spec=5,
-            parameter_predicate=PRED_NONSQUARE,
-            build=lambda a, p: IntPolynomial([0, a * a % p, 0, 2 * a % p, 0, 1]),
-            derivative_root_exists=False,
-        )
-    )
-    for coef in (2, 4):
-        for s in (1, -1):
-            rows.append(
-                row(
-                    name=f"x^6 {_sgn(s)} {coef}*x",
-                    prime_spec=11,
-                    parameter_predicate=PRED_NONE,
-                    build=lambda a, p, s=s, coef=coef: IntPolynomial(
-                        [0, s * coef % p, 0, 0, 0, 0, 1]
-                    ),
-                    expected_derivative_roots=frozenset(),
-                    sign_variant=_sgn(s),
-                )
-            )
-    for c3, c1, predicate in ((1, 5, PRED_SQUARE), (4, 4, PRED_NONSQUARE)):
-        cube = "a^2*x^3" if c3 == 1 else f"{c3}*a^2*x^3"
-        for s1, s2 in itertools.product((1, -1), repeat=2):
-            joint = s1 == s2
-            rows.append(
-                row(
-                    name=f"x^6 {_sgn(s1)} {cube} + a*x^2 {_sgn(s2)} {c1}*x",
-                    prime_spec=11,
-                    parameter_predicate=predicate,
-                    build=lambda a, p, s1=s1, s2=s2, c3=c3, c1=c1: IntPolynomial(
-                        [0, s2 * c1 % p, a % p, s1 * c3 * a * a % p, 0, 0, 1]
-                    ),
-                    derivative_root_exists=True if joint else None,
-                    sign_variant=f"{_sgn(s1)}{_sgn(s2)}",
-                    asserted=joint,
-                )
-            )
-    return rows
-
-
-# Table 1 (the low-discrepancy generators) is these Table 2 rows, in order.
-_TABLE1_NAMES = (
-    "x^5 + 2*a*x^3 + a^2*x",
-    "x^6 + 2*x",
-    "x^6 - 2*x",
-    "x^6 + 4*x",
-    "x^6 - 4*x",
-    "x^5 + a*x^3 + 5^-1*a^2*x",
+# Table 2, one line per source row: its formula in x and a, with +- where the
+# source has a sign choice, its prime (or prime class), its parameter
+# predicate, and its derivative-root claim: whether a root exists, or the
+# root set of each sign variant.
+_TABLE2 = (
+    ("x^3 - a*x", 3, PRED_NONSQUARE, None),
+    ("x^4 +- 3*x", 7, PRED_NONE, ({1, 2, 4}, {3, 5, 6})),
+    ("x^5 - a*x", 5, PRED_NOT_FOURTH_POWER, None),
+    ("x^5 + a*x^3 +- x^2 + 3*a^2*x", 7, PRED_NONSQUARE, True),
+    ("x^5 + a*x^3 + 5^-1*a^2*x", "5m+-2", PRED_NONZERO, None),
+    ("x^5 + a*x^3 + 3*a^2*x", 13, PRED_NONSQUARE, True),
+    ("x^5 + 2*a*x^3 + a^2*x", 5, PRED_NONSQUARE, False),
+    ("x^6 +- 2*x", 11, PRED_NONE, ((), ())),
+    ("x^6 +- 4*x", 11, PRED_NONE, ((), ())),
+    ("x^6 +- a^2*x^3 + a*x^2 +- 5*x", 11, PRED_SQUARE, True),
+    ("x^6 +- 4*a^2*x^3 + a*x^2 +- 4*x", 11, PRED_NONSQUARE, True),
 )
 
 
 @functools.cache
 def dickson_entries() -> tuple[DicksonEntry, ...]:
     """All expanded catalog rows (both source tables)."""
-    table2 = _entries_table2()
-    by_name = {e.name: e for e in table2}
-    return tuple(table2 + [by_name[n]._replace(source_table=1) for n in _TABLE1_NAMES])
+    table2 = [DicksonEntry(formula.replace("+-", "%s") % signs, 2, prime, predicate,
+                           frozenset(claim[i]) if isinstance(claim, tuple) else None,
+                           claim if asserted and isinstance(claim, bool) else None,
+                           "".join(signs) or None, asserted)
+              for formula, prime, predicate, claim in _TABLE2
+              for i, signs in enumerate(itertools.product("+-", repeat=formula.count("+-")))
+              for asserted in [len(set(signs)) < 2]]
+    for entry in table2:
+        _terms(entry.name)  # read once, here: a bad row fails at load, and no build parses
+    # Table 1 (the low-discrepancy generators) is x^5 + 2*a*x^3 + a^2*x, x^6 +- 2*x,
+    # x^6 +- 4*x and x^5 + a*x^3 + 5^-1*a^2*x of Table 2, in that order.
+    return tuple(table2 + [e._replace(source_table=1) for e in table2[8:13] + table2[6:7]])
 
 
 # --------------------------------------------------------------------------
@@ -273,9 +217,7 @@ def verify_entry(entry: DicksonEntry, p: int) -> EntryVerification:
         label = f"{entry.name} @ p={p}, a={a}"
         if not perm:
             sink.append(f"{label}: not a permutation mod {p}")
-        if entry.expected_derivative_roots is not None and set(roots) != set(
-            entry.expected_derivative_roots
-        ):
+        if entry.expected_derivative_roots not in (None, set(roots)):
             sink.append(
                 f"{label}: derivative roots {sorted(roots)} != expected "
                 f"{sorted(entry.expected_derivative_roots)}"
@@ -290,9 +232,7 @@ def verify_entry(entry: DicksonEntry, p: int) -> EntryVerification:
 
 
 def verification_primes(entry: DicksonEntry) -> tuple[int, ...]:
-    if isinstance(entry.prime_spec, int):
-        return (entry.prime_spec,)
-    return FAMILY_5M2_SAMPLE_PRIMES
+    return (entry.prime_spec,) if isinstance(entry.prime_spec, int) else FAMILY_5M2_SAMPLE_PRIMES
 
 
 # --------------------------------------------------------------------------

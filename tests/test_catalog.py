@@ -8,6 +8,7 @@ import pytest
 from padiclds import catalog
 from padiclds.catalog import (
     FAMILY_5M2_SAMPLE_PRIMES,
+    DicksonEntry,
     MatchReport,
     SearchConstraints,
     admissible_parameters,
@@ -22,11 +23,11 @@ from padiclds.catalog import (
 from padiclds.permcheck import classify_low_discrepancy, is_permutation_mod
 from padiclds.polynomials import (
     IntPolynomial,
-    affine_compose,
     derivative,
     eval_mod,
     parse_poly,
 )
+from affine_oracle import affine_compose
 
 
 def entry_by_name(name, table):
@@ -65,6 +66,22 @@ class TestEntries:
             inv5.build(1, 5)
         with pytest.raises(ValueError, match="incompatible"):
             inv5.build(1, 11)
+
+    def test_every_build_refuses_a_prime_it_does_not_match(self):
+        refused = set()
+        for entry in dickson_entries():
+            for q in (2, 3, 5, 7, 11, 13):
+                if not entry.matches_prime(q):
+                    with pytest.raises(ValueError, match="incompatible"):
+                        entry.build(1, q)
+                    refused.add((entry.name, entry.source_table))
+        assert len(refused) == len(dickson_entries()) == 27
+
+    def test_formula_reader_refuses_what_it_cannot_read_whole(self):
+        for formula in ("x^5 + b*x", "x^5 +", "x^4 +- 3*x", "x^3 - a*y", "x + x^2",
+                        "x^2 + 3*x^2", "x^2 + x^-1", "a^-1*x", ""):
+            with pytest.raises(ValueError):
+                DicksonEntry(formula, 2, 3, "none").build(1, 3)
 
     def test_admissible_parameters(self):
         assert admissible_parameters("nonsquare", 5) == [2, 3]

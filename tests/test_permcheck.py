@@ -22,7 +22,6 @@ from padiclds.permcheck import (
 )
 from padiclds.polynomials import (
     IntPolynomial,
-    affine_compose,
     derivative,
     eval_mod,
     parse_poly,
@@ -30,6 +29,7 @@ from padiclds.polynomials import (
     unit_value_poly,
 )
 from padiclds.sequence import poly_sequence
+from affine_oracle import affine_compose
 
 
 def perm_oracle(f, m):

@@ -14,7 +14,6 @@ from padiclds.polynomials import (
     _roots_mod,
     _values,
     PolyParseError,
-    affine_compose,
     derivative,
     eval_mod,
     parse_poly,
@@ -22,6 +21,7 @@ from padiclds.polynomials import (
     render,
     unit_value_poly,
 )
+from affine_oracle import affine_compose
 
 
 def random_poly(rng, max_degree=8, bound=20):

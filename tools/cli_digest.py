@@ -12,7 +12,8 @@ discrepancy, paircorr and generate schedules, digit and digit-reversal output
 of negative values, integer ``--linear`` sequences, unsorted, long, dense
 and negative-valued bridge schedules, the catalog dump of each
 ``verify-tables --which`` selection (and of ``lds`` under ``--format json``
-and ``--format csv``, which is refused), two ``verify-tables`` calls refused at
+and ``--format csv``, which is refused), each selection at each catalog prime
+(2, 3, 5, 7, 11, 13, 17 and 23), two ``verify-tables`` calls refused at
 classify's enumeration cap (``--which dickson --p 3163`` and ``--which
 derivatives --p 9973``), and the closed-form ``discrepancy`` and
 ``paircorr`` rows of certified low-discrepancy inputs at their boundaries, beside the inputs that still take the value engines, and
@@ -124,6 +125,9 @@ EXTRA = [
     *(["verify-tables", "--which", which, "--dump"] for which in ("dickson", "derivatives", "lds")),
     # --dump writes JSON: with --format json too, and refused with --format csv
     *(["verify-tables", "--which", "lds", "--dump", "--format", fmt] for fmt in ("csv", "json")),
+    # every row built at every catalog prime, its own or not
+    *(["verify-tables", "--which", which, "--p", str(q)]
+      for which in ("dickson", "derivatives", "lds") for q in (2, 3, 5, 7, 11, 13, 17, 23)),
     # primes whose p^2 passes the enumeration cap, refused before any row
     ["verify-tables", "--which", "dickson", "--p", "3163"],
     ["verify-tables", "--which", "derivatives", "--p", "9973"],
