@@ -46,7 +46,8 @@ class DicksonEntry(NamedTuple):
 
     ``name`` is the row's formula in x and a, and ``build(a, p)`` instantiates
     it at parameter a (ignored when the predicate is "none") with coefficients
-    reduced mod p.  ``asserted`` is False for the crossed sign variants of
+    reduced mod p, refusing a p that is not prime or that the row does not
+    match.  ``asserted`` is False for the crossed sign variants of
     two-sign rows: they are verified and reported but the catalog makes no
     claim about them.
     """
@@ -64,6 +65,7 @@ class DicksonEntry(NamedTuple):
         return p == self.prime_spec if isinstance(self.prime_spec, int) else p % 5 in (2, 3)
 
     def build(self, a: int, p: int) -> IntPolynomial:
+        check_prime(p)
         if not self.matches_prime(p):
             raise ValueError(f"prime {p} incompatible with entry {self.name!r}")
         terms = _terms_mod(self.name, p)
@@ -298,8 +300,13 @@ def exhaustive_search(
     that meet the flags.  monic fixes u to the inverse of h's lead;
     nonzero_linear filters nothing, since a_1 = f'(0) = A_1 - B_0 is never 0
     in a hit, so it does not shrink the count checked against the cap
-    either.  Every image is confirmed by brute force mod p^2.  Output is in
-    (degree, coefficient tuple) order.
+    either.  Output is in (degree, coefficient tuple) order.
+
+    The hits are confirmed by brute force mod p^2, independently of the rule
+    that built them.  Without zero_constant every non-constant part comes
+    with all p constant terms, and f + v permutes Z/p^2 iff f does, since
+    adding v is a bijection of Z/p^2.  So each non-constant part is
+    enumerated once, as its zero-constant hit, in output order.
     """
     check_prime(p)
     _check_enumeration(p * p, "p^2")
@@ -342,7 +349,7 @@ def exhaustive_search(
     hits.sort(key=lambda t: (len(t), t))
     found = [IntPolynomial(t) for t in hits]
     for f in found:
-        if not is_permutation_mod(f, p * p):
+        if not f.coeffs[0] and not is_permutation_mod(f, p * p):
             raise InvariantError(
                 f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
             )
@@ -384,17 +391,20 @@ class MatchReport(NamedTuple):
 
 def table1_instances(p: int) -> list[IntPolynomial]:
     """Concrete Table-1 polynomials applicable at p, coefficients in [0, p)."""
-    out = []
-    seen = set()
+    return list(_table1_instances(p))
+
+
+@functools.cache
+def _table1_instances(p: int) -> tuple[IntPolynomial, ...]:
+    """table1_instances(p), built once per prime: the first build of each
+    distinct polynomial, in row and parameter order."""
+    out = {}
     for entry in dickson_entries():
-        if entry.source_table != 1 or not entry.matches_prime(p):
-            continue
-        for a in admissible_parameters(entry.parameter_predicate, p):
-            f = entry.build(a, p)
-            if f.coeffs not in seen:
-                seen.add(f.coeffs)
-                out.append(f)
-    return out
+        if entry.source_table == 1 and entry.matches_prime(p):
+            for a in admissible_parameters(entry.parameter_predicate, p):
+                f = entry.build(a, p)
+                out.setdefault(f.coeffs, f)
+    return tuple(out.values())
 
 
 def prop_family_instances(p: int) -> list[IntPolynomial]:
@@ -447,7 +457,7 @@ def match_against_table(found: list[IntPolynomial], p: int) -> MatchReport:
     monic with a family-member canon, else affine; otherwise unexplained.
     """
     check_prime(p)
-    t1 = table1_instances(p)
+    t1 = _table1_instances(p)
     literal_t1 = {f.coeffs for f in t1}
     reduced = [IntPolynomial(c % p for c in f.coeffs) for f in found]
     degrees = {g.degree for g in reduced}

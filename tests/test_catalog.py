@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -76,6 +77,14 @@ class TestEntries:
                         entry.build(1, q)
                     refused.add((entry.name, entry.source_table))
         assert len(refused) == len(dickson_entries()) == 27
+
+    @pytest.mark.parametrize("n", [12, 10])
+    def test_build_refuses_a_composite_modulus(self, n):
+        # 12 % 5 == 2 would pass the 5m+-2 row's own test, and 10 would fail it
+        # as "incompatible"; a composite is refused as one before either
+        for entry in dickson_entries():
+            with pytest.raises(ValueError, match=f"^p must be prime, got {n}$"):
+                entry.build(1, n)
 
     def test_formula_reader_refuses_what_it_cannot_read_whole(self):
         for formula in ("x^5 + b*x", "x^5 +", "x^4 +- 3*x", "x^3 - a*y", "x + x^2",
@@ -249,6 +258,44 @@ class TestExhaustiveSearch:
         with pytest.raises(InvariantError, match=r"disagrees with enumeration for x mod 3$"):
             exhaustive_search(3, 1)
 
+    @pytest.mark.parametrize("flags", [(), ("nonzero_linear",), ("zero_constant",)],
+                             ids=lambda flags: "-".join(flags) or "unflagged")
+    @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 5)])
+    def test_confirms_each_non_constant_part_once_mod_p2(self, monkeypatch, p, max_degree,
+                                                         flags):
+        # f + v permutes Z/p^2 iff f does: one enumeration per non-constant
+        # part, of its zero-constant polynomial, in output order
+        calls = []
+        check = catalog.is_permutation_mod
+        monkeypatch.setattr(catalog, "is_permutation_mod",
+                            lambda f, m: calls.append((f.coeffs, m)) or check(f, m))
+        found = exhaustive_search(p, max_degree, SearchConstraints(**dict.fromkeys(flags, True)))
+        bodies = dict.fromkeys(f.coeffs[1:] for f in found)
+        assert calls == [((0, *body), p * p) for body in bodies]
+        assert len(found) == len(calls) * (1 if "zero_constant" in flags else p)
+
+    @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)),
+                             ids=lambda flags: "flags" + "".join(str(int(b)) for b in flags))
+    @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 6), (5, 5)])
+    def test_every_translated_hit_comes_with_its_constant_class(self, p, max_degree, flags):
+        # the premise of confirming a class once: a hit f + v with v != 0 is
+        # only ever output beside f + u for every u mod p, f's among them
+        coeffs = {f.coeffs for f in exhaustive_search(p, max_degree, SearchConstraints(*flags))}
+        for c in coeffs:
+            if c[0]:
+                assert {(v, *c[1:]) for v in range(p)} <= coeffs, c
+
+    def test_failed_confirmation_of_a_later_part_names_its_zero_constant_hit(self,
+                                                                             monkeypatch):
+        from padiclds.padic import InvariantError
+
+        bodies = list(dict.fromkeys(f.coeffs[1:] for f in exhaustive_search(3, 4)))
+        body = bodies[len(bodies) // 2]
+        monkeypatch.setattr(catalog, "is_permutation_mod", lambda f, m: f.coeffs[1:] != body)
+        message = f"disagrees with enumeration for {IntPolynomial((0, *body))} mod 3"
+        with pytest.raises(InvariantError, match=re.escape(message) + "$"):
+            exhaustive_search(3, 4)
+
     def test_p3_degree3_contains_the_classics(self):
         found = exhaustive_search(3, 3, SearchConstraints(monic=True, zero_constant=True))
         coeffs = {f.coeffs for f in found}
@@ -367,6 +414,19 @@ class TestExhaustiveSearch:
 
 
 class TestMatchAgainstTable:
+    def test_table1_rows_are_built_once_per_prime(self, monkeypatch):
+        builds = []
+        build = DicksonEntry.build
+        monkeypatch.setattr(DicksonEntry, "build",
+                            lambda self, a, p: builds.append((self.name, a, p)) or build(self, a, p))
+        found = exhaustive_search(7, 5, SearchConstraints(monic=True, zero_constant=True))
+        first = match_against_table(found, 7)
+        builds.clear()
+        assert match_against_table(found, 7) == first
+        assert builds == []
+        # each call of table1_instances is a fresh list
+        assert table1_instances(7) is not table1_instances(7)
+
     def test_p5_partition(self):
         found = exhaustive_search(5, 5, SearchConstraints(monic=True, zero_constant=True))
         report = match_against_table(found, 5)

@@ -2,11 +2,11 @@
 
 Runs every job of the four benchmark workloads (``perfbench/jobs.py``) at the
 given seeds, plus a fixed list of extra invocations (the heavy degree-5 and -6
-searches, three past degree 2p - 2 whose hits have a nonzero (x^p - x)B or
+searches, four past degree p whose hits have a nonzero (x^p - x)B or
 (x^p - x)^2 C part (``search --p 5 --degree 9 --monic --zero-constant``,
-``search --p 3 --degree 8`` and ``search --p 2 --degree 9
---nonzero-linear``), error paths, rationals and integer literals too long
-to convert or quote, malformed inputs too long to echo, six large-p, three
+``search --p 3 --degree 8``, ``search --p 2 --degree 9 --nonzero-linear``
+and ``search --p 7 --degree 7``, whose constant terms are free), error
+paths, rationals and integer literals too long to convert or quote, malformed inputs too long to echo, six large-p, three
 high-degree and two root-free non-permutation classify calls, long and dense
 discrepancy, paircorr and generate schedules, digit and digit-reversal output
 of negative values, integer ``--linear`` sequences, unsorted, long, dense
@@ -64,6 +64,8 @@ EXTRA = [
     ["search", "--p", "5", "--degree", "9", "--monic", "--zero-constant"],
     ["search", "--p", "3", "--degree", "8"],
     ["search", "--p", "2", "--degree", "9", "--nonzero-linear"],
+    # and past degree p with every constant term: p translates of each part
+    ["search", "--p", "7", "--degree", "7"],
     ["generate", "--p", "3", "--n", "4", "--K", "0", "--mode", "digits", "--", "x"],
     ["bridge", "--p", "3", "--N", "5", "--K", "0", "--", "x"],
     ["discrepancy", "--p", "1048577", "--N", "3", "--", "x"],
