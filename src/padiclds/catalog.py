@@ -459,7 +459,9 @@ def match_against_table(found: list[IntPolynomial], p: int) -> MatchReport:
     check_prime(p)
     t1 = _table1_instances(p)
     literal_t1 = {f.coeffs for f in t1}
-    reduced = [IntPolynomial(c % p for c in f.coeffs) for f in found]
+    # search hits come reduced; only other input is copied mod p
+    reduced = [f if all(0 <= c < p for c in f.coeffs) else IntPolynomial(c % p for c in f.coeffs)
+               for f in found]
     degrees = {g.degree for g in reduced}
     # u*t(cx+d)+v == uc*x^p + uac*x + const (mod p) for a family member t, so every
     # image of t has canon t; unit multipliers keep the degree, so skip other rows.

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -559,9 +559,46 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _plain_args(parser, argv):
+    """``parser.parse_args(argv)`` for argv of the plain shape, read off the
+    parser's own actions: a subcommand, then whole option strings of that
+    subcommand, each at most once and with exactly its nargs values, none
+    starting with "-", every required one present, and at most one positional,
+    bare or as the one token after a final "--".  argparse's ``_get_values``
+    converts and checks each value, and each action stores its own.  None for
+    any other argv (help, "--opt=value", abbreviations, negative values,
+    repeats, a value argparse refuses), which argparse then parses.
+    """
+    sub = parser._subparsers._group_actions[0]
+    try:  # LookupError: no subcommand, an unknown one, or a required action missing
+        sp, given, tokens = sub.choices[argv[0]], {}, iter(argv[1:])
+        for token in tokens:
+            action = sp._option_string_actions.get(token)  # None: the positional
+            n = 1 if action is None or action.nargs is None else action.nargs
+            # "--" takes every token left, which must be just one
+            strings = ([*tokens] if token == "--" else [token] if action is None
+                       else [*islice(tokens, n)])
+            # no value may start with "-", nor the positional after "--" with "--"
+            if action in given or len(strings) != n or any(
+                    s.startswith("--" if token == "--" else "-") for s in strings):
+                return None
+            given[action] = strings
+        args = argparse.Namespace(**{sub.dest: argv[0]}, **sp._defaults)
+        for action in sp._actions[1:]:  # [0] is help: left in given, it is refused
+            key = action.option_strings and action or None
+            if action.required or key in given:
+                action(sp, args, sp._get_values(action, given.pop(key)))
+            else:
+                setattr(args, action.dest, action.default)
+    except (LookupError, argparse.ArgumentError):
+        return None
+    return None if given else args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(parser, argv) or parser.parse_args(argv)
     try:
         if getattr(args, "p", None) is not None:
             check_prime(args.p)

@@ -427,6 +427,28 @@ class TestMatchAgainstTable:
         # each call of table1_instances is a fresh list
         assert table1_instances(7) is not table1_instances(7)
 
+    @pytest.mark.parametrize("p,degree", [(5, 6), (7, 5)])
+    def test_only_unreduced_hits_are_copied_mod_p(self, monkeypatch, p, degree):
+        found = exhaustive_search(p, degree, SearchConstraints(monic=True, zero_constant=True))
+        category = match_against_table(found, p).category_of()
+        # each hit with its lead, and its x coefficient, raised by p: a lead of
+        # p + 1 and a coefficient such as p + 1
+        raised = [IntPolynomial((*f.coeffs[:k], f.coeffs[k] + p, *f.coeffs[k + 1:]))
+                  for f in found for k in (f.degree, 1)]
+        builds = []
+        monkeypatch.setattr(catalog, "IntPolynomial",
+                            lambda coeffs=(): builds.append(coeffs) or IntPolynomial(coeffs))
+        counts = []
+        for hits in ([], found, raised):
+            builds.clear()
+            report = match_against_table(hits, p)
+            counts.append(len(builds))
+        # no copy of a reduced hit; one of each raised one
+        assert counts == [counts[0], counts[0], counts[0] + len(raised)]
+        assert report.category_of() == {
+            g.coeffs: category[f.coeffs] for f, g in zip(
+                (f for f in found for _ in (0, 1)), raised)}
+
     def test_p5_partition(self):
         found = exhaustive_search(5, 5, SearchConstraints(monic=True, zero_constant=True))
         report = match_against_table(found, 5)

@@ -714,6 +714,15 @@ class TestOutputPlumbing:
         capsys.readouterr()
         assert run_cli(capsys, *argv) == before
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--p", "5", "--", "x^3+x"],  # the table path
+        ["classify", "--p=5", "--", "x^3+x"],     # argparse
+    ])
+    def test_argv_may_be_any_iterable(self, capsys, argv):
+        expected = run_cli(capsys, *argv)
+        assert main(tuple(argv)) == main(iter(argv)) == expected[0] == 0
+        assert capsys.readouterr().out == expected[1] * 2
+
     def test_json_format_rows(self, capsys):
         code, out, _ = run_cli(capsys, "discrepancy", "--p", "3", "x", "--N", "2",
                                "--format", "json")

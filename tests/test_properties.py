@@ -5,8 +5,9 @@ enumeration mod p^2, the discrepancy at N = p^2 + 1 and the normal-form rule
 for A + (x^p - x)B, and the pair-correlation level walk against a fresh
 loop per size; and ``classify``, ``discrepancy``, ``paircorr``,
 ``generate``, ``bridge``, ``search`` and ``verify-tables`` on arbitrary
-arguments, which must end in an exit code, never a traceback; and the JSON
-writer against ``json.dumps(..., indent=2)``.
+arguments, which must end in an exit code, never a traceback; the CLI's
+table path against argparse on argv built around each subcommand's options;
+and the JSON writer against ``json.dumps(..., indent=2)``.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -377,6 +378,82 @@ def test_search_ends_in_an_exit_code(p_degree, flags, fmt):
 def test_verify_tables_ends_in_an_exit_code(which, p, dump, fmt):
     argv = ["verify-tables", f"--which={which}", f"--format={fmt}"]
     assert_one_outcome(argv + ([] if p is None else [f"--p={p}"]) + (["--dump"] if dump else []))
+
+
+# argv built around each subcommand's own options: a call that argparse accepts
+# (required options, some optional ones and maybe a positional, in any order),
+# then up to three changes: an option dropped, repeated, given too few or too
+# many values, spelled --opt=value or abbreviated; a value replaced by a bad
+# choice, a non-integer, an integer of 4,301 digits (the interpreter converts
+# at most 4,300) or a token starting with "-"; help, a stray "--" or a second
+# positional inserted anywhere; a trailing "--"
+SUBPARSERS = cli.build_parser()._subparsers._group_actions[0].choices
+dashed = ("-", "-2", "-x", "--", "-h", "--help", "--p", "--format")
+bad_values = st.sampled_from(("xml", "x", "3.5", "1" * 4301) + dashed)
+positionals = st.sampled_from(("x", "x^3+x", "-x^2+1", "-x", "", "--p", "-h", "--"))
+
+
+def valid_values(action):
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.type is cli._int:
+        return st.one_of(st.integers(0, 40).map(str), st.just("1" * 4300))
+    return st.sampled_from(("x^3+x", "1..9", "1/2", "out.csv", "", " 7"))
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    sp = SUBPARSERS[name]
+    chunks = []
+    for action in draw(st.permutations(sp._actions[1:])):
+        n = 1 if action.nargs in (None, "?") else action.nargs
+        if action.required or draw(st.booleans()):
+            values = draw(st.lists(valid_values(action), min_size=n, max_size=n))
+            chunks.append([*action.option_strings[:1], *values] if action.option_strings
+                          else ["--", draw(positionals)])
+    chunks.sort(key=lambda chunk: chunk[0] == "--")  # a positional comes last
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+        i = draw(st.integers(0, len(chunks)))
+        chunk = chunks[i] if i < len(chunks) else []
+        change = draw(st.integers(0, 8))
+        if change == 0 and chunk:
+            del chunks[i]
+        elif change == 1:
+            chunks.insert(i, list(chunk))
+        elif change == 2 and chunk:
+            chunk.pop()
+        elif change == 3:
+            chunk.append(draw(valid_values(sp._actions[-1])))
+        elif change == 4 and len(chunk) > 1:
+            chunk[draw(st.integers(1, len(chunk) - 1))] = draw(bad_values)
+        elif change == 5 and len(chunk) > 1:
+            chunk[:2] = [f"{chunk[0]}={chunk[1]}"]
+        elif change == 6 and chunk and len(chunk[0]) > 3:
+            chunk[0] = chunk[0][:draw(st.integers(3, len(chunk[0]) - 1))]
+        else:
+            chunks.insert(i, [draw(st.sampled_from(("-h", "--help", "--", "x", "-x")))])
+    argv = [name, *itertools.chain.from_iterable(chunks)]
+    return argv + ["--"] * draw(st.sampled_from((0, 0, 0, 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(command_lines())
+@example(["discrepancy", "--p", "3", "--linear", "-2", "3", "--N", "1..4"])
+@example(["classify", "--p", "3", "--p", "5", "--", "x"])
+@example(["discrepancy", "--p", "3", "x^3+x", "--N", "1..4"])
+@example(["classify", "--p", "3", "--", "--"])
+def test_plain_argv_parses_as_argparse_does(argv):
+    """Wherever the table path answers, argparse accepts argv with the same namespace."""
+    parser = cli.build_parser()
+    got = cli._plain_args(parser, argv)
+    if got is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = parser.parse_args(argv)
+            except SystemExit as exc:
+                raise AssertionError(f"argparse exits {exc.code} on {argv}") from None
+        assert vars(got) == vars(expected), argv
 
 
 def run_main(argv):

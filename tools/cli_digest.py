@@ -25,7 +25,10 @@ output the workloads miss: ``bridge`` at a fixed ``--K``, negative
 ``generate`` values, ``classify --p 2`` (null ``unit_reduction``),
 ``search`` past degree 2p - 1 and a document written with ``--out -``), inputs
 on the bound of the discrepancy engine's level scan (a*n + b with p | a, and
-values that repeat) and a paircorr schedule whose radii share levels, through
+values that repeat), a paircorr schedule whose radii share levels, and argv
+that only argparse parses (an abbreviation, ``--opt=value``, a trailing ``--``,
+a negative value, a repeat, help after an option, ``--`` as the positional)
+beside bare positionals before and after the options, through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  A
 last line digests the ``--help`` text of the top parser and of each
@@ -234,6 +237,19 @@ EXTRA = [
     ["discrepancy", "--p", "5", "--N", "4,2,600,4,1500", "--", "x^2-5*x"],
     ["paircorr", "--p", "2", "--N", "4,5,300,301,302,1200", "--alpha", "1", "--s", "1,3/2,2,1/3",
      "--", "x^2-5*x"],
+    # argv that argparse parses, not the table path: an abbreviation,
+    # --opt=value, a trailing "--", a negative value, a repeated option, help
+    # after an option and "--" as the positional; and the table path's bare
+    # positionals, before the options and last
+    ["search", "--p", "3", "--deg", "2"],
+    ["search", "--p", "3", "--degree=2"],
+    ["search", "--p", "3", "--degree", "2", "--"],
+    ["discrepancy", "--p", "3", "--linear", "-2", "3", "--N", "1..4"],
+    ["classify", "--p", "3", "--p", "5", "--", "x"],
+    ["classify", "--p", "3", "-h"],
+    ["classify", "--p", "3", "--", "--"],
+    ["discrepancy", "--p", "3", "x^3+x", "--N", "1..4"],
+    ["classify", "--p", "3", "x^3+x"],
 ]
 
 HELP = [["--help"], *([command, "--help"] for command in (
