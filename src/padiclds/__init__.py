@@ -42,8 +42,6 @@ from .discrepancy import (
     discrepancy_profile,
     meijer_bound_check,
     padic_discrepancy,
-    prefix_discrepancies,
-    prefix_real_discrepancies,
     real_extreme_discrepancy,
     separation_depth,
 )

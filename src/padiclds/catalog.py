@@ -25,9 +25,9 @@ import itertools
 from operator import ne
 from typing import NamedTuple
 
-from .padic import InvariantError, check_prime
-from .permcheck import (_check_enumeration, _count_candidates, classify_low_discrepancy,
-                        is_permutation_mod)
+from .padic import check_prime
+from .permcheck import (_check_enumeration, _confirm, _count_candidates,
+                        classify_low_discrepancy, is_permutation_mod)
 from .polynomials import IntPolynomial, _image, _roots_mod, _values, derivative
 
 PRED_NONSQUARE = "nonsquare"
@@ -349,10 +349,8 @@ def exhaustive_search(
     hits.sort(key=lambda t: (len(t), t))
     found = [IntPolynomial(t) for t in hits]
     for f in found:
-        if not f.coeffs[0] and not is_permutation_mod(f, p * p):
-            raise InvariantError(
-                f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
-            )
+        if not f.coeffs[0]:
+            _confirm(is_permutation_mod(f, p * p), f, p)
     return found
 
 

@@ -117,7 +117,7 @@ def _check_length(N: int, what: str) -> None:
 def _check_digits(K: int | None, values: list[int], p: int) -> None:
     """K digits for each value; K=None (full expansions) fixes none, so it
     admits no negative value."""
-    if K is None and any(v < 0 for v in values):
+    if K is None and min(values) < 0:
         raise ValueError("negative values have no finite expansion; pass --K")
     N = len(values)
     bits = 0 if K is None else K * N * p.bit_length()
@@ -131,7 +131,8 @@ def _check_printable(numbers, column: str, K: int | None = None) -> None:
     interpreter prints (a limit of 0, or CPython before 3.10.7, has none); below
     2^(3*limit) < 10^limit it fits, so short ones skip forming 10^limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10 ** limit for n in numbers):
+    top = max(map(abs, numbers), default=0)
+    if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
         fix = "a smaller --K" if K is not None else "a smaller polynomial or fewer values"
         raise ValueError(f"the {column} column needs an integer of more than {limit} decimal "
                          f"digits, the most the interpreter prints; use {fix}")
@@ -266,6 +267,8 @@ def _emit_json(args, command: str, body: dict[str, str]) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
+    if args.poly is None:
+        raise ValueError("a polynomial expression is required")
     p = args.p
     f = parse_poly(args.poly)
     brute = classify_low_discrepancy(f, p)

@@ -18,16 +18,16 @@ k_sep from their residues mod p^k_sep.  The levels are scanned from k = 1
 and only as deep as the supremum needs; each is counted from the prefix when
 a scan first reaches it and then grown by every stretch, a long one in one
 C-level pass, a short one (a dense schedule) value by value.  Its rows are
-integers; only its views ``prefix_discrepancies``, ``padic_discrepancy`` and
-``discrepancy_profile`` form Fractions.  Given None for the values, it
-answers for a sequence that permutes every Z/p^k (a certified
-low-discrepancy sequence) in closed form, with no values.
+integers; only its views ``padic_discrepancy`` and ``discrepancy_profile``
+form Fractions.  Given None for the values, it answers for a sequence that
+permutes every Z/p^k (a certified low-discrepancy sequence) in closed form,
+with no values.
 
 The real extreme discrepancy on [0,1) has its own prefix engine,
 ``prefix_real_discrepancy_rows``: the points are integer numerators over one
 common denominator, each is merged once into a sorted list, and at each
 requested length two integer max passes give the exact value as an integer row.
-``prefix_real_discrepancies`` and ``real_extreme_discrepancy`` view its rows.
+``real_extreme_discrepancy`` views its one row at the full length.
 
 Everything is computed in exact rational arithmetic.  The only floating point
 in the whole package is the transcendental upper bound of the p-adic-to-real
@@ -194,6 +194,16 @@ def _supremum(levels: list[_Level], values, p: int, N: int, depth: int, cstar: i
     return N, best, N * top, best_level, residue, depth
 
 
+def _wanted(lengths, n: int | None) -> list[int]:
+    """The distinct requested prefix lengths (default 1 to n), increasing, each
+    in [1, n]; n None, for the closed form, bounds them only from below."""
+    wanted = sorted(set(range(1, n + 1) if lengths is None else lengths))
+    if not wanted or wanted[0] < 1 or n is not None and wanted[-1] > n:
+        raise ValueError("prefix lengths must be >= 1" if n is None
+                         else f"prefix lengths must lie in [1, {n}]")
+    return wanted
+
+
 def prefix_discrepancy_rows(
     values: list[int] | None, p: int, lengths: list[int] | None = None
 ) -> list[tuple]:
@@ -225,26 +235,20 @@ def prefix_discrepancy_rows(
     if values is None:
         if lengths is None:
             raise ValueError("values None (an f permuting every Z/p^k) needs the prefix lengths")
-        wanted = sorted(set(lengths))
-        if not wanted or wanted[0] < 1:
-            raise ValueError("prefix lengths must be >= 1")
         rows, k, pk = [], 1, p
-        for N in wanted:
+        for N in _wanted(lengths, None):
             while pk < N:
                 k, pk = k + 1, pk * p
             rows.append((N, 1, N, WITNESS_TAIL, None, k))
         return rows
     if not values:
         raise ValueError("need at least one value")
-    wanted = sorted(set(range(1, len(values) + 1) if lengths is None else lengths))
-    if not wanted or wanted[0] < 1 or wanted[-1] > len(values):
-        raise ValueError(f"prefix lengths must lie in [1, {len(values)}]")
     mult: Counter[int] = Counter()  # exact-value multiplicities, the largest is cstar
     cstar, depth, pd, residues = 1, 1, p, set()  # the distinct values mod pd = p^depth
     levels: list[_Level] = []
     rows = []
     prev = 0
-    for N in wanted:
+    for N in _wanted(lengths, len(values)):
         stretch = values[prev:N]
         prev = N
         excess = len(stretch) - STRETCH_MIN
@@ -274,30 +278,21 @@ def prefix_discrepancy_rows(
     return rows
 
 
-def prefix_discrepancies(
-    values: list[int] | None, p: int, lengths: list[int] | None = None
-) -> dict[int, DiscrepancyResult]:
-    """``prefix_discrepancy_rows`` as {N: the ``padic_discrepancy`` of values[:N]},
-    in closed form for values None."""
-    return {N: DiscrepancyResult(Fraction(num, den), level, residue, depth)
-            for N, num, den, level, residue, depth in prefix_discrepancy_rows(values, p, lengths)}
-
-
 def padic_discrepancy(values: list[int], p: int) -> DiscrepancyResult:
     """Exact supremum over all balls of |empirical proportion - measure|.
 
     Values are exact integers, so every ball depth is answerable; the result
-    is the true supremum, not an approximation.
+    is the true supremum, not an approximation.  It is the last
+    ``prefix_discrepancy_rows`` row, as a Fraction with its witness.
     """
-    return prefix_discrepancies(values, p, [len(values)])[len(values)]
+    [(_, num, den, *witness)] = prefix_discrepancy_rows(values, p, [len(values)])
+    return DiscrepancyResult(Fraction(num, den), *witness)
 
 
 def discrepancy_profile(values: list[int], p: int) -> list[Fraction]:
-    """Exact discrepancies of every prefix: [D_1, D_2, ..., D_N].
-
-    The values of ``prefix_discrepancies`` at every length.
-    """
-    return [r.value for r in prefix_discrepancies(values, p).values()]
+    """Exact discrepancies of every prefix, [D_1, D_2, ..., D_N]: the
+    ``prefix_discrepancy_rows`` rows at every length, as Fractions."""
+    return [Fraction(num, den) for _, num, den, *_ in prefix_discrepancy_rows(values, p)]
 
 
 # --------------------------------------------------------------------------
@@ -327,9 +322,7 @@ def prefix_real_discrepancy_rows(
     """
     if not numerators:
         raise ValueError("need at least one point")
-    wanted = sorted(set(range(1, len(numerators) + 1) if lengths is None else lengths))
-    if not wanted or wanted[0] < 1 or wanted[-1] > len(numerators):
-        raise ValueError(f"prefix lengths must lie in [1, {len(numerators)}]")
+    wanted = _wanted(lengths, len(numerators))
     if Q < 1:
         raise ValueError(f"common denominator must be >= 1, got {Q}")
     lo, hi = min(numerators), max(numerators)
@@ -350,24 +343,17 @@ def prefix_real_discrepancy_rows(
     return rows
 
 
-def prefix_real_discrepancies(
-    numerators: list[int], Q: int, lengths: list[int] | None = None
-) -> dict[int, Fraction]:
-    """``prefix_real_discrepancy_rows`` as {N: the value for the first N points}."""
-    return {N: Fraction(num, den)
-            for N, num, den in prefix_real_discrepancy_rows(numerators, Q, lengths)}
-
-
 def real_extreme_discrepancy(points: list[Fraction]) -> Fraction:
     """Exact extreme discrepancy over half-open subintervals of [0,1).
 
-    ``prefix_real_discrepancies`` at the full length, over the common
-    denominator of the points.
+    The one ``prefix_real_discrepancy_rows`` row at the full length, over the
+    common denominator of the points, as a Fraction.
     """
     pts = [Fraction(x) for x in points]
     Q = math.lcm(*(x.denominator for x in pts))
     scaled = [x.numerator * (Q // x.denominator) for x in pts]
-    return prefix_real_discrepancies(scaled, Q, [len(pts)])[len(pts)]
+    [(_, num, den)] = prefix_real_discrepancy_rows(scaled, Q, [len(pts)])
+    return Fraction(num, den)
 
 
 def meijer_bound_check(delta: Fraction, d: Fraction, p: int) -> tuple[bool | None, float]:

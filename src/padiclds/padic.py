@@ -141,7 +141,7 @@ def digit_reversals(values: list[int], p: int, K: int | None = None) -> list[tup
     """
     check_prime(p)
     if K is None:
-        if any(x < 0 for x in values):
+        if min(values, default=0) < 0:
             raise ValueError("negative value has no finite digit expansion; pass a precision K")
     elif K < 1:
         raise ValueError("precision K must be >= 1")

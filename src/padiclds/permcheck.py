@@ -40,6 +40,7 @@ from .polynomials import (
     IntPolynomial,
     _image,
     _roots_mod,
+    _values,
     derivative,
     eval_mod,
     unit_value_poly,
@@ -186,17 +187,19 @@ def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
     _check_enumeration(p * p, "p^2")
     df = derivative(f)
     verdict = _mod_p_verdict(f, df, p, METHOD_BRUTE_FORCE)
-    if verdict.perm_mod_p2:
-        confirmed = is_permutation_mod(f, p * p)
-    else:
-        confirmed = _collides_mod_p2(f, df, p, verdict.derivative_root)
-    if not confirmed:
-        raise InvariantError(
-            f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}"
-        )
+    _confirm(is_permutation_mod(f, p * p) if verdict.perm_mod_p2
+             else _collides_mod_p2(f, df, p, verdict.derivative_root), f, p)
     if verdict.perm_mod_p and not verdict.perm_mod_p2:
         return verdict._replace(missing_residue=(2, _fibre_witness(f, p)))
     return verdict
+
+
+def _confirm(confirmed: bool, f: IntPolynomial, p: int) -> None:
+    """Raise ``InvariantError`` unless f's values mod p^2 confirmed the
+    Noebauer verdict: a broken invariant, never a verdict."""
+    if not confirmed:
+        raise InvariantError(
+            f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}")
 
 
 def _collides_mod_p2(f: IntPolynomial, df: IntPolynomial, p: int, root: int | None) -> bool:
@@ -214,8 +217,8 @@ def _collides_mod_p2(f: IntPolynomial, df: IntPolynomial, p: int, root: int | No
         x, y = root, root + p
     else:
         first: dict[int, int] = {}
-        for y in range(p):
-            x = first.setdefault(eval_mod(f, y, p), y)
+        for y, v in enumerate(_values(f.coeffs, p, p)):
+            x = first.setdefault(v, y)
             if x != y:
                 break
         else:

@@ -211,17 +211,12 @@ def derivative(f: IntPolynomial) -> IntPolynomial:
 def reduce_functional(f: IntPolynomial, p: int) -> IntPolynomial:
     """The unique polynomial of degree <= p-1 agreeing with f on every residue mod p.
 
-    Computed by repeatedly substituting x^p -> x (valid at every residue,
-    including 0) and reducing coefficients mod p.  Exponent e >= p folds onto
-    e - (p-1) >= 1, so the constant term is never touched.
+    Computed by folding x^p -> x (valid at every residue, including 0) and
+    reducing coefficients mod p.  Exponent e >= p folds onto the one in
+    [1, p-1] congruent to it mod p-1, so the constant term is never touched.
     """
     check_prime(p)
-    cs = list(f.coeffs)
-    for e in range(len(cs) - 1, p - 1, -1):
-        if cs[e]:
-            cs[e - (p - 1)] += cs[e]
-            cs[e] = 0
-    return IntPolynomial(c % p for c in cs)
+    return _fold(f, p, p - 1)
 
 
 def unit_value_poly(f: IntPolynomial, p: int) -> IntPolynomial:
@@ -235,10 +230,16 @@ def unit_value_poly(f: IntPolynomial, p: int) -> IntPolynomial:
     check_prime(p)
     if p < 3:
         raise ValueError("unit-group folding requires p >= 3")
-    out = [0] * min(p - 1, len(f.coeffs))
-    for e, c in enumerate(f.coeffs):
-        out[e % (p - 1)] += c
-    return IntPolynomial(c % p for c in out)
+    return _fold(f, p, p - 2)
+
+
+def _fold(f: IntPolynomial, p: int, top: int) -> IntPolynomial:
+    """f with each exponent e > top folded onto the one in (top - (p-1), top]
+    congruent to it mod p-1 (x^(p-1) is 1 at units), coefficients mod p."""
+    cs = list(f.coeffs[:top + 1])
+    for e in range(top + 1, len(f.coeffs)):
+        cs[top - (top - e) % (p - 1)] += f.coeffs[e]
+    return IntPolynomial(c % p for c in cs)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from padiclds import catalog
+from padiclds import catalog, permcheck
 from padiclds.catalog import (
     FAMILY_5M2_SAMPLE_PRIMES,
     DicksonEntry,
@@ -257,6 +257,20 @@ class TestExhaustiveSearch:
         monkeypatch.setattr(catalog, "is_permutation_mod", lambda f, m: False)
         with pytest.raises(InvariantError, match=r"disagrees with enumeration for x mod 3$"):
             exhaustive_search(3, 1)
+
+    def test_search_and_classify_raise_one_disagreement_message(self, monkeypatch):
+        from padiclds.padic import InvariantError
+
+        monkeypatch.setattr(catalog, "is_permutation_mod", lambda f, m: False)
+        monkeypatch.setattr(permcheck, "is_permutation_mod", lambda f, m: False)
+        messages = []
+        for call in (lambda: exhaustive_search(3, 1),
+                     lambda: classify_low_discrepancy(IntPolynomial((0, 1)), 3)):
+            with pytest.raises(InvariantError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["internal error: Noebauer criterion disagrees with enumeration "
+                            "for x mod 3"] * 2
 
     @pytest.mark.parametrize("flags", [(), ("nonzero_linear",), ("zero_constant",)],
                              ids=lambda flags: "-".join(flags) or "unflagged")

@@ -11,7 +11,8 @@ import pytest
 
 from padiclds import cli, discrepancy, paircorr
 from padiclds.cli import _frac, main, parse_fraction, parse_schedule
-from padiclds.discrepancy import meijer_bound_check, prefix_discrepancies, real_extreme_discrepancy
+from padiclds.discrepancy import (discrepancy_profile, meijer_bound_check, prefix_discrepancy_rows,
+                                  real_extreme_discrepancy)
 from padiclds.padic import InvariantError, digit_expansions, monna_of_int
 from padiclds.polynomials import parse_poly
 from padiclds.sequence import poly_sequence
@@ -112,6 +113,10 @@ class TestScheduleParsing:
         (["generate", "--p", "3", "--n", "2", "--", "x^20000"], "value", "polynomial"),
         (["generate", "--p", "3", "--n", "2", "--format", "json", "--", "x^20000"],
          "value", "polynomial"),
+        # only the fifth value is too long: 1, 2^7000, 3^7000 and 4^7000 print
+        (["generate", "--p", "3", "--n", "5", "--", "x^7000"], "value", "polynomial"),
+        # n^7000 (9 - 2n) is positive up to n = 4, then -5^7000
+        (["generate", "--p", "3", "--n", "5", "--", "9x^7000-2x^7001"], "value", "polynomial"),
     ])
     def test_integer_too_long_to_print_exits_1_with_one_line(self, capsys, argv, column, fix):
         code, out, err = run_cli(capsys, *argv)
@@ -137,6 +142,13 @@ class TestScheduleParsing:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("argv", [["--p", "3"], ["--p", "3", "--"],
+                                      ["--p", "3", "--format", "csv"]])
+    def test_missing_polynomial_exits_1_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert (code, out) == (1, "")
+        assert err == "padiclds: error: a polynomial expression is required\n"
+
     def test_divergent_quintic_json(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--p", "3", "x^5")
         assert code == 0
@@ -333,10 +345,11 @@ class TestRowText:
             for text in ("1..40", "9,4,9,1,10", f"{p * p},3,{p * p + 1},3", "pk:0..3"):
                 schedule = parse_schedule(text, p)
                 values = None if cli._certified(f, p, schedule) else poly_sequence(f, max(schedule))
-                results = prefix_discrepancies(values, p, schedule)
+                rows = {N: row for N, *row in prefix_discrepancy_rows(values, p, schedule)}
                 expected = []
                 for N in schedule:
-                    v, level, residue, depth = results[N]
+                    num, den, level, residue, depth = rows[N]
+                    v = Fraction(num, den)
                     fields = [N, _frac(v), _frac(v * N), level,
                               "" if residue is None else residue, depth, float(v)]
                     expected.append(",".join(map(str, fields)))
@@ -348,12 +361,12 @@ class TestRowText:
     def test_bridge_rows(self, capsys, p):
         for poly in self.polys(p):
             values = poly_sequence(parse_poly(poly), 30)
-            deltas = prefix_discrepancies(values, p)
+            deltas = discrepancy_profile(values, p)
             images = [monna_of_int(v, p) for v in values]
             for text in ("1..30", "9,4,9,1,10"):
                 expected = []
                 for N in parse_schedule(text, p):
-                    delta, d = deltas[N].value, real_extreme_discrepancy(images[:N])
+                    delta, d = deltas[N - 1], real_extreme_discrepancy(images[:N])
                     holds, upper = meijer_bound_check(delta, d, p)
                     holds = "indeterminate" if holds is None else str(holds).lower()
                     expected.append(f"{N},{_frac(delta)},{_frac(d)},{upper!r},{holds}")

@@ -16,9 +16,7 @@ from padiclds.discrepancy import (
     discrepancy_profile,
     meijer_bound_check,
     padic_discrepancy,
-    prefix_discrepancies,
     prefix_discrepancy_rows,
-    prefix_real_discrepancies,
     prefix_real_discrepancy_rows,
     real_extreme_discrepancy,
     separation_depth,
@@ -222,12 +220,12 @@ class TestPrefixDiscrepancies:
             # a small range forces repeats; a wide one deep separation
             span = rng.choice([3, 12, 60, 400])
             values = [rng.randint(-span, span) for _ in range(rng.randint(1, 30))]
-            results = prefix_discrepancies(values, p)
-            assert list(results) == list(range(1, len(values) + 1))
-            for N, res in results.items():
+            rows = prefix_discrepancy_rows(values, p)
+            assert [row[0] for row in rows] == list(range(1, len(values) + 1))
+            for N, num, den, level, *witness in rows:
                 expected = naive_padic_discrepancy(values[:N], p)
-                assert res == expected, (p, values[:N])
-                shapes |= 1 << (res.witness_level == WITNESS_TAIL)
+                assert (Fraction(num, den), level, *witness) == expected, (p, values[:N])
+                shapes |= 1 << (level == WITNESS_TAIL)
         assert shapes == 3  # both ball and tail witnesses occur
 
     def test_ties_go_to_the_smaller_residue_then_the_tail_last(self):
@@ -241,16 +239,16 @@ class TestPrefixDiscrepancies:
 
     def test_requested_lengths(self):
         values = [5, -1, 5, 8, 0, 13]
-        results = prefix_discrepancies(values, 3, [6, 2, 6, 4])
-        assert list(results) == [2, 4, 6]
-        for N, res in results.items():
-            assert res == padic_discrepancy(values[:N], 3)
+        rows = prefix_discrepancy_rows(values, 3, [6, 2, 6, 4])
+        assert [row[0] for row in rows] == [2, 4, 6]
+        for N, num, den, *witness in rows:
+            assert (Fraction(num, den), *witness) == padic_discrepancy(values[:N], 3)
         for bad in ([0], [7], []):
-            with pytest.raises(ValueError, match="prefix lengths"):
-                prefix_discrepancies(values, 3, bad)
+            with pytest.raises(ValueError, match=r"^prefix lengths must lie in \[1, 6\]$"):
+                prefix_discrepancy_rows(values, 3, bad)
         for bad in ([0], []):
-            with pytest.raises(ValueError, match="prefix lengths must be >= 1"):
-                prefix_discrepancies(None, 3, bad)
+            with pytest.raises(ValueError, match="^prefix lengths must be >= 1$"):
+                prefix_discrepancy_rows(None, 3, bad)
 
     def test_closed_form_needs_lengths_of_at_least_1(self):
         # values None: one-line ValueErrors, never a TypeError from len(None)
@@ -287,11 +285,12 @@ class TestPrefixDiscrepancies:
             lengths = [rng.randint(1, n) for _ in range(rng.randint(1, 6))]
             lengths += [lengths[0], n, n - 1, n - 2 - STRETCH_MIN, rng.randint(1, 4)]
             rng.shuffle(lengths)
-            results = prefix_discrepancies(values, p, lengths)
-            every = prefix_discrepancies(values, p)
-            assert list(results) == sorted(set(lengths))
-            for N, res in results.items():
-                assert res == every[N] == naive_padic_discrepancy(values[:N], p), (p, N)
+            rows = prefix_discrepancy_rows(values, p, lengths)
+            every = prefix_discrepancy_rows(values, p)
+            assert [row[0] for row in rows] == sorted(set(lengths))
+            for N, num, den, *witness in rows:
+                assert (N, num, den, *witness) == every[N - 1], (p, N)
+                assert (Fraction(num, den), *witness) == naive_padic_discrepancy(values[:N], p)
         assert paths["bulk"] > 0 and paths["add"] > 0
 
     @pytest.mark.parametrize("pk", [2, 3, 4, 9, 25])
@@ -378,7 +377,8 @@ class TestBoundedLevelScan:
 
 
 class TestIntegerRows:
-    """The engines' integer rows reduce exactly to the Fraction views."""
+    """The engines' integer rows reduce exactly to the oracles, and each
+    Fraction view is its engine's row."""
 
     @staticmethod
     def schedules(rng, n):
@@ -397,14 +397,18 @@ class TestIntegerRows:
         for values in samples:
             for lengths in self.schedules(rng, len(values)):
                 rows = prefix_discrepancy_rows(values, p, lengths)
-                views = prefix_discrepancies(values, p, lengths)
-                assert isinstance(rows, list) and [row[0] for row in rows] == list(views)
+                wanted = sorted(set(lengths or range(1, len(values) + 1)))
+                assert isinstance(rows, list) and [row[0] for row in rows] == wanted
                 for N, num, den, level, residue, depth in rows:
                     assert den == N * p ** (depth + 1)
                     res = DiscrepancyResult(Fraction(num, den), level, residue, depth)
-                    assert res == views[N] == naive_padic_discrepancy(values[:N], p), (p, N)
+                    assert res == naive_padic_discrepancy(values[:N], p), (p, N)
         for values in certified:
-            assert prefix_discrepancies(values, p) == prefix_discrepancies(None, p, range(1, 61))
+            # the closed form's witnesses, and D_N = 1/N: numerator * N = denominator
+            engine = prefix_discrepancy_rows(values, p)
+            closed = prefix_discrepancy_rows(None, p, range(1, 61))
+            assert [(N, *w) for N, _, _, *w in engine] == [(N, *w) for N, _, _, *w in closed]
+            assert all(num * N == den for N, num, den, *_ in engine + closed)
 
     @pytest.mark.parametrize("Q", [1, 9, 64, 3**5])
     def test_real_rows_reduce_to_the_views_and_the_oracle(self, Q):
@@ -412,12 +416,27 @@ class TestIntegerRows:
         numerators = [rng.randrange(Q) for _ in range(30)]
         for lengths in self.schedules(rng, len(numerators)):
             rows = prefix_real_discrepancy_rows(numerators, Q, lengths)
-            views = prefix_real_discrepancies(numerators, Q, lengths)
-            assert isinstance(rows, list) and [row[0] for row in rows] == list(views)
+            wanted = sorted(set(lengths or range(1, len(numerators) + 1)))
+            assert isinstance(rows, list) and [row[0] for row in rows] == wanted
             for N, num, den in rows:
                 assert den == N * Q
                 pts = [Fraction(a, Q) for a in numerators[:N]]
-                assert Fraction(num, den) == views[N] == naive_real_discrepancy(pts), (Q, N)
+                assert Fraction(num, den) == naive_real_discrepancy(pts), (Q, N)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_each_view_is_its_engine_row_at_every_length(self, p):
+        rng = random.Random(227 + p)
+        for span in (3, 60, 400):  # tail and ball witnesses
+            values = [rng.randint(-span, span) for _ in range(50)]
+            profile = discrepancy_profile(values, p)
+            for N, num, den, *witness in prefix_discrepancy_rows(values, p):
+                assert profile[N - 1] == Fraction(num, den)
+                assert padic_discrepancy(values[:N], p) == (Fraction(num, den), *witness)
+        Q = p**4
+        numerators = [rng.randrange(Q) for _ in range(50)]
+        for N, num, den in prefix_real_discrepancy_rows(numerators, Q):
+            points = [Fraction(a, Q) for a in numerators[:N]]
+            assert real_extreme_discrepancy(points) == Fraction(num, den)
 
 
 class TestDiscrepancyProfile:
@@ -481,11 +500,11 @@ class TestPrefixRealDiscrepancies:
     def test_every_prefix_matches_grid_oracle(self, Q):
         rng = random.Random(Q)
         numerators = [rng.randrange(Q) for _ in range(40)]
-        results = prefix_real_discrepancies(numerators, Q)
-        assert list(results) == list(range(1, 41))
-        for N, d in results.items():
+        rows = prefix_real_discrepancy_rows(numerators, Q)
+        assert [row[0] for row in rows] == list(range(1, 41))
+        for N, num, den in rows:
             pts = [Fraction(a, Q) for a in numerators[:N]]
-            assert d == naive_real_discrepancy(pts), (Q, N)
+            assert Fraction(num, den) == naive_real_discrepancy(pts), (Q, N)
 
     def test_schedules_give_the_same_rows(self):
         # dense, sparse (long stretches, appended and re-sorted), unsorted and
@@ -493,29 +512,30 @@ class TestPrefixRealDiscrepancies:
         rng = random.Random(131)
         Q = 7**4
         numerators = [rng.randrange(Q) for _ in range(300)]
-        every = prefix_real_discrepancies(numerators, Q)
+        every = prefix_real_discrepancy_rows(numerators, Q)
         for lengths in ([300], [1, 2, 3, 299, 300], [150, 7, 150, 1, 300, 7],
                         list(range(5, 301, 5)), [40, 41, 42, 200]):
-            results = prefix_real_discrepancies(numerators, Q, lengths)
-            assert list(results) == sorted(set(lengths))
-            for N, d in results.items():
+            rows = prefix_real_discrepancy_rows(numerators, Q, lengths)
+            assert [row[0] for row in rows] == sorted(set(lengths))
+            for N, num, den in rows:
                 pts = [Fraction(a, Q) for a in numerators[:N]]
-                assert d == every[N] == real_extreme_discrepancy(pts), N
+                assert (N, num, den) == every[N - 1]
+                assert Fraction(num, den) == real_extreme_discrepancy(pts), N
 
     def test_lengths_contract(self):
         with pytest.raises(ValueError, match="at least one point"):
-            prefix_real_discrepancies([], 3)
+            prefix_real_discrepancy_rows([], 3)
         for bad in ([0], [1, 4], [], [-1]):
             with pytest.raises(ValueError, match=r"prefix lengths must lie in \[1, 3\]"):
-                prefix_real_discrepancies([0, 1, 2], 3, bad)
+                prefix_real_discrepancy_rows([0, 1, 2], 3, bad)
 
     def test_points_outside_unit_interval(self):
         with pytest.raises(ValueError, match=r"^point -1/3 outside \[0,1\)$"):
-            prefix_real_discrepancies([5, -1, 4], 3)
+            prefix_real_discrepancy_rows([5, -1, 4], 3)
         with pytest.raises(ValueError, match=r"^point 4/3 outside \[0,1\)$"):
-            prefix_real_discrepancies([5, 1, 4], 3, [1])
+            prefix_real_discrepancy_rows([5, 1, 4], 3, [1])
         with pytest.raises(ValueError, match="common denominator"):
-            prefix_real_discrepancies([0], 0)
+            prefix_real_discrepancy_rows([0], 0)
 
 
 class TestMeijerBound:

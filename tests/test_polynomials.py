@@ -378,8 +378,9 @@ class TestReduceFunctional:
     def test_agrees_everywhere_and_degree_drops(self):
         rng = random.Random(43)
         for p in (3, 5, 7, 11):
-            for _ in range(60):
-                f = random_poly(rng, max_degree=3 * p)
+            # every monomial up to degree 3p, so every exponent folds at least once
+            monomials = [IntPolynomial([0] * d + [1]) for d in range(3 * p + 1)]
+            for f in monomials + [random_poly(rng, max_degree=3 * p) for _ in range(60)]:
                 g = reduce_functional(f, p)
                 assert g.degree <= p - 1
                 for x in range(p):
@@ -409,8 +410,8 @@ class TestUnitFoldings:
     def test_agree_with_f_on_units(self):
         rng = random.Random(53)
         for p in (3, 5, 7):
-            for _ in range(80):
-                f = random_poly(rng, max_degree=4 * p)
+            monomials = [IntPolynomial([0] * d + [1]) for d in range(3 * p + 1)]
+            for f in monomials + [random_poly(rng, max_degree=4 * p) for _ in range(80)]:
                 gv = unit_value_poly(f, p)
                 gd = unit_value_poly(derivative(f), p)
                 df = derivative(f)

@@ -29,8 +29,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from padiclds import cli  # noqa: E402
 from padiclds.discrepancy import (  # noqa: E402
-    prefix_discrepancies,
-    prefix_real_discrepancies,
+    prefix_discrepancy_rows,
+    prefix_real_discrepancy_rows,
     real_extreme_discrepancy,
 )
 from padiclds.paircorr import MAX_RADIUS_BITS, _close_pairs, _levels, lds_pair_count  # noqa: E402
@@ -92,11 +92,11 @@ points = st.integers(1, 300).flatmap(lambda Q: st.tuples(
 def test_real_discrepancy_engine_matches_grid_oracle(qa, data):
     Q, numerators = qa
     lengths = data.draw(st.lists(st.integers(1, len(numerators)), min_size=1, max_size=4))
-    results = prefix_real_discrepancies(numerators, Q, lengths)
-    assert list(results) == sorted(set(lengths))
-    for N, d in results.items():
+    rows = prefix_real_discrepancy_rows(numerators, Q, lengths)
+    assert [row[0] for row in rows] == sorted(set(lengths))
+    for N, num, den in rows:
         prefix = [Fraction(a, Q) for a in numerators[:N]]
-        assert d == real_extreme_discrepancy(prefix) == grid_real_discrepancy(prefix)
+        assert Fraction(num, den) == real_extreme_discrepancy(prefix) == grid_real_discrepancy(prefix)
 
 
 @functools.cache
@@ -128,7 +128,11 @@ def test_closed_forms_equal_the_engines_on_low_discrepancy_input(pc):
     f = IntPolynomial(coeffs)
     assert classify_low_discrepancy(f, p).low_discrepancy
     values = poly_sequence(f, 300)
-    assert prefix_discrepancies(None, p, range(300, 0, -1)) == prefix_discrepancies(values, p)
+    # the closed form's witnesses, and D_N = 1/N: numerator * N = denominator
+    engine = prefix_discrepancy_rows(values, p)
+    closed = prefix_discrepancy_rows(None, p, range(300, 0, -1))
+    assert [(N, *w) for N, _, _, *w in engine] == [(N, *w) for N, _, _, *w in closed]
+    assert all(num * N == den for N, num, den, *_ in engine + closed)
     for N in {1, 2, p, p * p + 1, 97, 300}:
         requests = [(N, k) for k in range(7)]
         assert _close_pairs(values, p, requests) == {
@@ -159,8 +163,8 @@ def test_verdict_equals_enumeration_and_the_discrepancy_at_p_squared_plus_one(pc
     assert verdict.perm_mod_p2 == (_image(f.coeffs, p * p, True) is not None)
     if p <= 7:
         N = p * p + 1
-        D = prefix_discrepancies(poly_sequence(f, N), p, [N])[N].value
-        assert verdict.low_discrepancy == (D == Fraction(1, N))
+        [(_, num, den, *_)] = prefix_discrepancy_rows(poly_sequence(f, N), p, [N])
+        assert verdict.low_discrepancy == (num * N == den)  # D_N = 1/N
 
 
 def divide_by_xp_minus_x(coeffs, p):

@@ -28,7 +28,8 @@ on the bound of the discrepancy engine's level scan (a*n + b with p | a, and
 values that repeat), a paircorr schedule whose radii share levels, and argv
 that only argparse parses (an abbreviation, ``--opt=value``, a trailing ``--``,
 a negative value, a repeat, help after an option, ``--`` as the positional)
-beside bare positionals before and after the options, through
+beside bare positionals before and after the options, classify with no
+polynomial (bare, with a trailing ``--`` and under ``--format csv``), through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  A
 last line digests the ``--help`` text of the top parser and of each
@@ -250,6 +251,10 @@ EXTRA = [
     ["classify", "--p", "3", "--", "--"],
     ["discrepancy", "--p", "3", "x^3+x", "--N", "1..4"],
     ["classify", "--p", "3", "x^3+x"],
+    # classify with no polynomial, by the table path, by argparse and as csv
+    ["classify", "--p", "3"],
+    ["classify", "--p", "3", "--"],
+    ["classify", "--p", "3", "--format", "csv"],
 ]
 
 HELP = [["--help"], *([command, "--help"] for command in (
