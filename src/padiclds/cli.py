@@ -16,26 +16,16 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from .catalog import (
-    SearchConstraints,
-    dickson_entries,
-    exhaustive_search,
-    match_against_table,
-    verification_primes,
-    verify_entry,
-)
-from .discrepancy import _meijer, prefix_discrepancy_rows, prefix_real_discrepancy_rows
+# every subcommand parses p, and most a polynomial; the other engines are
+# imported by the subcommands that run them
 from .padic import InvariantError, _quote, _shown, check_prime, digit_expansions, digit_reversals
-from .paircorr import MAX_RADIUS_BITS, ppc_sweep
 from .permcheck import (_check_enumeration, classify_low_discrepancy, classify_via_reduction,
                         noebauer_mod_p2)
 from .polynomials import IntPolynomial, derivative, parse_poly, render, unit_value_poly
-from .sequence import poly_sequence
 
 SCHEMA_VERSION = 1
 
@@ -89,6 +79,8 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 
 
 def parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+    from .paircorr import MAX_RADIUS_BITS
     _, e, exponent = text.lower().rpartition("e")
     try:
         # Fraction forms 10^|exponent| before any bound is checked; past
@@ -306,6 +298,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .sequence import poly_sequence
     f = _sequence_spec(args)
     N = args.n
     if N < 1:
@@ -347,6 +340,8 @@ def _certified(f: IntPolynomial, p: int, schedule: list[int]) -> bool:
 
 
 def cmd_discrepancy(args) -> int:
+    from .discrepancy import prefix_discrepancy_rows
+    from .sequence import poly_sequence
     f = _sequence_spec(args)
     schedule = parse_schedule(args.N, args.p)
     header = ["N", "D_N", "N_times_D_N", "witness_level", "witness_residue",
@@ -363,6 +358,8 @@ def cmd_discrepancy(args) -> int:
 
 
 def cmd_paircorr(args) -> int:
+    from .paircorr import ppc_sweep
+    from .sequence import poly_sequence
     f = _sequence_spec(args)
     schedule = parse_schedule(args.N, args.p)
     alpha = parse_fraction(args.alpha)
@@ -376,6 +373,7 @@ def cmd_paircorr(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
+    from .catalog import dickson_entries, verification_primes, verify_entry
     which = args.which
     entries = [e for e in dickson_entries()
                if e.source_table == (1 if which == "lds" else 2)
@@ -416,6 +414,7 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .catalog import SearchConstraints, exhaustive_search, match_against_table
     constraints = SearchConstraints(
         monic=args.monic,
         zero_constant=args.zero_constant,
@@ -431,6 +430,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_bridge(args) -> int:
+    from .discrepancy import _meijer, prefix_discrepancy_rows, prefix_real_discrepancy_rows
+    from .sequence import poly_sequence
     f = _sequence_spec(args)
     p, K = args.p, args.K
     schedule = parse_schedule(args.N, p)

@@ -19,9 +19,10 @@ and only as deep as the supremum needs; each is counted from the prefix when
 a scan first reaches it and then grown by every stretch, a long one in one
 C-level pass, a short one (a dense schedule) value by value.  Its rows are
 integers; only its views ``padic_discrepancy`` and ``discrepancy_profile``
-form Fractions.  Given None for the values, it answers for a sequence that
-permutes every Z/p^k (a certified low-discrepancy sequence) in closed form,
-with no values.
+form Fractions, and ``fractions`` is imported only where one is built, so
+the CLI, which reads the integer rows, never loads it.  Given None for the
+values, it answers for a sequence that permutes every Z/p^k (a certified
+low-discrepancy sequence) in closed form, with no values.
 
 The real extreme discrepancy on [0,1) has its own prefix engine,
 ``prefix_real_discrepancy_rows``: the points are integer numerators over one
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from itertools import compress, filterfalse, repeat
 from operator import countOf, mod, sub
 from typing import NamedTuple
@@ -180,6 +180,7 @@ def _supremum(levels: list[_Level], values, p: int, N: int, depth: int, cstar: i
             break
     best = max(best, tail)  # tail - 1 while no level has reached the tail
     if not top <= best <= N * top:
+        from fractions import Fraction
         raise InvariantError(f"internal error: discrepancy {Fraction(best, N * top)} outside "
                              f"[1/N, 1] for N={N}")
     residue = None
@@ -285,6 +286,7 @@ def padic_discrepancy(values: list[int], p: int) -> DiscrepancyResult:
     is the true supremum, not an approximation.  It is the last
     ``prefix_discrepancy_rows`` row, as a Fraction with its witness.
     """
+    from fractions import Fraction
     [(_, num, den, *witness)] = prefix_discrepancy_rows(values, p, [len(values)])
     return DiscrepancyResult(Fraction(num, den), *witness)
 
@@ -292,6 +294,7 @@ def padic_discrepancy(values: list[int], p: int) -> DiscrepancyResult:
 def discrepancy_profile(values: list[int], p: int) -> list[Fraction]:
     """Exact discrepancies of every prefix, [D_1, D_2, ..., D_N]: the
     ``prefix_discrepancy_rows`` rows at every length, as Fractions."""
+    from fractions import Fraction
     return [Fraction(num, den) for _, num, den, *_ in prefix_discrepancy_rows(values, p)]
 
 
@@ -328,6 +331,7 @@ def prefix_real_discrepancy_rows(
     lo, hi = min(numerators), max(numerators)
     if lo < 0 or hi >= Q:  # name the first bad point in sorted order
         bad = lo if lo < 0 else min(a for a in numerators if a >= Q)
+        from fractions import Fraction
         raise ValueError(f"point {Fraction(bad, Q)} outside [0,1)")
     ordered: list[int] = []
     rows = []
@@ -349,6 +353,7 @@ def real_extreme_discrepancy(points: list[Fraction]) -> Fraction:
     The one ``prefix_real_discrepancy_rows`` row at the full length, over the
     common denominator of the points, as a Fraction.
     """
+    from fractions import Fraction
     pts = [Fraction(x) for x in points]
     Q = math.lcm(*(x.denominator for x in pts))
     scaled = [x.numerator * (Q // x.denominator) for x in pts]
@@ -366,6 +371,7 @@ def meijer_bound_check(delta: Fraction, d: Fraction, p: int) -> tuple[bool | Non
 
     Returns (holds, upper) with holds in {True, False, None}.
     """
+    from fractions import Fraction
     check_prime(p)
     delta, d = Fraction(delta), Fraction(d)
     a, b = delta.numerator, delta.denominator

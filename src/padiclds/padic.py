@@ -12,7 +12,6 @@ All functions are pure; the module is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 # Miller-Rabin over the first 13 prime bases decides primality exactly below
 # this bound (Sorenson and Webster, Math. Comp. 86 (2017), "Strong pseudoprimes
@@ -174,5 +173,6 @@ def monna_of_int(x: int, p: int, K: int | None = None) -> Fraction:
     require an explicit truncation precision K and are reduced mod p^K first.
     The single-value case of ``digit_reversals``.
     """
+    from fractions import Fraction  # imported on use: the CLI builds no Fraction
     [(num, den)] = digit_reversals([x], p, K)
     return Fraction(num, den)

@@ -25,7 +25,12 @@ from itertools import accumulate, repeat
 from math import gcd, isqrt
 from operator import indexOf, mod, sub
 
-from .padic import _quote, check_prime
+from .padic import _quote, _shown, check_prime
+
+# The largest exponent a polynomial expression may hold.  The coefficient
+# tuple is dense, one entry per power, so x^(10^7)+x ended in a MemoryError
+# traceback; x^(10^6)+x classifies in about 2 s.
+MAX_EXPONENT = 1_000_000
 
 
 class IntPolynomial:
@@ -344,7 +349,11 @@ def _parse_terms(text: str) -> IntPolynomial:
             power = 1
             if i < n and text[i] == "^":
                 i = skip_ws(i + 1)
-                power, i = read_int(i)
+                power, end = read_int(i)
+                if power > MAX_EXPONENT:
+                    raise PolyParseError(f"exponent {_shown(power)} is above the limit of "
+                                         f"{MAX_EXPONENT}", i)
+                i = end
             terms[power] = terms.get(power, 0) + sign * coef
         else:
             if not have_coef:

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from padiclds import cli, discrepancy, paircorr
+import padiclds
+from padiclds import cli, discrepancy, paircorr, sequence
 from padiclds.cli import _frac, main, parse_fraction, parse_schedule
 from padiclds.discrepancy import (discrepancy_profile, meijer_bound_check, prefix_discrepancy_rows,
                                   real_extreme_discrepancy)
@@ -523,7 +525,7 @@ class TestCertifiedRoute:
             m.setattr(cli, "_certified", lambda f, p, schedule: False)
             engine = run_cli(capsys, *argv)
         assert engine[0] == 0
-        monkeypatch.setattr(cli, "poly_sequence", self.refuse)
+        monkeypatch.setattr(sequence, "poly_sequence", self.refuse)  # read at call time
         monkeypatch.setattr(discrepancy, "_Level", self.refuse)
         monkeypatch.setattr(paircorr, "_close_pairs", self.refuse)
         assert run_cli(capsys, *argv) == engine  # the same bytes
@@ -771,6 +773,28 @@ class TestOutputPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    DEFERRED = ("padiclds.catalog", "padiclds.discrepancy", "padiclds.paircorr",
+                "padiclds.sequence", "fractions", "decimal")
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (None, ()),
+        (["classify", "--p", "7", "--", "x^3+x"], ()),
+        (["search", "--p", "3", "--degree", "3"], ("padiclds.catalog",)),
+        (["bridge", "--p", "3", "--N", "1..9", "--", "x^3+x"],
+         ("padiclds.discrepancy", "padiclds.sequence")),
+    ], ids=["start-up", "classify", "search", "bridge"])
+    def test_startup_imports_only_what_the_subcommand_runs(self, argv, loaded):
+        # a fresh interpreter starts on padic, polynomials and permcheck; each
+        # subcommand imports its own engine, and no Fraction is built on the way
+        code = ("import contextlib, io, sys, padiclds.cli; padiclds.cli.build_parser(); "
+                f"argv = {argv!r}\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = argv and padiclds.cli.main(argv)\n"
+                f"print(code or 0, sorted(set({self.DEFERRED!r}) & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"0 {sorted(loaded)}\n"
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "padiclds.cli", "classify", "--p", "3", "x^3+x"],
@@ -795,6 +819,57 @@ class TestOutputPlumbing:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+class TestPackageExports:
+    """``padiclds`` exports each name below from its module, importing the
+    module on the name's first use."""
+
+    EXPORTS = {
+        "padic": ["check_prime", "digit_expansions", "digit_reversals", "monna_of_int",
+                  "valuation"],
+        "polynomials": ["IntPolynomial", "PolyParseError", "derivative", "eval_mod", "parse_poly",
+                        "reduce_functional", "render", "unit_value_poly"],
+        "permcheck": ["DivergenceEntry", "DivergenceReport", "Verdict", "classify_low_discrepancy",
+                      "classify_via_reduction", "divergence_scan", "first_missing_residue",
+                      "is_permutation_mod", "noebauer_mod_p2"],
+        "sequence": ["poly_sequence"],
+        "discrepancy": ["DiscrepancyResult", "discrepancy_profile", "meijer_bound_check",
+                        "padic_discrepancy", "real_extreme_discrepancy", "separation_depth"],
+        "paircorr": ["F_statistic", "lds_pair_count", "ppc_sweep", "threshold_level"],
+        "catalog": ["DicksonEntry", "EntryVerification", "MatchReport", "SearchConstraints",
+                    "dickson_entries", "exhaustive_search", "match_against_table",
+                    "verify_entry"],
+    }
+
+    def test_all_is_every_export_and_the_version(self):
+        names = [name for names in self.EXPORTS.values() for name in names]
+        assert len(names) == 41
+        assert sorted(padiclds.__all__) == sorted(["__version__", *names])
+        assert set(padiclds.__all__) <= set(dir(padiclds))
+
+    def test_star_import_binds_each_module_attribute(self):
+        namespace = {}
+        exec("from padiclds import *", namespace)
+        assert namespace["__version__"] == padiclds.__version__ == "0.1.0"
+        for module, names in self.EXPORTS.items():
+            owner = importlib.import_module(f"padiclds.{module}")
+            for name in names:
+                assert namespace[name] is getattr(owner, name) is getattr(padiclds, name), name
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        code = ("import sys, padiclds; print(sorted(m for m in sys.modules if '.' in m and "
+                "m.startswith('padiclds')), padiclds.catalog.__name__, "
+                "padiclds.parse_poly.__module__)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] padiclds.catalog padiclds.polynomials\n"
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="'padiclds' has no attribute 'no_such_name'"):
+            padiclds.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from padiclds import no_such_name", {})
 
 
 class TestErrorLines:
@@ -822,6 +897,13 @@ class TestErrorLines:
          "enumeration too large: p^2=10004569 exceeds cap 10000000"),
         (["verify-tables", "--which", "derivatives", "--p", "9973"],
          "enumeration too large: p^2=99460729 exceeds cap 10000000"),
+        # the dense coefficient tuple is bounded before it is built
+        (["classify", "--p", "7", "--", "x^10000000+x"],
+         "syntax error at position 2: exponent 10000000 is above the limit of 1000000"),
+        (["classify", "--p", "7", "--", "x^1000000000+x"],
+         "syntax error at position 2: exponent 1000000000 is above the limit of 1000000"),
+        (["generate", "--p", "3", "--n", "2", "--", "x^100000000"],
+         "syntax error at position 2: exponent 100000000 is above the limit of 1000000"),
     ])
     def test_exits_1_with_one_exact_line(self, capsys, argv, line):
         code, out, err = run_cli(capsys, *argv)

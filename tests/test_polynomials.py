@@ -8,6 +8,7 @@ import pytest
 
 from padiclds.permcheck import first_missing_residue
 from padiclds.polynomials import (
+    MAX_EXPONENT,
     IntPolynomial,
     _crossover,
     _image,
@@ -101,6 +102,18 @@ class TestParse:
         with pytest.raises(PolyParseError) as err:
             parse_poly(f"[1, {entry}]")
         assert str(err.value) == f"syntax error at position 3: invalid integer {quoted}"
+
+    def test_exponent_bound(self):
+        # the limit itself parses; one more is refused at the exponent, before
+        # any coefficient tuple is built
+        f = parse_poly(f"3 - x^{MAX_EXPONENT}")
+        assert f.degree == MAX_EXPONENT and f.coeffs[0] == 3 and f.coeffs[-1] == -1
+        for exponent in (MAX_EXPONENT + 1, 10**4000):
+            with pytest.raises(PolyParseError) as err:
+                parse_poly(f"3 - x ^ {exponent}")
+            assert err.value.position == 8
+        assert str(err.value) == ("syntax error at position 8: exponent '1000000000000000'... "
+                                  f"is above the limit of {MAX_EXPONENT}")
 
     def test_parse_render_round_trip(self):
         rng = random.Random(17)

@@ -8,6 +8,8 @@ tree (its worker and its job list, ``PYTHONHASHSEED=0``) on
 ``jobs.make_jobs(WORKLOAD, SEED)``, the side that runs first alternating
 from pair to pair, and prints per tree:
 
+  setup_ms     median over passes of the raw setup_s (import padiclds.cli plus
+               build_parser() in the fresh worker process)
   sum_job_ms   median over passes of the raw sum of job_s
   p50_ms       nearest-rank 50th percentile of the per-job medians of job_s
   p90_ms       the same at the 90th percentile
@@ -46,6 +48,7 @@ def percentile(values: list, q: float) -> float:
 def summary(passes: list) -> dict:
     per_job = [statistics.median(job) for job in zip(*(p["job_s"] for p in passes))]
     return {
+        "setup_ms": 1e3 * statistics.median(p["setup_s"] for p in passes),
         "sum_job_ms": 1e3 * statistics.median(sum(p["job_s"]) for p in passes),
         "p50_ms": 1e3 * percentile(per_job, 0.5),
         "p90_ms": 1e3 * percentile(per_job, 0.9),
