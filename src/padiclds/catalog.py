@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .padic import check_prime
 from .permcheck import (_check_enumeration, _confirm, _count_candidates,
-                        classify_low_discrepancy, is_permutation_mod)
+                        classify_low_discrepancy, is_permutation_mod, noebauer_mod_p2)
 from .polynomials import IntPolynomial, _image, _roots_mod, _values, derivative
 
 PRED_NONSQUARE = "nonsquare"
@@ -199,9 +199,10 @@ def verify_entry(entry: DicksonEntry, p: int) -> EntryVerification:
     For every admissible parameter the instantiation must be a permutation
     mod p, the recomputed derivative-root set must match the recorded
     expectation (exact set or existence flag), and for a Table 1 row the
-    full low-discrepancy classification must come out positive.  Failed
-    claims go to ``failures``; outcomes of non-asserted sign variants go to
-    ``notes``.
+    full low-discrepancy classification must come out positive.  Each fact
+    is read off one Verdict per parameter (classify's for Table 1, Noebauer's
+    for Table 2), and f' is scanned for all its roots only when it has one.
+    Failed claims go to ``failures``, non-asserted sign variants' to ``notes``.
     """
     check_prime(p)
     if not entry.matches_prime(p):
@@ -210,14 +211,16 @@ def verify_entry(entry: DicksonEntry, p: int) -> EntryVerification:
     failures: list[str] = []
     notes: list[str] = []
     sink = notes if not entry.asserted else failures
+    verdict_of = classify_low_discrepancy if entry.source_table == 1 else noebauer_mod_p2
     for a in admissible_parameters(entry.parameter_predicate, p):
         f = entry.build(a, p)
-        perm = is_permutation_mod(f, p)
-        roots = tuple(_roots_mod(derivative(f).coeffs, p))
-        lds = classify_low_discrepancy(f, p).low_discrepancy if entry.source_table == 1 else None
-        results.append(ParameterResult(a, f, perm, roots, lds))
+        verdict = verdict_of(f, p)
+        roots = () if verdict.derivative_root is None else tuple(
+            _roots_mod(derivative(f).coeffs, p))
+        lds = verdict.low_discrepancy if entry.source_table == 1 else None
+        results.append(ParameterResult(a, f, verdict.perm_mod_p, roots, lds))
         label = f"{entry.name} @ p={p}, a={a}"
-        if not perm:
+        if not verdict.perm_mod_p:
             sink.append(f"{label}: not a permutation mod {p}")
         if entry.expected_derivative_roots not in (None, set(roots)):
             sink.append(

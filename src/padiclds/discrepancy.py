@@ -56,9 +56,7 @@ WITNESS_TAIL = "tail"
 # residue to copy the counts and recount their extremes (CPython 3.11.7,
 # 2-core x86-64 host).  One decision covers the whole stretch, on the mean
 # occupancy of the built levels; c* and the separation depth follow a stretch
-# longer than STRETCH_MIN in bulk too.  ``paircorr._close_pairs`` sums m^2 over
-# a level's classes (0.02 us each) unless they outnumber the stretch more
-# than STRETCH_RATIO to 1, and then over the classes it reaches (0.1 us each).
+# longer than STRETCH_MIN in bulk too.
 STRETCH_MIN = 32
 STRETCH_RATIO = 4
 

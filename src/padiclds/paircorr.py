@@ -25,8 +25,11 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mod, mul
 
-from .discrepancy import STRETCH_RATIO
 from .padic import check_prime
+
+# ``_close_pairs``'s sum of m^2 costs 0.02 us a class over a whole level and
+# 0.1 us a class over those a stretch reaches (CPython 3.11.7, 2-core x86-64).
+STRETCH_RATIO = 4
 
 # A radius s = su/sv at alpha = u/v is refused when v times the bits of su and
 # sv exceeds this.  Each radius's levels are walked once, up from k = 0; the

@@ -38,6 +38,7 @@ from typing import NamedTuple
 from .padic import InvariantError, check_prime
 from .polynomials import (
     IntPolynomial,
+    _horner,
     _image,
     _roots_mod,
     _values,
@@ -240,8 +241,7 @@ def _fibre_witness(f: IntPolynomial, p: int) -> int:
     least, over the roots r, of f(r) mod p when that differs from f(r) mod
     p^2, and of f(r) mod p + p otherwise.
     """
-    pp = p * p
-    hits = (eval_mod(f, r, pp) for r in _roots_mod(derivative(f).coeffs, p))
+    hits = _horner(f.coeffs, _roots_mod(derivative(f).coeffs, p), p * p)
     return min(hit % p if hit >= p else hit + p for hit in hits)
 
 

@@ -85,14 +85,10 @@ class IntPolynomial:
 
 
 def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
-    """f(x) mod m via Horner with every intermediate reduced; result in [0, m)."""
+    """f(x) mod m in [0, m): ``_horner`` at the one point x mod m."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    v = 0
-    x %= m
-    for c in reversed(f.coeffs):
-        v = (v * x + c) % m
-    return v
+    return next(_horner(f.coeffs, (x % m,), m))
 
 
 # The evaluators below take a bare little-endian coefficient sequence, so the
@@ -138,10 +134,10 @@ def _extend(seeds, count: int, m: int | None = None):
     return map(mod, values, repeat(m)) if m else values
 
 
-def _horner(coeffs, count: int, m: int):
-    """Yield f(0), ..., f(count - 1) mod m, by Horner at every x."""
+def _horner(coeffs, xs, m: int):
+    """Yield f(x) mod m for each x of ``xs``, by Horner with every step reduced."""
     rev = coeffs[::-1]
-    for x in range(count):
+    for x in xs:
         v = 0
         for c in rev:
             v = (v * x + c) % m
@@ -152,8 +148,8 @@ def _values(coeffs, count: int, m: int):
     """f(0), ..., f(count - 1) mod m as an iterator: Horner at every x, or
     past the crossover Horner at x = 0..d extended by differences."""
     if count > _crossover(len(coeffs)):
-        return _extend(list(_horner(coeffs, len(coeffs) or 1, m)), count, m)
-    return _horner(coeffs, count, m)
+        return _extend(list(_horner(coeffs, range(len(coeffs) or 1), m)), count, m)
+    return _horner(coeffs, range(count), m)
 
 
 def _roots_mod(coeffs, p: int):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -11,6 +12,7 @@ from padiclds.catalog import (
     FAMILY_5M2_SAMPLE_PRIMES,
     DicksonEntry,
     MatchReport,
+    ParameterResult,
     SearchConstraints,
     admissible_parameters,
     dickson_entries,
@@ -204,11 +206,54 @@ class TestVerifyEntry:
         )
 
     def test_doctored_low_discrepancy_claim_fails(self):
-        # x^4 + 3x permutes Z/7 but f' has roots there, so a table-1 claim fails
+        # x^4 + 3x permutes Z/7 but f' has roots there, so a table-1 claim fails;
+        # its Verdict holds a root, so the whole root set is scanned
         (quartic,) = entry_by_name("x^4 + 3*x", 2)
         ver = verify_entry(quartic._replace(source_table=1), 7)
         assert ver.failures == ("x^4 + 3*x @ p=7, a=0: not classified low-discrepancy",)
         assert ver.results[0].low_discrepancy is False
+        assert ver.results[0].is_perm is True
+        assert ver.results[0].derivative_roots == (1, 2, 4)
+
+    def test_rows_read_their_verdict(self, monkeypatch):
+        # per parameter one Verdict (classify for Table 1, Noebauer for
+        # Table 2) and no second permutation table; the roots are scanned only
+        # when the Verdict holds one.  p = 43 is past the size where the value
+        # tables turn to forward differences.
+        calls = collections.Counter()
+
+        def spy(name):
+            real = getattr(catalog, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(catalog, name, counted)
+
+        for name in ("classify_low_discrepancy", "noebauer_mod_p2", "is_permutation_mod",
+                     "_roots_mod"):
+            spy(name)
+        checked = collections.Counter()
+        for entry in dickson_entries():
+            table1 = entry.source_table == 1
+            for p in verification_primes(entry) + ((43,) if entry.matches_prime(43) else ()):
+                calls.clear()
+                ver = verify_entry(entry, p)
+                expected = []
+                for a in admissible_parameters(entry.parameter_predicate, p):
+                    f = entry.build(a, p)
+                    roots = tuple(x for x in range(p) if eval_mod(derivative(f), x, p) == 0)
+                    lds = classify_low_discrepancy(f, p).low_discrepancy if table1 else None
+                    expected.append(ParameterResult(a, f, is_permutation_mod(f, p), roots, lds))
+                assert ver.results == tuple(expected), (entry.name, p)
+                verdicts = "classify_low_discrepancy" if table1 else "noebauer_mod_p2"
+                assert calls == collections.Counter({
+                    verdicts: len(expected),
+                    "_roots_mod": sum(1 for r in expected if r.derivative_roots),
+                }), (entry.name, p)
+                checked[entry.source_table] += len(expected)
+                checked["roots"] += sum(1 for r in expected if r.derivative_roots)
+        assert all(checked[k] for k in (1, 2, "roots"))
 
     def test_only_table1_rows_are_classified(self):
         for entry in dickson_entries():

@@ -129,6 +129,8 @@ class TestScheduleParsing:
     def test_length_budget_admits_the_limit(self):
         top = cli.MAX_SEQUENCE_LENGTH
         assert parse_schedule(f"{top - 1}..{top}", 2) == [top - 1, top]
+        with pytest.raises(ValueError, match=f"N={top + 1} values"):
+            parse_schedule(f"{top}..{top + 1}", 2)
         k = top.bit_length() - 1
         assert parse_schedule(f"pk:{k}..{k}", 2) == [2**k]
         with pytest.raises(ValueError, match="N=2\\^17 values"):
@@ -782,7 +784,9 @@ class TestOutputPlumbing:
         (["search", "--p", "3", "--degree", "3"], ("padiclds.catalog",)),
         (["bridge", "--p", "3", "--N", "1..9", "--", "x^3+x"],
          ("padiclds.discrepancy", "padiclds.sequence")),
-    ], ids=["start-up", "classify", "search", "bridge"])
+        (["paircorr", "--p", "3", "--N", "1..30", "--alpha", "1/2", "--s", "1,2", "--", "x^3"],
+         ("padiclds.paircorr", "padiclds.sequence", "fractions", "decimal")),
+    ], ids=["start-up", "classify", "search", "bridge", "paircorr"])
     def test_startup_imports_only_what_the_subcommand_runs(self, argv, loaded):
         # a fresh interpreter starts on padic, polynomials and permcheck; each
         # subcommand imports its own engine, and no Fraction is built on the way

@@ -139,6 +139,15 @@ class TestEvalMod:
             x = rng.randint(-50, 50)
             m = rng.randint(1, 97)
             assert eval_mod(f, x, m) == f(x) % m
+        # points far past the modulus, moduli past any table, m = 1 and the
+        # zero polynomial
+        for _ in range(300):
+            f = random_poly(rng)
+            x = rng.randint(-10**6, 10**6)
+            m = rng.randint(1, 10**9)
+            assert eval_mod(f, x, m) == f(x) % m
+            assert eval_mod(f, x, 1) == 0
+            assert eval_mod(IntPolynomial(), x, m) == 0
 
     def test_bad_modulus(self):
         with pytest.raises(ValueError):

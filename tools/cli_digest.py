@@ -13,7 +13,8 @@ of negative values, integer ``--linear`` sequences, unsorted, long, dense
 and negative-valued bridge schedules, the catalog dump of each
 ``verify-tables --which`` selection (and of ``lds`` under ``--format json``
 and ``--format csv``, which is refused), each selection at each catalog prime
-(2, 3, 5, 7, 11, 13, 17 and 23), two ``verify-tables`` calls refused at
+(2, 3, 5, 7, 11, 13, 17 and 23) and at 43, the first prime past the value
+tables' crossover that a row matches, two ``verify-tables`` calls refused at
 classify's enumeration cap (``--which dickson --p 3163`` and ``--which
 derivatives --p 9973``), and the closed-form ``discrepancy`` and
 ``paircorr`` rows of certified low-discrepancy inputs at their boundaries, beside the inputs that still take the value engines, and
@@ -134,6 +135,11 @@ EXTRA = [
     # every row built at every catalog prime, its own or not
     *(["verify-tables", "--which", which, "--p", str(q)]
       for which in ("dickson", "derivatives", "lds") for q in (2, 3, 5, 7, 11, 13, 17, 23)),
+    # p = 43, the first prime past the value tables' crossover of 40 values
+    # that a row matches (the 5m+-2 class): classify's tables mod p come from
+    # forward differences
+    *(["verify-tables", "--which", which, "--p", "43"]
+      for which in ("dickson", "derivatives", "lds")),
     # primes whose p^2 passes the enumeration cap, refused before any row
     ["verify-tables", "--which", "dickson", "--p", "3163"],
     ["verify-tables", "--which", "derivatives", "--p", "9973"],
