@@ -20,6 +20,7 @@ exact values).
 
 from __future__ import annotations
 
+import re
 import sys
 from itertools import accumulate, repeat
 from math import gcd, isqrt
@@ -273,92 +274,77 @@ def parse_poly(text: str) -> IntPolynomial:
     Two input forms are accepted:
 
     * sums of terms like ``x^5 + 2*x^3 - 4x + 1`` (the ``*`` is optional,
-      whitespace is ignored, unary minus is allowed);
+      whitespace is ignored, unary minus is allowed), each term read by one
+      match of ``_TERM`` and checked in the order its parts are written;
     * a bracketed coefficient list in degree-descending order,
       ``[a_k, ..., a_1, a_0]``.
 
-    Like terms are combined; the result is canonical.
+    Like terms are combined; the result is canonical.  A syntax error is a
+    ``PolyParseError`` at its 0-based position in ``text`` as typed.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         return _parse_coeff_list(text)
     return _parse_terms(text)
 
 
 def _parse_coeff_list(text: str) -> IntPolynomial:
-    s = text.strip()
-    if not s.startswith("[") or not s.endswith("]"):
+    s = text.rstrip()  # leading spaces kept: positions count in text as typed
+    if not s.endswith("]"):
         raise PolyParseError("coefficient list must be enclosed in [ ]", len(s) - 1)
-    inner = s[1:-1].strip()
+    inner = s[:-1].lstrip()[1:].lstrip()
     if not inner:
         return IntPolynomial()
-    coeffs = [_int_literal(part.strip(), text.find(part)) for part in inner.split(",")]
+    at = len(s) - 1 - len(inner)  # where inner starts, as s[:-1] ends with it
+    coeffs = []
+    for part in inner.split(","):
+        coeffs.append(_int_literal(part.strip(), at))
+        at += len(part) + 1
     return IntPolynomial(coeffs[::-1])  # input is degree-descending
 
 
+# One term: sign, coefficient, '*', 'x' and '^' with its exponent, each
+# optional and each followed by any whitespace.  \s matches exactly the
+# str.isspace characters that str.lstrip skips; \d only decimal digits, the
+# runs _int_at widens.
+_TERM = re.compile(r"([+-]?)\s*(\d*)\s*(\*?)\s*(?:(x)\s*(?:(\^)\s*(\d*))?)?\s*")
+
+
+def _int_at(text: str, start: int, end: int) -> int:
+    """The integer whose decimal digits are text[start:end], the run widened over
+    the other str.isdigit characters (such as '²'), so that int() refuses them."""
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    if end == start:
+        raise PolyParseError("expected digits", start)
+    return _int_literal(text[start:end], start)
+
+
 def _parse_terms(text: str) -> IntPolynomial:
-    terms: dict[int, int] = {}
-    i = 0
+    terms = {}
     n = len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def read_int(j: int) -> tuple[int, int]:
-        start = j
-        while j < n and text[j].isdigit():
-            j += 1
-        if j == start:
-            raise PolyParseError("expected digits", start)
-        return _int_literal(text[start:j], start), j
-
-    i = skip_ws(i)
+    i = n - len(text.lstrip())
     if i == n:
         raise PolyParseError("empty polynomial expression", i)
-    first = True
     while i < n:
-        sign = 1
-        i = skip_ws(i)
-        if i < n and text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i = skip_ws(i + 1)
-        elif not first:
+        m = _TERM.match(text, i)
+        sign, digits, star, x, caret, _ = m.groups()
+        j = m.start(2)  # past the sign
+        if not sign and terms:  # every term but the first has its sign
             raise PolyParseError(f"expected '+' or '-', found {text[i]!r}", i)
-        first = False
-        if i >= n:
-            raise PolyParseError("dangling sign", i)
-
-        coef = 1
-        have_coef = False
-        if text[i].isdigit():
-            coef, i = read_int(i)
-            have_coef = True
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-                if i >= n or text[i] != "x":
-                    raise PolyParseError("expected 'x' after '*'", i)
-        if i < n and text[i] == "x":
-            i = skip_ws(i + 1)
-            power = 1
-            if i < n and text[i] == "^":
-                i = skip_ws(i + 1)
-                power, end = read_int(i)
-                if power > MAX_EXPONENT:
-                    raise PolyParseError(f"exponent {_shown(power)} is above the limit of "
-                                         f"{MAX_EXPONENT}", i)
-                i = end
-            terms[power] = terms.get(power, 0) + sign * coef
-        else:
-            if not have_coef:
-                raise PolyParseError(f"expected term, found {text[i]!r}", i)
-            terms[0] = terms.get(0, 0) + sign * coef
-        i = skip_ws(i)
-
-    top = max(terms)
-    return IntPolynomial(terms.get(k, 0) for k in range(top + 1))
+        if j == n:
+            raise PolyParseError("dangling sign", j)
+        coef = _int_at(text, j, m.end(2)) if text[j].isdigit() else 1
+        if not digits and text[j] != "x":
+            raise PolyParseError(f"expected term, found {text[j]!r}", j)
+        if star and not x:
+            raise PolyParseError("expected 'x' after '*'", m.end())
+        power = _int_at(text, m.start(6), m.end(6)) if caret else 1 if x else 0
+        if power > MAX_EXPONENT:
+            raise PolyParseError(f"exponent {_shown(power)} is above the limit of "
+                                 f"{MAX_EXPONENT}", m.start(6))
+        terms[power] = terms.get(power, 0) + (-coef if sign == "-" else coef)
+        i = m.end()
+    return IntPolynomial(terms.get(k, 0) for k in range(max(terms) + 1))
 
 
 def render(f: IntPolynomial) -> str:

@@ -65,6 +65,8 @@ class TestParse:
             ("2x", (0, 2)),
             ("  x ^ 2  -  1 ", (-1, 0, 1)),
             ("0", ()),
+            ("\u0663x", (0, 3)),  # an Arabic-Indic digit is decimal
+            ("x\xa0+\u30001", (1, 1)),  # every str.isspace character is whitespace
         ],
     )
     def test_expression_form(self, text, coeffs):
@@ -82,11 +84,36 @@ class TestParse:
     def test_coefficient_list_form(self, text, coeffs):
         assert parse_poly(text).coeffs == coeffs
 
-    @pytest.mark.parametrize("bad", ["", "x +", "x^", "^2", "x**2", "2 2", "[1, a]", "x^-2"])
-    def test_errors_carry_position(self, bad):
+    @pytest.mark.parametrize("bad,position,message", [
+        ("", 0, "empty polynomial expression"),
+        ("  ", 2, "empty polynomial expression"),
+        ("x +", 3, "dangling sign"),
+        ("x^", 2, "expected digits"),
+        ("x^-2", 2, "expected digits"),
+        ("^2", 0, "expected term, found '^'"),
+        ("*x", 0, "expected term, found '*'"),
+        ("--x", 1, "expected term, found '-'"),
+        ("x**2", 1, "expected '+' or '-', found '*'"),
+        ("2 2", 2, "expected '+' or '-', found '2'"),
+        ("2*", 2, "expected 'x' after '*'"),
+        # digits that are not decimal belong to the literal, which int() refuses
+        ("1\u00b2x", 0, "invalid integer '1\u00b2'"),
+        ("x^\u00b2", 2, "invalid integer '\u00b2'"),
+        # a list entry is placed where it starts in the text as typed, spaces
+        # after its comma included, not where its text first occurs
+        ("[1, a]", 3, "invalid integer 'a'"),
+        ("[1,,2]", 3, "invalid integer ''"),
+        (" [1,]", 4, "invalid integer ''"),
+        ("[-1,-]", 4, "invalid integer '-'"),
+        ("[1_0,1_]", 5, "invalid integer '1_'"),
+        ("[ 7 , 1x]", 5, "invalid integer '1x'"),
+        ("  [1,2", 5, "coefficient list must be enclosed in [ ]"),
+    ])
+    def test_errors_carry_position(self, bad, position, message):
         with pytest.raises(PolyParseError) as err:
             parse_poly(bad)
-        assert "position" in str(err.value)
+        assert err.value.position == position
+        assert str(err.value) == f"syntax error at position {position}: {message}"
 
     def test_invalid_list_entry_is_quoted(self):
         with pytest.raises(PolyParseError) as err:

@@ -1,13 +1,15 @@
 """Property tests: the modular image against a set oracle, the text round trip,
-the real-discrepancy engine against a grid oracle, the closed forms of a
-low-discrepancy sequence against the p-adic engines, the classifier against
-enumeration mod p^2, the discrepancy at N = p^2 + 1 and the normal-form rule
-for A + (x^p - x)B, and the pair-correlation level walk against a fresh
-loop per size; and ``classify``, ``discrepancy``, ``paircorr``,
-``generate``, ``bridge``, ``search`` and ``verify-tables`` on arbitrary
-arguments, which must end in an exit code, never a traceback; the CLI's
-table path against argparse on argv built around each subcommand's options;
-and the JSON writer against ``json.dumps(..., indent=2)``.
+the parser on any text (a polynomial or a parse error, nothing else) and on
+terms written in each surface form, the real-discrepancy engine against a
+grid oracle, the closed forms of a low-discrepancy sequence against the
+p-adic engines, the classifier against enumeration mod p^2, the discrepancy
+at N = p^2 + 1 and the normal-form rule for A + (x^p - x)B, and the
+pair-correlation level walk against a fresh loop per size; and ``classify``,
+``discrepancy``, ``paircorr``, ``generate``, ``bridge``, ``search`` and
+``verify-tables`` on arbitrary arguments, which must end in an exit code,
+never a traceback; the CLI's table path against argparse on argv built
+around each subcommand's options; and the JSON writer against
+``json.dumps(..., indent=2)``.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -35,7 +37,14 @@ from padiclds.discrepancy import (  # noqa: E402
 )
 from padiclds.paircorr import MAX_RADIUS_BITS, _close_pairs, _levels, lds_pair_count  # noqa: E402
 from padiclds.permcheck import classify_low_discrepancy  # noqa: E402
-from padiclds.polynomials import IntPolynomial, _image, derivative, parse_poly, render  # noqa: E402
+from padiclds.polynomials import (  # noqa: E402
+    IntPolynomial,
+    PolyParseError,
+    _image,
+    derivative,
+    parse_poly,
+    render,
+)
 from padiclds.sequence import poly_sequence  # noqa: E402
 from test_paircorr import level_oracle  # noqa: E402
 
@@ -65,6 +74,54 @@ def test_image_matches_set_oracle(coeffs, m):
 def test_parse_render_round_trip(coeffs):
     f = IntPolynomial(coeffs)
     assert parse_poly(render(f)) == f
+
+
+# the characters of the grammar, digits that int() refuses or reads, and
+# whitespace beyond ' ', beside any character at all
+texts = st.text(st.one_of(st.sampled_from("x^*+-[], 0123456789_\t\xa0\u3000\u00b2\u2460\u0663"),
+                          st.characters()), max_size=24)
+
+
+@fixed
+@given(texts)
+@example("x^" + "9" * 5000)
+@example("[1," + "9" * 5000 + "]")
+def test_parse_ends_in_a_polynomial_or_a_parse_error(text):
+    try:
+        assert type(parse_poly(text)) is IntPolynomial
+    except PolyParseError:
+        pass
+
+
+spaces = st.text(st.sampled_from(" \t\xa0\u3000"), max_size=2)
+
+
+@st.composite
+def written_terms(draw):
+    """(text, coefficients): terms c*x^e in the surface forms the grammar allows,
+    ``2x``, ``2*x``, ``2 * x ^ 3``, a bare ``x`` and a constant, each with its
+    sign (the first one's optional) and any whitespace between tokens."""
+    terms = draw(st.lists(st.tuples(st.integers(-10**20, 10**20), st.integers(0, 12)),
+                          min_size=1, max_size=6))
+    coeffs = [0] * 13
+    tokens = []
+    for k, (c, e) in enumerate(terms):
+        coeffs[e] += c
+        tokens.append("-" if c < 0 else draw(st.sampled_from(("+", "") if k == 0 else ("+",))))
+        if e == 0 and draw(st.booleans()):
+            tokens.append(str(abs(c)))
+            continue
+        if abs(c) != 1 or draw(st.booleans()):
+            tokens += [str(abs(c)), *draw(st.sampled_from(([], ["*"])))]
+        tokens += ["x"] if e == 1 and draw(st.booleans()) else ["x", "^", str(e)]
+    return draw(spaces) + "".join(t + draw(spaces) for t in tokens), coeffs
+
+
+@fixed
+@given(written_terms())
+def test_written_terms_parse_to_their_sums(case):
+    text, coeffs = case
+    assert parse_poly(text) == IntPolynomial(coeffs)
 
 
 def grid_real_discrepancy(points):

@@ -30,7 +30,10 @@ values that repeat), a paircorr schedule whose radii share levels, and argv
 that only argparse parses (an abbreviation, ``--opt=value``, a trailing ``--``,
 a negative value, a repeat, help after an option, ``--`` as the positional)
 beside bare positionals before and after the options, classify with no
-polynomial (bare, with a trailing ``--`` and under ``--format csv``), through
+polynomial (bare, with a trailing ``--`` and under ``--format csv``), one
+classify per error exit of the expression reader, and coefficient lists whose
+failing entry's text occurs earlier in the list or whose ``[`` follows
+spaces, each reported at its position in the text as typed, through
 ``padiclds.cli.main`` in-process, and prints per workload the job count and
 one sha256 over (argv, exit code, stdout, stderr) of its jobs in order.  A
 last line digests the ``--help`` text of the top parser and of each
@@ -261,6 +264,15 @@ EXTRA = [
     ["classify", "--p", "3"],
     ["classify", "--p", "3", "--"],
     ["classify", "--p", "3", "--format", "csv"],
+    # each error exit of the expression reader: an empty expression, a
+    # dangling sign, a missing sign, no term, no x after '*', no exponent
+    # digits, digits that are not decimal in a coefficient and in an exponent,
+    # and an exponent past the limit; and coefficient lists whose failing
+    # entry is empty, is a sign, or has its text earlier in the list, and
+    # lists whose '[' follows spaces
+    *(["classify", "--p", "3", "--", f]
+      for f in ("", "  ", "x +", "2 2", "*x", "2*", "x^", "1\u00b2x", "x^\u00b2", "x^1000001",
+                "[1,,2]", " [1,]", "[-1,-]", "[1_0,1_]", "  [1,2")),
 ]
 
 HELP = [["--help"], *([command, "--help"] for command in (

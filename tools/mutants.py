@@ -44,6 +44,7 @@ SEARCH = ("tests/test_catalog.py::TestExhaustiveSearch",)
 DISCREPANCY = ("tests/test_discrepancy.py",)
 CLI = ("tests/test_cli.py",)
 PLAIN_ARGV = ("tests/test_properties.py::test_plain_argv_parses_as_argparse_does",)
+PARSE = ("tests/test_polynomials.py::TestParse",)
 
 MUTANTS = (
     # the permutation test mod p read off the level-2 field: the two differ
@@ -68,6 +69,26 @@ MUTANTS = (
            "        raise ValueError(\"modulus must be >= 1\")\n    return next(",
            "        pass\n    return next(",
            ("tests/test_polynomials.py::TestEvalMod",)),
+    # the term reader's error positions, its digit runs, its exponent bound,
+    # and the list reader's positions in the text as typed
+    Mutant("parse: dangling sign one to the left", "src/padiclds/polynomials.py",
+           'PolyParseError("dangling sign", j)',
+           'PolyParseError("dangling sign", j - 1)', PARSE),
+    Mutant("parse: expected term one to the right", "src/padiclds/polynomials.py",
+           "found {text[j]!r}\", j)",
+           "found {text[j]!r}\", j + 1)", PARSE),
+    Mutant("parse: empty expression always at 0", "src/padiclds/polynomials.py",
+           'PolyParseError("empty polynomial expression", i)',
+           'PolyParseError("empty polynomial expression", 0)', PARSE),
+    Mutant("parse: digit runs not widened to isdigit", "src/padiclds/polynomials.py",
+           "while end < len(text) and text[end].isdigit():",
+           "while False:", PARSE),
+    Mutant("parse: exponent bound > read as >=", "src/padiclds/polynomials.py",
+           "if power > MAX_EXPONENT:",
+           "if power >= MAX_EXPONENT:", PARSE),
+    Mutant("parse: list offsets in the stripped text", "src/padiclds/polynomials.py",
+           "s = text.rstrip()",
+           "s = text.strip()", PARSE),
     Mutant("_image: fibre classes mod q unchecked", "src/padiclds/polynomials.py",
            "one_to_one = S.count(q) == q and len(set(map(mod, A, repeat(q)))) == q",
            "one_to_one = S.count(q) == q",
