@@ -1,30 +1,28 @@
 """Permutation-polynomial decision procedures and the low-discrepancy classifier.
 
 Every verdict comes from one private helper, ``_mod_p_verdict``, which reads
-two value tables mod p: the table of a polynomial g gives the permutation
-test and the smallest missed residue, the table of a second polynomial dg
-gives the smallest root.  Every table comes from the one value-table
-evaluator of ``polynomials`` (Horner at every x for a short table, forward
-differences past max(40, 5(d+1)) values), and the root scan stops at the
-first root.  The three routes differ only in what they feed it:
+f mod p only through two folds of at most p coefficients: the table of the
+fold g of f gives the permutation test and the smallest missed residue, the
+table of the fold dg of f' the smallest root.  Every table comes from the
+one value-table evaluator of ``polynomials`` (Horner at every x for a short
+table, forward differences past max(40, 5(d+1)) values), and the root scan
+stops at the first root.  The three routes differ only in the fold they read:
 
-* the Noebauer criterion -- g = f, dg = f'.  f permutes Z/p^2 iff it permutes
-  Z/p and f' has no root mod p, so this decides both levels from mod-p data;
-* brute force -- the Noebauer verdict checked against f's own values mod
-  p^2: a "permutes Z/p^2" verdict by f's whole image mod p^2 (``_image``,
-  from p = 16 on read off one table of f over [0, 2p) by its p fibres),
-  a "does not" verdict by one collision f(x) = f(x') mod p^2, x != x', found
-  from the mod-p facts and proved by evaluating f at both points.  A check
-  that fails is a broken invariant and raises ``InvariantError``.  This is
-  the authoritative route.  When f permutes Z/p but not Z/p^2 its level-2
-  missed residue comes from the Hensel fibres over the derivative roots,
-  with no enumeration mod p^2;
-* the unit-group folding formula -- g and dg are the two degree <= p-2
-  reductions of f and f'.  The folding is only valid at unit residues, so this
-  route can disagree with ground truth; it is never treated as authoritative,
-  and ``divergence_scan`` hunts for exactly those disagreements.  When
-  deg f <= p-2 the reductions are f and f' mod p, and the facts read from
-  their tables are the Noebauer route's, taken from a small cache.
+* the Noebauer criterion -- ``reduce_functional`` (Fermat's x^p = x, at every
+  residue).  f permutes Z/p^2 iff it permutes Z/p and f' has no root mod p;
+* brute force -- the same folds, the verdict checked on f's own values mod
+  p^2: "permutes Z/p^2" by f's image mod p^2 (``_image``, from p = 16 on
+  read off one table of f over [0, 2p) by its p fibres), "does not" by one
+  collision f(x) = f(x') mod p^2, x != x', found from the folds and proved
+  by evaluating f at both points.  Nothing derived from f' confirms a
+  verdict; a check that fails raises ``InvariantError``.  This is the
+  authoritative route.  A level-2 missed residue comes from the Hensel
+  fibres over the roots of dg, with no enumeration mod p^2;
+* the unit-group folding formula -- ``unit_value_poly`` (x^(p-1) = 1, true
+  at the units only, so the fold can be wrong only at residue 0).  This
+  route can disagree with ground truth; it is never authoritative, and
+  ``divergence_scan`` hunts for those disagreements.  When deg f <= p-2 its
+  folds are the Noebauer route's, and so are the facts, from a small cache.
 
 All decision procedures are pure.
 """
@@ -44,6 +42,7 @@ from .polynomials import (
     _values,
     derivative,
     eval_mod,
+    reduce_functional,
     unit_value_poly,
 )
 
@@ -129,37 +128,26 @@ def first_missing_residue(f: IntPolynomial, m: int) -> int | None:
 
 
 @functools.lru_cache(maxsize=16)
-def _mod_p_facts(g: tuple[int, ...], dg: tuple[int, ...], p: int) -> tuple[int | None, int | None]:
+def _mod_p_facts(g: IntPolynomial, dg: IntPolynomial, p: int) -> tuple[int | None, int | None]:
     """(smallest residue mod p missed by g, smallest root of dg mod p), each None
-    if there is none; g and dg are coefficient tuples reduced mod p.
+    if there is none; g and dg are folds of f and f' mod p.
 
     By pigeonhole g permutes Z/p exactly when it misses no residue, so the
-    permutation test and the level-1 witness come from the same table.  Both
-    facts depend only on (g, dg, p), so they are cached: when deg f <= p-2 the
-    unit-group foldings of f and f' are f and f' mod p, and the folding route
-    reads the pair the Noebauer route has just computed.  The keys keep any
-    zero lead left by the reduction, which costs at most a cache miss; the
-    tables are read with it trimmed, at the true degree of g and dg mod p.
+    permutation test and the level-1 witness come from the same table.  A
+    fold is canonical for its function mod p (on every residue, or on the
+    units), so the facts are cached by the folds: when deg f <= p-2 both
+    folds are f and f' mod p, and the folding route reads the pair the
+    Noebauer route has just computed.
     """
-    dg = IntPolynomial(dg).coeffs
-    return first_missing_residue(IntPolynomial(g), p), next(_roots_mod(dg, p), None)
+    return first_missing_residue(g, p), next(_roots_mod(dg.coeffs, p), None)
 
 
 def _mod_p_verdict(g: IntPolynomial, dg: IntPolynomial, p: int, method: str) -> Verdict:
     """Verdict "g permutes Z/p and dg has no root mod p", one value table each."""
-    missing, root = _mod_p_facts(
-        tuple([c % p for c in g.coeffs]), tuple([c % p for c in dg.coeffs]), p
-    )
+    missing, root = _mod_p_facts(g, dg, p)
     perm_p = missing is None
     ok = perm_p and root is None
-    return Verdict(
-        low_discrepancy=ok,
-        perm_mod_p=perm_p,
-        perm_mod_p2=ok,
-        derivative_root=root,
-        missing_residue=None if perm_p else (1, missing),
-        method=method,
-    )
+    return Verdict(ok, perm_p, ok, root, None if perm_p else (1, missing), method)
 
 
 def noebauer_mod_p2(f: IntPolynomial, p: int) -> Verdict:
@@ -169,8 +157,8 @@ def noebauer_mod_p2(f: IntPolynomial, p: int) -> Verdict:
     root mod p.  The smallest derivative root (when present) is recorded as a
     certificate.
     """
-    check_prime(p)
-    return _mod_p_verdict(f, derivative(f), p, METHOD_NOEBAUER)
+    return _mod_p_verdict(reduce_functional(f, p), reduce_functional(derivative(f), p), p,
+                          METHOD_NOEBAUER)
 
 
 def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
@@ -179,19 +167,19 @@ def classify_low_discrepancy(f: IntPolynomial, p: int) -> Verdict:
     The sequence (f(n)) is low-discrepancy exactly when f permutes Z/p and
     Z/p^2.  A verdict that f permutes Z/p^2 is confirmed by f's image mod
     p^2 (``is_permutation_mod``); one that it does not, by a collision mod p^2
-    that ``_collides_mod_p2`` evaluates, in O(p * deg f) at most.  Either
-    check reads only values of f, so it is independent of the derivative
-    criterion; a failed check would mean a broken invariant, so it raises
-    ``InvariantError`` rather than returning.
+    that ``_collides_mod_p2`` evaluates, in O(p * min(p, deg f) + deg f) at
+    most.  Either check reads only values of f, so it is independent of the
+    derivative criterion; a failed check would mean a broken invariant, so it
+    raises ``InvariantError`` rather than returning.
     """
     check_prime(p)
     _check_enumeration(p * p, "p^2")
-    df = derivative(f)
-    verdict = _mod_p_verdict(f, df, p, METHOD_BRUTE_FORCE)
+    g, dg = reduce_functional(f, p), reduce_functional(derivative(f), p)
+    verdict = _mod_p_verdict(g, dg, p, METHOD_BRUTE_FORCE)
     _confirm(is_permutation_mod(f, p * p) if verdict.perm_mod_p2
-             else _collides_mod_p2(f, df, p, verdict.derivative_root), f, p)
+             else _collides_mod_p2(f, g, dg, p, verdict.derivative_root), f, p)
     if verdict.perm_mod_p and not verdict.perm_mod_p2:
-        return verdict._replace(missing_residue=(2, _fibre_witness(f, p)))
+        return verdict._replace(missing_residue=(2, _fibre_witness(f, dg, p)))
     return verdict
 
 
@@ -203,22 +191,23 @@ def _confirm(confirmed: bool, f: IntPolynomial, p: int) -> None:
             f"internal error: Noebauer criterion disagrees with enumeration for {f} mod {p}")
 
 
-def _collides_mod_p2(f: IntPolynomial, df: IntPolynomial, p: int, root: int | None) -> bool:
+def _collides_mod_p2(f: IntPolynomial, g: IntPolynomial, dg: IntPolynomial, p: int,
+                     root: int | None) -> bool:
     """Whether two distinct x, x' in [0, p^2), chosen from the mod-p facts,
     have f(x) = f(x') mod p^2, by evaluating f at both.
 
     For every x, f(x + tp) = f(x) + tp*f'(x) mod p^2.  At a root r of f' mod p
     the pair is (r, r + p).  With no root, f must miss a residue mod p: take
-    its first repeat a < b mod p in x order, and lift a to a + tp with
-    t = ((f(b) - f(a)) / p) / f'(a) mod p, f(a) and f(b) read mod p^2.  The
-    derivative only finds the pair; the answer rests on f's two values.
+    its first repeat a < b mod p off g, and lift a to a + tp with t =
+    ((f(b) - f(a)) / p) / f'(a) mod p, f(a) and f(b) mod p^2, f'(a) off dg.
+    The derivative only finds the pair; the answer rests on f's two values.
     """
     pp = p * p
     if root is not None:
         x, y = root, root + p
     else:
         first: dict[int, int] = {}
-        for y, v in enumerate(_values(f.coeffs, p, p)):
+        for y, v in enumerate(_values(g.coeffs, p, p)):
             x = first.setdefault(v, y)
             if x != y:
                 break
@@ -227,21 +216,21 @@ def _collides_mod_p2(f: IntPolynomial, df: IntPolynomial, p: int, root: int | No
         rise = (eval_mod(f, y, pp) - eval_mod(f, x, pp)) % pp // p
         # Fermat's inverse, which never raises: whatever f'(x) is, the
         # comparison below decides.
-        x += rise * pow(eval_mod(df, x, p), p - 2, p) % p * p
+        x += rise * pow(eval_mod(dg, x, p), p - 2, p) % p * p
     return eval_mod(f, x, pp) == eval_mod(f, y, pp)
 
 
-def _fibre_witness(f: IntPolynomial, p: int) -> int:
+def _fibre_witness(f: IntPolynomial, dg: IntPolynomial, p: int) -> int:
     """Smallest residue mod p^2 missed by f, for f permuting Z/p but not Z/p^2.
 
-    Over a root r of f' mod p the fibre r + tp maps to f(r) + tp*f'(r), which
-    is f(r) mod p^2 for every t; as f permutes Z/p, no other x reaches that
-    class mod p, so every other lift of f(r) mod p is missed.  Fibres over
-    non-roots cover all p lifts.  The smallest missed residue is therefore the
-    least, over the roots r, of f(r) mod p when that differs from f(r) mod
-    p^2, and of f(r) mod p + p otherwise.
+    Over a root r of f' mod p, read off dg, the fibre r + tp maps to
+    f(r) + tp*f'(r), which is f(r) mod p^2 for every t; as f permutes Z/p, no
+    other x reaches that class mod p, so every other lift of f(r) mod p is
+    missed.  Fibres over non-roots cover all p lifts.  The smallest missed
+    residue is therefore the least, over the roots r, of f(r) mod p when that
+    differs from f(r) mod p^2, and of f(r) mod p + p otherwise.
     """
-    hits = _horner(f.coeffs, _roots_mod(derivative(f).coeffs, p), p * p)
+    hits = _horner(f.coeffs, _roots_mod(dg.coeffs, p), p * p)
     return min(hit % p if hit >= p else hit + p for hit in hits)
 
 
@@ -255,9 +244,8 @@ def classify_via_reduction(f: IntPolynomial, p: int) -> Verdict:
     permutation test of the value folding, ``derivative_root`` the smallest
     root of the derivative folding.
     """
-    return _mod_p_verdict(
-        unit_value_poly(f, p), unit_value_poly(derivative(f), p), p, METHOD_UNIT_REDUCTION
-    )
+    return _mod_p_verdict(unit_value_poly(f, p), unit_value_poly(derivative(f), p), p,
+                          METHOD_UNIT_REDUCTION)
 
 
 class DivergenceEntry(NamedTuple):

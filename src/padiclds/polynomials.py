@@ -238,10 +238,12 @@ def unit_value_poly(f: IntPolynomial, p: int) -> IntPolynomial:
 def _fold(f: IntPolynomial, p: int, top: int) -> IntPolynomial:
     """f with each exponent e > top folded onto the one in (top - (p-1), top]
     congruent to it mod p-1 (x^(p-1) is 1 at units), coefficients mod p."""
-    cs = list(f.coeffs[:top + 1])
-    for e in range(top + 1, len(f.coeffs)):
-        cs[top - (top - e) % (p - 1)] += f.coeffs[e]
-    return IntPolynomial(c % p for c in cs)
+    cs = f.coeffs
+    if len(cs) > top + 1:  # one C-level sum over a stride of p-1 per target
+        cs = list(cs[:top + 1])
+        for e in range(top + 1, min(len(f.coeffs), top + p)):
+            cs[e - (p - 1)] += sum(f.coeffs[e::p - 1])
+    return IntPolynomial([c % p for c in cs])
 
 
 # --------------------------------------------------------------------------
@@ -257,15 +259,17 @@ class PolyParseError(ValueError):
 
 
 def _int_literal(literal: str, position: int) -> int:
-    """int(literal), or a PolyParseError at ``position`` if it is not one or too long."""
+    """int(literal), or a PolyParseError at ``position`` if it is not one or too
+    long; '_', which int() reads, is refused as in the expression form."""
     try:
-        return int(literal)
+        if "_" not in literal:
+            return int(literal)
     except ValueError as exc:
         if str(exc).startswith("Exceeds the limit"):
             limit = sys.get_int_max_str_digits()
             raise PolyParseError(f"integer {_quote(literal)} has more than {limit} digits, the "
                                  f"most the interpreter converts", position) from None
-        raise PolyParseError(f"invalid integer {_quote(literal)}", position) from None
+    raise PolyParseError(f"invalid integer {_quote(literal)}", position)
 
 
 def parse_poly(text: str) -> IntPolynomial:

@@ -25,6 +25,7 @@ from padiclds.polynomials import (
     derivative,
     eval_mod,
     parse_poly,
+    reduce_functional,
     render,
     unit_value_poly,
 )
@@ -209,20 +210,69 @@ class TestSharedModPFacts:
         assert noebauer_mod_p2(f, 5).perm_mod_p and not noebauer_mod_p2(f, 7).perm_mod_p
 
     def test_lifts_by_p_share_verdicts(self):
+        # f dense up to degree 5p plus sparse terms up to x^1000; its lift adds
+        # sparse terms up to x^1000 whose coefficients p divides
         rng = random.Random(83)
-        for p in (3, 5, 7, 11):
-            for _ in range(40):
-                f = IntPolynomial([rng.randint(-p, 2 * p) for _ in range(rng.randint(1, 2 * p))])
-                k = rng.randint(0, 2 * p)
-                cs = list(f.coeffs) + [0] * (k + 1)
-                cs[k] += p * rng.choice([-1, 1, 2])
+        for p in (2, 3, 5, 7, 11, 13):
+            for _ in range(12):
+                cs = [rng.randint(-p, 2 * p) for _ in range(rng.randint(1, 5 * p + 1))]
+                cs += [0] * 1000
+                for _ in range(rng.randint(0, 2)):
+                    cs[rng.randint(5 * p, 1000)] += rng.randint(1, 2 * p)
+                f = IntPolynomial(cs)
+                for _ in range(rng.randint(1, 3)):
+                    cs[rng.randint(0, 1000)] += p * rng.choice([-1, 1, 2])
                 lift = IntPolynomial(cs)
                 assert noebauer_mod_p2(lift, p) == noebauer_mod_p2(f, p), (f, lift, p)
-                assert classify_via_reduction(lift, p) == classify_via_reduction(f, p), (f, p)
                 for h in (f, lift):
                     assert classify_low_discrepancy(h, p) == _brute_oracle(h, p), (h, p)
+                    dh = derivative(h)
                     assert noebauer_mod_p2(h, p) == _criterion_oracle(
-                        h, derivative(h), p, METHOD_NOEBAUER), (h, p)
+                        h, dh, p, METHOD_NOEBAUER), (h, p)
+                    if p >= 3:
+                        # the unit folds, checked point by point: degree <= p-2 and
+                        # equal to h and h' at the p-1 units, so unique
+                        g, dg = unit_value_poly(h, p), unit_value_poly(dh, p)
+                        assert max(g.degree, dg.degree) <= p - 2
+                        assert all(eval_mod(g, x, p) == eval_mod(h, x, p)
+                                   and eval_mod(dg, x, p) == eval_mod(dh, x, p)
+                                   for x in range(1, p))
+                        assert classify_via_reduction(h, p) == _criterion_oracle(
+                            g, dg, p, METHOD_UNIT_REDUCTION), (h, p)
+                if p >= 3:
+                    assert classify_via_reduction(lift, p) == classify_via_reduction(f, p), (f, p)
+
+    @pytest.mark.parametrize("text,verdict", [
+        ("x + 101*x^20000", (True, None, None)),  # confirmed by the image mod p^2
+        ("x^3 + 101*x^20000", (False, 0, (2, 101))),  # a level-2 witness from a root
+        ("x^20000 + x", (False, 99, (1, 1))),  # the collision at the root 99
+        ("x^20060 + 78*x^3 + 2*x", (False, None, (1, 1))),  # root-free: a lifted repeat
+    ])
+    def test_tables_mod_p_read_at_most_p_coefficients(self, monkeypatch, text, verdict):
+        # every table mod p is a fold's, whatever deg f; only the tables mod
+        # p^2 that confirm a verdict read f's own coefficients
+        p, reads = 101, []
+
+        def spy(name, modulus):  # modulus: the index of m among the arguments
+            real = getattr(permcheck, name)
+
+            def recorded(*args):
+                reads.append((len(args[0]), args[modulus]))
+                return real(*args)
+            monkeypatch.setattr(permcheck, name, recorded)
+
+        for name, modulus in (("_image", 1), ("_roots_mod", 1), ("_values", 2)):
+            spy(name, modulus)
+        permcheck._mod_p_facts.cache_clear()
+        f = parse_poly(text)
+        v = classify_low_discrepancy(f, p)
+        assert (v.low_discrepancy, v.derivative_root, v.missing_residue) == verdict
+        assert noebauer_mod_p2(f, p) == v._replace(method=METHOD_NOEBAUER, missing_residue=(
+            v.missing_residue if v.missing_residue and v.missing_residue[0] == 1 else None))
+        classify_via_reduction(f, p)
+        mod_p = [n for n, m in reads if m == p]
+        assert mod_p and max(mod_p) <= p, reads
+        assert all(m in (p, p * p) for n, m in reads), reads
 
     def test_root_scan_stops_at_the_first_root(self):
         steps = []
@@ -236,9 +286,10 @@ class TestSharedModPFacts:
         # 1, 2, 3, not at all p residues; at p = 101, past it, Horner only at
         # the seeds x = 0, 1, 2.  The scan resumes after the first root.
         for p, evaluated in ((37, 4), (101, 3)):
+            g, dg = reduce_functional(parse_poly("x"), p), IntPolynomial([Counted(15), p - 8, 1])
+            assert dg == reduce_functional(dg, p)  # reduced, below degree p: its own fold
             steps.clear()
-            dg = (Counted(15), p - 8, 1)
-            assert permcheck._mod_p_facts.__wrapped__((0, 1), dg, p) == (None, 3)
+            assert permcheck._mod_p_facts.__wrapped__(g, dg, p) == (None, 3)
             assert len(steps) == evaluated
             assert list(polynomials._roots_mod((15, p - 8, 1), p)) == [3, 5]
 

@@ -105,7 +105,7 @@ class TestParse:
         ("[1,,2]", 3, "invalid integer ''"),
         (" [1,]", 4, "invalid integer ''"),
         ("[-1,-]", 4, "invalid integer '-'"),
-        ("[1_0,1_]", 5, "invalid integer '1_'"),
+        ("[1_0,1_]", 1, "invalid integer '1_0'"),
         ("[ 7 , 1x]", 5, "invalid integer '1x'"),
         ("  [1,2", 5, "coefficient list must be enclosed in [ ]"),
     ])

@@ -7,7 +7,8 @@ searches, four past degree p whose hits have a nonzero (x^p - x)B or
 ``search --p 3 --degree 8``, ``search --p 2 --degree 9 --nonzero-linear``
 and ``search --p 7 --degree 7``, whose constant terms are free), error
 paths, rationals and integer literals too long to convert or quote, malformed inputs too long to echo, six large-p, three
-high-degree and two root-free non-permutation classify calls, long and dense
+high-degree and two root-free non-permutation classify calls, four of
+degree 20,000 or more at p = 101, one per brute-force branch, long and dense
 discrepancy, paircorr and generate schedules, digit and digit-reversal output
 of negative values, integer ``--linear`` sequences, unsorted, long, dense
 and negative-valued bridge schedules, the catalog dump of each
@@ -221,6 +222,12 @@ EXTRA = [
     *(["classify", "--p", str(p), "--", f] for p in (17, 19, 23)
       for f in ("5x+7", f"{p}x^4+x", f"{p}x^9+{p}x^2+x", "x^3")),
     *(["classify", "--p", "1009", "--", f] for f in ("1009x^300+x", "x^300+x+1", "x^300+5x^2")),
+    # degree 20,000 and more at p = 101, one per brute-force branch, each read
+    # mod p off the folds of f and f': a low-discrepancy verdict confirmed mod
+    # p^2, a level-2 witness over the root 0, a collision at the root 99, and
+    # a root-free non-permutation whose first repeat is lifted
+    *(["classify", "--p", "101", "--", f] for f in (
+        "x+101*x^20000", "x^3+101*x^20000", "x^20000+x", "x^20060+78*x^3+2*x")),
     *(["generate", "--p", "3", "--n", str(n), "--mode", "integers", "--", "x^12+5x^3-7"]
       for n in (12, 13, 14, 40, 41)),
     # dense schedules on the value engine whose levels fill: level 1 of an

@@ -45,6 +45,7 @@ DISCREPANCY = ("tests/test_discrepancy.py",)
 CLI = ("tests/test_cli.py",)
 PLAIN_ARGV = ("tests/test_properties.py::test_plain_argv_parses_as_argparse_does",)
 PARSE = ("tests/test_polynomials.py::TestParse",)
+PERMCHECK = ("tests/test_permcheck.py",)
 
 MUTANTS = (
     # the permutation test mod p read off the level-2 field: the two differ
@@ -97,6 +98,16 @@ MUTANTS = (
            "min(hit % p if hit >= p else hit + p for hit in hits)",
            "min(hit % p + p for hit in hits)",
            ("tests/test_permcheck.py::TestFibreWitness",)),
+    # the verdict routes read folds: the Noebauer and brute-force routes need
+    # the fold exact at every residue, the collision's repeat is f's, and the
+    # level-2 witness sits over the roots of f'
+    Mutant("routes: Noebauer folds at top p-2", "src/padiclds/permcheck.py",
+           "    reduce_functional,\n", "    unit_value_poly as reduce_functional,\n", PERMCHECK),
+    Mutant("_collides_mod_p2: repeat from the fold of f'", "src/padiclds/permcheck.py",
+           "enumerate(_values(g.coeffs, p, p))", "enumerate(_values(dg.coeffs, p, p))",
+           PERMCHECK),
+    Mutant("_fibre_witness: roots of the fold of f", "src/padiclds/permcheck.py",
+           "_fibre_witness(f, dg, p)", "_fibre_witness(f, g, p)", PERMCHECK),
     Mutant("Noebauer: no root condition", "src/padiclds/permcheck.py",
            "ok = perm_p and root is None",
            "ok = perm_p", ("tests/test_permcheck.py::TestNoebauer",)),
